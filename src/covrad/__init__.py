@@ -32,8 +32,8 @@ from .spaces import (
     unit_ball_volume,
     unit_box_polyhedron,
 )
-from .sampler import SampleSet, SeedSpec, sample, sample_stream
-from .nets import ProbeNet, SpatialIndex, build_index, build_probe_net, greedy_separated_net, nearest
+from .sampler import SampleSet, SeedSpec, sample
+from .nets import ProbeNet, SpatialIndex, build_index, build_probe_net
 from .covering import (
     CoveringRadiusInterval,
     NetVerdict,

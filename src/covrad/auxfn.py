@@ -195,4 +195,7 @@ def f_lower_bound(params: OccupancyParams) -> float:
         + 2.0 * log_q1
         + (m - 2) * math.log1p(math.exp(log_q1))
     )
-    return first - math.exp(log_second)
+    try:
+        return first - math.exp(log_second)
+    except OverflowError:  # second term beyond the double range: the bound is vacuous
+        return -math.inf

@@ -35,6 +35,7 @@ BUILTIN_DOMAINS = {
     "cube2": {"kind": "Cube", "params": {"d": 2}},
     "cube3": {"kind": "Cube", "params": {"d": 3}},
     "cantor": {"kind": "Cantor", "params": {"depth": 40}},
+    "unit_box": spaces.domain_to_dict(spaces.unit_box_polyhedron()),
 }
 
 

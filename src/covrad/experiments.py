@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -38,6 +39,7 @@ from .spaces import (
     Domain,
     IntervalUniform,
     Sphere,
+    domain_to_dict,
     hausdorff_mass,
     limit_constant,
     unit_ball_volume,
@@ -133,7 +135,7 @@ class StudyWriter:
                 "version": __version__,
                 "wall_time_s": round(time.time() - self.t0, 3),
             }
-            with open(self.meta_path, "a") as fh:
+            with open(self.meta_path, "w") as fh:
                 fh.write(json.dumps(meta) + "\n")
 
 
@@ -176,7 +178,7 @@ def _probe_count_estimate(domain: Domain, mesh: float) -> float:
 def check_budget(config: StudyConfig) -> float:
     cost = sum(estimate_cost(config.domain, n, config.trials, config.probe_eta)
                for n in config.n_grid)
-    print(f"estimated cost: {cost:.3g} distance evaluations")
+    print(f"estimated cost: {cost:.3g} distance evaluations", file=sys.stderr)
     if cost > BUDGET_LIMIT and not config.force:
         raise BudgetExceededError(
             f"estimated cost {cost:.3g} exceeds {BUDGET_LIMIT:.0e}; rerun with --force"
@@ -185,7 +187,7 @@ def check_budget(config: StudyConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Core per-trial covering evaluation
+# Per-trial kernels: kernel(domain, n, seed, prepared) for one trial
 # ---------------------------------------------------------------------------
 
 
@@ -193,6 +195,12 @@ def _has_exact_1d_path(domain: Domain) -> bool:
     return isinstance(domain, IntervalUniform) or (
         isinstance(domain, Sphere) and domain.d == 1
     )
+
+
+def _probe_for(domain: Domain, n: int, eta: float):
+    if _has_exact_1d_path(domain):
+        return None
+    return build_probe_net(domain, probe_mesh_for(domain, n, eta))
 
 
 def _trial_bounds(domain: Domain, n: int, seed: SeedSpec, probe) -> tuple[float, float]:
@@ -204,10 +212,66 @@ def _trial_bounds(domain: Domain, n: int, seed: SeedSpec, probe) -> tuple[float,
     return b.lower, b.upper
 
 
-def _probe_for(domain: Domain, n: int, eta: float):
-    if _has_exact_1d_path(domain):
-        return None
-    return build_probe_net(domain, probe_mesh_for(domain, n, eta))
+def _trial_window(domain: ArcsineInterval, n: int, seed: SeedSpec, window: WindowSpec) -> float:
+    return covering_radius_window(domain, sample(domain, n, seed), window, n)
+
+
+def _trial_verdict(domain: Domain, n: int, seed: SeedSpec, eps_probe) -> tuple[bool, bool]:
+    """(YES, YES or UNKNOWN) for one configuration."""
+    eps, probe = eps_probe
+    verdict = is_eps_net(domain, sample(domain, n, seed).points, eps, probe).value
+    return verdict is Verdict.YES, verdict is not Verdict.NO
+
+
+# ---------------------------------------------------------------------------
+# Trial engine
+# ---------------------------------------------------------------------------
+
+
+def _run_study(domain: Domain, n_grid, trials: int, master_seed: int, *, prepare, kernel,
+               reduce, header: list[str], echo: dict, out: str | None) -> list:
+    """The trial loop behind every study.
+
+    Per N: prepared = prepare(n), once (a probe net, or None on exact paths);
+    then kernel(domain, n, SeedSpec(master_seed, t), prepared) for t in
+    range(trials), stacked in stream order into an array with one row per
+    trial; then reduce(n, prepared, values) yields the output rows. The
+    sidecar echoes the domain, grid, trials and seed plus `echo`, the study's
+    own parameters.
+    """
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    config = {"domain": domain_to_dict(domain), "n_grid": list(n_grid), "trials": trials,
+              "master_seed": master_seed, **echo}
+
+    def rows():
+        for n in n_grid:
+            prepared = prepare(n)
+            values = np.array([kernel(domain, n, SeedSpec(master_seed, t), prepared)
+                               for t in range(trials)])
+            yield from reduce(n, prepared, values)
+
+    return _write_rows(rows(), header, config, out)
+
+
+def _write_rows(rows, header: list[str], config: dict, out: str | None) -> list:
+    """Write each row to the CSV as it is made, then the sidecar; returns the rows."""
+    writer = StudyWriter(out, header)
+    done = []
+    for row in rows:
+        writer.write(row.values() if isinstance(row, dict) else astuple(row))
+        done.append(row)
+    writer.close(config)
+    return done
+
+
+def _ci_half_width(values: np.ndarray) -> float:
+    """Half-width of the 99% normal confidence interval for the mean."""
+    return 2.576 * float(values.std(ddof=1)) / math.sqrt(len(values))
+
+
+_STUDY_HEADER = ["N", "T", "mean_rho_p_lower", "mean_rho_p_upper",
+                 "ci_half_width", "rescaled", "target"]
 
 
 # ---------------------------------------------------------------------------
@@ -223,34 +287,22 @@ def run_expectation_study(config: StudyConfig) -> list[StudyRow]:
         target = limit_constant(config.domain, config.p)
     except UnsupportedDomainError:
         target = None
-    header = ["N", "T", "mean_rho_p_lower", "mean_rho_p_upper",
-              "ci_half_width", "rescaled", "target"]
-    writer = StudyWriter(config.out, header)
-    rows = []
-    for n in config.n_grid:
-        probe = _probe_for(config.domain, n, config.probe_eta)
-        lows = np.empty(config.trials)
-        ups = np.empty(config.trials)
-        for t in range(config.trials):
-            lo, up = _trial_bounds(config.domain, n, SeedSpec(config.master_seed, t), probe)
-            lows[t], ups[t] = lo**config.p, up**config.p
+
+    def reduce(n, probe, bounds):
+        # float ** per value: NumPy's vectorised power may round differently
+        lows, ups = (np.array([b**config.p for b in col]) for col in bounds.T.tolist())
         mids = (lows + ups) / 2.0
-        ci = 2.576 * float(mids.std(ddof=1)) / math.sqrt(config.trials)
         rescale = (n / math.log(n)) ** (config.p / config.domain.intrinsic_dim)
-        row = StudyRow(
-            n=n,
-            trials=config.trials,
-            mean_rho_p_lower=float(lows.mean()),
-            mean_rho_p_upper=float(ups.mean()),
-            ci_half_width=ci,
-            rescaled=float(mids.mean()) * rescale,
-            target=target,
-        )
-        rows.append(row)
-        writer.write([row.n, row.trials, row.mean_rho_p_lower, row.mean_rho_p_upper,
-                      row.ci_half_width, row.rescaled, row.target])
-    writer.close(_config_echo(config))
-    return rows
+        yield StudyRow(n=n, trials=config.trials, mean_rho_p_lower=float(lows.mean()),
+                       mean_rho_p_upper=float(ups.mean()), ci_half_width=_ci_half_width(mids),
+                       rescaled=float(mids.mean()) * rescale, target=target)
+
+    return _run_study(
+        config.domain, config.n_grid, config.trials, config.master_seed,
+        prepare=lambda n: _probe_for(config.domain, n, config.probe_eta),
+        kernel=_trial_bounds, reduce=reduce, header=_STUDY_HEADER,
+        echo={"study": "expectation", "p": config.p, "probe_eta": config.probe_eta},
+        out=config.out)
 
 
 def circle_expectation_oracle(n: int, circumference: float = 2.0 * math.pi) -> float:
@@ -270,27 +322,20 @@ def run_tail_study(domain: Domain, n: int, trials: int, thresholds, master_seed:
         t < 0 for t in thresholds
     ):
         raise ValueError("thresholds must be nonnegative and increasing")
-    probe = _probe_for(domain, n, probe_eta)
-    lows = np.empty(trials)
-    ups = np.empty(trials)
-    for t in range(trials):
-        lows[t], ups[t] = _trial_bounds(domain, n, SeedSpec(master_seed, t), probe)
-    writer = StudyWriter(out, ["N", "threshold", "prob_lower_exceeds",
-                               "prob_upper_exceeds", "bound_form"])
-    rows = []
-    for thr in thresholds:
-        row = TailRow(
-            n=n,
-            threshold=thr,
-            prob_lower_exceeds=float((lows >= thr).mean()),
-            prob_upper_exceeds=float((ups >= thr).mean()),
-            bound_form="upper-tail-polynomial-decay",
-        )
-        rows.append(row)
-        writer.write([row.n, row.threshold, row.prob_lower_exceeds,
-                      row.prob_upper_exceeds, row.bound_form])
-    writer.close({"study": "tail", "N": n, "trials": trials, "seed": master_seed})
-    return rows
+
+    def reduce(n, probe, bounds):
+        for thr in thresholds:
+            yield TailRow(n=n, threshold=thr,
+                          prob_lower_exceeds=float((bounds[:, 0] >= thr).mean()),
+                          prob_upper_exceeds=float((bounds[:, 1] >= thr).mean()),
+                          bound_form="upper-tail-polynomial-decay")
+
+    return _run_study(
+        domain, [n], trials, master_seed,
+        prepare=lambda n: _probe_for(domain, n, probe_eta),
+        kernel=_trial_bounds, reduce=reduce,
+        header=["N", "threshold", "prob_lower_exceeds", "prob_upper_exceeds", "bound_form"],
+        echo={"study": "tail", "thresholds": thresholds, "probe_eta": probe_eta}, out=out)
 
 
 def run_zn_study(d: int, n_grid, trials: int, master_seed: int = 0,
@@ -301,46 +346,29 @@ def run_zn_study(d: int, n_grid, trials: int, master_seed: int = 0,
         raise ValueError("Z_N study supports d in {1, 2}")
     domain = Sphere(d)
     scale_const = unit_ball_volume(d) / ((d + 1) * unit_ball_volume(d + 1))
-    writer = StudyWriter(out, ["N", "T", "mean", "stdev",
-                               "frac_within_01", "frac_within_02"])
-    rows = []
-    for n in n_grid:
-        probe = _probe_for(domain, n, probe_eta)
-        zs = np.empty(trials)
+
+    def reduce(n, probe, bounds):
         factor = (scale_const * n / math.log(n)) ** (1.0 / d)
-        for t in range(trials):
-            lo, up = _trial_bounds(domain, n, SeedSpec(master_seed, t), probe)
-            zs[t] = (lo + up) / 2.0 * factor
-        row = ZnRow(
-            n=n,
-            trials=trials,
-            mean=float(zs.mean()),
-            stdev=float(zs.std(ddof=1)),
-            frac_within_01=float((np.abs(zs - 1.0) <= 0.1).mean()),
-            frac_within_02=float((np.abs(zs - 1.0) <= 0.2).mean()),
-        )
-        rows.append(row)
-        writer.write([row.n, row.trials, row.mean, row.stdev,
-                      row.frac_within_01, row.frac_within_02])
-    writer.close({"study": "zn", "d": d, "n_grid": list(n_grid),
-                  "trials": trials, "seed": master_seed})
-    return rows
+        zs = (bounds[:, 0] + bounds[:, 1]) / 2.0 * factor
+        yield ZnRow(n=n, trials=trials, mean=float(zs.mean()), stdev=float(zs.std(ddof=1)),
+                    frac_within_01=float((np.abs(zs - 1.0) <= 0.1).mean()),
+                    frac_within_02=float((np.abs(zs - 1.0) <= 0.2).mean()))
+
+    return _run_study(
+        domain, n_grid, trials, master_seed,
+        prepare=lambda n: _probe_for(domain, n, probe_eta),
+        kernel=_trial_bounds, reduce=reduce,
+        header=["N", "T", "mean", "stdev", "frac_within_01", "frac_within_02"],
+        echo={"study": "zn", "d": d, "probe_eta": probe_eta}, out=out)
 
 
 def run_arcsine_study(a_exponent: float, side: str, n_grid, trials: int,
                       master_seed: int = 0, out: str | None = None) -> list[StudyRow]:
     """Windowed covering radii on the arcsine interval, rescaled by the
     two-sided-bound rate for the given window regime."""
-    domain = ArcsineInterval()
     window = WindowSpec(a_exponent=a_exponent, side=side)
-    writer = StudyWriter(out, ["N", "T", "mean_rho_p_lower", "mean_rho_p_upper",
-                               "ci_half_width", "rescaled", "target"])
-    rows = []
-    for n in n_grid:
-        vals = np.empty(trials)
-        for t in range(trials):
-            sset = sample(domain, n, SeedSpec(master_seed, t))
-            vals[t] = covering_radius_window(domain, sset, window, n)
+
+    def reduce(n, window, vals):
         if side == "interior":
             rescale = n / math.log(n)
         elif a_exponent >= 2.0:
@@ -348,15 +376,15 @@ def run_arcsine_study(a_exponent: float, side: str, n_grid, trials: int,
         else:
             rescale = float(n) ** (1.0 + a_exponent / 2.0) / math.log(n)
         mean = float(vals.mean())
-        ci = 2.576 * float(vals.std(ddof=1)) / math.sqrt(trials)
-        row = StudyRow(n=n, trials=trials, mean_rho_p_lower=mean, mean_rho_p_upper=mean,
-                       ci_half_width=ci, rescaled=mean * rescale, target=None)
-        rows.append(row)
-        writer.write([row.n, row.trials, row.mean_rho_p_lower, row.mean_rho_p_upper,
-                      row.ci_half_width, row.rescaled, row.target])
-    writer.close({"study": "arcsine", "a": a_exponent, "side": side,
-                  "n_grid": list(n_grid), "trials": trials, "seed": master_seed})
-    return rows
+        yield StudyRow(n=n, trials=trials, mean_rho_p_lower=mean, mean_rho_p_upper=mean,
+                       ci_half_width=_ci_half_width(vals), rescaled=mean * rescale,
+                       target=None)
+
+    return _run_study(
+        ArcsineInterval(), n_grid, trials, master_seed,
+        prepare=lambda n: window, kernel=_trial_window, reduce=reduce,
+        header=_STUDY_HEADER,
+        echo={"study": "arcsine", "a_exponent": a_exponent, "side": side}, out=out)
 
 
 def run_random_vs_structured(d: int, n_grid, trials: int, master_seed: int = 0,
@@ -366,24 +394,20 @@ def run_random_vs_structured(d: int, n_grid, trials: int, master_seed: int = 0,
     if d not in (1, 2, 3):
         raise ValueError("random-vs-structured study supports d in {1, 2, 3}")
     domain = IntervalUniform() if d == 1 else Cube(d)
-    writer = StudyWriter(out, ["N", "T", "random_mean_rho", "grid_rho", "ratio"])
-    rows = []
-    for n in n_grid:
-        probe = _probe_for(domain, n, probe_eta)
-        mids = np.empty(trials)
-        for t in range(trials):
-            lo, up = _trial_bounds(domain, n, SeedSpec(master_seed, t), probe)
-            mids[t] = (lo + up) / 2.0
+
+    def reduce(n, probe, bounds):
+        mean = float(((bounds[:, 0] + bounds[:, 1]) / 2.0).mean())
         k = int(math.floor(n ** (1.0 / d)))
         grid_rho = math.sqrt(d) / (2.0 * k)  # centered k^d lattice, exact
-        row = {"N": n, "T": trials, "random_mean_rho": float(mids.mean()),
-               "grid_rho": grid_rho, "ratio": float(mids.mean()) / grid_rho}
-        rows.append(row)
-        writer.write([row["N"], row["T"], row["random_mean_rho"],
-                      row["grid_rho"], row["ratio"]])
-    writer.close({"study": "versus", "d": d, "n_grid": list(n_grid),
-                  "trials": trials, "seed": master_seed})
-    return rows
+        yield {"N": n, "T": trials, "random_mean_rho": mean,
+               "grid_rho": grid_rho, "ratio": mean / grid_rho}
+
+    return _run_study(
+        domain, n_grid, trials, master_seed,
+        prepare=lambda n: _probe_for(domain, n, probe_eta),
+        kernel=_trial_bounds, reduce=reduce,
+        header=["N", "T", "random_mean_rho", "grid_rho", "ratio"],
+        echo={"study": "versus", "d": d, "probe_eta": probe_eta}, out=out)
 
 
 def run_epsnet_study(domain: Domain, n_grid, trials: int, c_mult: float,
@@ -392,61 +416,41 @@ def run_epsnet_study(domain: Domain, n_grid, trials: int, c_mult: float,
     eps = c_mult * (mass/upsilon_s * log N / N)^(1/s)."""
     if c_mult <= 0:
         raise ValueError("c_mult must be positive")
-    writer = StudyWriter(out, ["N", "T", "eps", "yes_fraction",
-                               "yes_or_unknown_fraction"])
-    rows = []
-    for n in n_grid:
+
+    def prepare(n):
         eps = c_mult * rho_scale(domain, n)
-        probe = build_probe_net(domain, eps / 20.0)
-        yes = 0
-        yes_or_unknown = 0
-        for t in range(trials):
-            sset = sample(domain, n, SeedSpec(master_seed, t))
-            verdict = is_eps_net(domain, sset.points, eps, probe)
-            yes += verdict.value is Verdict.YES
-            yes_or_unknown += verdict.value in (Verdict.YES, Verdict.UNKNOWN)
-        row = {"N": n, "T": trials, "eps": eps, "yes_fraction": yes / trials,
-               "yes_or_unknown_fraction": yes_or_unknown / trials}
-        rows.append(row)
-        writer.write([row["N"], row["T"], row["eps"], row["yes_fraction"],
-                      row["yes_or_unknown_fraction"]])
-    writer.close({"study": "epsnet", "n_grid": list(n_grid), "trials": trials,
-                  "c_mult": c_mult, "seed": master_seed})
-    return rows
+        return eps, build_probe_net(domain, eps / 20.0)
+
+    def reduce(n, eps_probe, verdicts):
+        yield {"N": n, "T": trials, "eps": eps_probe[0],
+               "yes_fraction": int(verdicts[:, 0].sum()) / trials,
+               "yes_or_unknown_fraction": int(verdicts[:, 1].sum()) / trials}
+
+    return _run_study(
+        domain, n_grid, trials, master_seed,
+        prepare=prepare, kernel=_trial_verdict, reduce=reduce,
+        header=["N", "T", "eps", "yes_fraction", "yes_or_unknown_fraction"],
+        echo={"study": "epsnet", "c_mult": c_mult}, out=out)
 
 
 def dump_f_grid(n_values, n_cell_measures, m_values, out: str | None = None) -> list[dict]:
     """Evaluate f and its lower bound over a parameter grid, as CSV rows."""
     from .auxfn import OccupancyParams, f_dp, f_lower_bound
 
-    writer = StudyWriter(out, ["N", "n", "m", "f_dp", "f_lower_bound"])
-    rows = []
-    for big_n in n_values:
-        for n in n_cell_measures:
-            for m in m_values:
-                if not (m <= n <= big_n):
-                    continue
-                params = OccupancyParams(big_n, n, m)
-                row = {"N": big_n, "n": n, "m": m,
-                       "f_dp": f_dp(params), "f_lower_bound": f_lower_bound(params)}
-                rows.append(row)
-                writer.write([row["N"], row["n"], row["m"], row["f_dp"],
-                              row["f_lower_bound"]])
-    writer.close({"study": "fgrid"})
-    return rows
+    def rows():
+        for big_n in n_values:
+            for n in n_cell_measures:
+                for m in m_values:
+                    if not (m <= n <= big_n):
+                        continue
+                    params = OccupancyParams(big_n, n, m)
+                    yield {"N": big_n, "n": n, "m": m,
+                           "f_dp": f_dp(params), "f_lower_bound": f_lower_bound(params)}
 
-
-def _config_echo(config: StudyConfig) -> dict:
-    from .spaces import domain_to_dict
-
-    return {
-        "domain": domain_to_dict(config.domain),
-        "n_grid": list(config.n_grid),
-        "trials": config.trials,
-        "p": config.p,
-        "probe_eta": config.probe_eta,
-        "master_seed": config.master_seed,
-    }
+    return _write_rows(rows(), ["N", "n", "m", "f_dp", "f_lower_bound"],
+                       {"study": "fgrid", "n_values": list(n_values),
+                        "n_cell_measures": list(n_cell_measures),
+                        "m_values": list(m_values)}, out)
 
 
 def load_bands() -> dict:

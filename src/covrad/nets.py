@@ -1,5 +1,4 @@
-"""Probe nets with certified mesh bounds, greedy separated nets, and exact
-nearest-neighbor search.
+"""Probe nets with certified mesh bounds, and exact nearest-neighbor search.
 
 A probe net is a finite point set whose certified mesh delta guarantees that
 every domain point is within delta of some net point; suprema over the domain
@@ -31,7 +30,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import UnsupportedDomainError
-from .sampler import SeedSpec, sample
 from .spaces import (
     ArcsineInterval,
     Ball,
@@ -64,27 +62,14 @@ class ProbeNet:
 class SpatialIndex:
     """Exact Euclidean nearest-neighbor index over a fixed point set.
 
-    Backed by a k-d tree; queries return exact minimum distances, with ties
-    broken toward the lowest stored point index.
+    Backed by a k-d tree; queries return exact minimum distances.
     """
 
     def __init__(self, points: np.ndarray):
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[0] == 0:
             raise ValueError("need a non-empty (n, dim) point array")
-        self.points = points
         self._tree = cKDTree(points)
-
-    def nearest(self, q) -> tuple[int, float]:
-        q = np.asarray(q, dtype=float)
-        dist, idx = self._tree.query(q)
-        # deterministic tie-break: lowest index among exact-tie points
-        ties = self._tree.query_ball_point(q, dist * (1.0 + 1e-12) + 1e-300)
-        if ties:
-            exact = [i for i in ties if np.linalg.norm(self.points[i] - q) == dist]
-            if exact:
-                idx = min(exact)
-        return int(idx), float(dist)
 
     def nearest_distances(self, queries: np.ndarray, workers: int = -1) -> np.ndarray:
         """Vectorized exact nearest distances for a batch of query points."""
@@ -94,50 +79,6 @@ class SpatialIndex:
 
 def build_index(points: np.ndarray) -> SpatialIndex:
     return SpatialIndex(points)
-
-
-def nearest(index: SpatialIndex, q) -> tuple[int, float]:
-    return index.nearest(q)
-
-
-# ---------------------------------------------------------------------------
-# Greedy separated nets
-# ---------------------------------------------------------------------------
-
-
-def greedy_separated_net(pool: np.ndarray, separation: float) -> np.ndarray:
-    """Maximal subset of `pool` with pairwise distances >= separation.
-
-    The pool is processed in its given order, so the result is deterministic.
-    Maximality means every pool point lies within `separation` of the output.
-    """
-    pool = np.asarray(pool, dtype=float)
-    if pool.ndim == 1:
-        pool = pool.reshape(-1, 1)
-    if pool.shape[0] == 0:
-        raise ValueError("pool must be non-empty")
-    chosen: list[int] = []
-    chosen_pts = np.empty((0, pool.shape[1]))
-    # grid hash over cells of side `separation`: candidates for a conflict
-    # lie in the 3^dim neighborhood of the query cell
-    cell_of: dict[tuple, list[int]] = {}
-    inv = 1.0 / separation
-    dim = pool.shape[1]
-    offsets = np.array(np.meshgrid(*([[-1, 0, 1]] * dim))).T.reshape(-1, dim)
-    for i, p in enumerate(pool):
-        cell = tuple(np.floor(p * inv).astype(np.int64))
-        ok = True
-        for off in offsets:
-            for j in cell_of.get(tuple(np.asarray(cell) + off), ()):
-                if np.linalg.norm(pool[j] - p) < separation:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            cell_of.setdefault(cell, []).append(i)
-            chosen.append(i)
-    return pool[chosen]
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +208,3 @@ def build_probe_net(domain: Domain, target_mesh: float) -> ProbeNet:
     pts = np.ascontiguousarray(pts, dtype=float)
     pts.setflags(write=False)
     return ProbeNet(domain=domain, points=pts, certified_mesh=mesh)
-
-
-def spot_check_mesh(net: ProbeNet, n_samples: int = 10_000, master_seed: int = 987) -> float:
-    """Max distance from fresh measure samples to the net; must be <= certified mesh."""
-    sset = sample(net.domain, n_samples, SeedSpec(master_seed, 0))
-    index = build_index(net.points)
-    return float(index.nearest_distances(sset.points).max())

@@ -8,7 +8,6 @@ from the uniform stream to keep the stream contract exact across platforms.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -156,14 +155,6 @@ def sample(domain: Domain, n: int, seed: SeedSpec) -> SampleSet:
     return SampleSet(domain=domain, seed=seed, points=pts)
 
 
-def sample_stream(domain: Domain, n: int, master_seed: int, trial_count: int):
-    """Yield independent, individually reproducible SampleSets, one per stream id."""
-    if trial_count < 1:
-        raise ValueError("trial_count must be >= 1")
-    for t in range(trial_count):
-        yield sample(domain, n, SeedSpec(master_seed, t))
-
-
 # ---------------------------------------------------------------------------
 # Export
 # ---------------------------------------------------------------------------
@@ -191,10 +182,3 @@ def load_sample_set(path: str | Path) -> SampleSet:
     pts.setflags(write=False)
     seed = SeedSpec(sidecar["seed"]["master_seed"], sidecar["seed"]["stream_id"])
     return SampleSet(domain=domain, seed=seed, points=pts)
-
-
-def save_sample_csv(sset: SampleSet, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(sset.domain.ambient_dim)])
-        writer.writerows(sset.points.tolist())

@@ -127,6 +127,13 @@ class TestFLowerBound:
             params = OccupancyParams(big_n, n, m)
             assert f_dp(params) >= f_lower_bound(params) - 1e-12
 
+    def test_overflowing_second_term_is_vacuous(self):
+        # about 770 expected empty cells: exp of the second term's log passes
+        # the double range, and the bound says nothing
+        params = OccupancyParams(1722510, 993547.59, 4469)
+        assert f_lower_bound(params) == -math.inf
+        assert f_dp(params) == 1.0
+
 
 class TestComplementLog:
     def test_matches_dp_complement(self):

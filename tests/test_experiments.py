@@ -81,6 +81,12 @@ class TestBudget:
         config = StudyConfig(domain=Sphere(2), n_grid=[10**7], trials=1000, force=True)
         assert check_budget(config) > 1e10
 
+    def test_estimate_goes_to_stderr(self, capsys):
+        check_budget(StudyConfig(domain=IntervalUniform(), n_grid=[100], trials=5))
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("estimated cost: ")
+
 
 class TestExpectationStudy:
     def test_rows_and_determinism(self, tmp_path):
@@ -134,6 +140,44 @@ class TestExpectationStudy:
         assert run_expectation_study(cfg)[0].target is None
 
 
+class TestSidecar:
+    def test_rerun_leaves_one_line(self, tmp_path):
+        out = tmp_path / "t.csv"
+        for _ in range(2):
+            run_tail_study(IntervalUniform(), 50, 5, [0.05], out=str(out))
+        lines = (tmp_path / "t.csv.meta.jsonl").read_text().splitlines()
+        assert len(lines) == 1
+
+    def test_tail_echoes_domain_and_study_parameters(self, tmp_path):
+        configs = []
+        for name, domain in (("cube2", Cube(2)), ("sphere2", Sphere(2))):
+            out = tmp_path / f"{name}.csv"
+            run_tail_study(domain, 50, 3, [0.2, 0.4], master_seed=5, probe_eta=0.3,
+                           out=str(out))
+            meta = json.loads((tmp_path / f"{name}.csv.meta.jsonl").read_text())
+            configs.append(meta["config"])
+        assert configs[0] != configs[1]
+        assert configs[0]["domain"] == {"kind": "Cube", "params": {"d": 2}}
+        assert {k: configs[1][k] for k in ("n_grid", "trials", "master_seed", "thresholds",
+                                           "probe_eta")} == {
+            "n_grid": [50], "trials": 3, "master_seed": 5, "thresholds": [0.2, 0.4],
+            "probe_eta": 0.3}
+
+    @pytest.mark.parametrize("run,keys", [
+        (lambda out: run_zn_study(1, [50], 3, 2, out=out), {"d", "probe_eta"}),
+        (lambda out: run_arcsine_study(1.0, "interior", [50], 3, 2, out=out),
+         {"a_exponent", "side"}),
+        (lambda out: run_random_vs_structured(1, [50], 3, 2, out=out), {"d", "probe_eta"}),
+        (lambda out: run_epsnet_study(Sphere(1), [50], 3, 3.0, 2, out=out), {"c_mult"}),
+    ], ids=["zn", "arcsine", "versus", "epsnet"])
+    def test_full_config_echo(self, tmp_path, run, keys):
+        out = tmp_path / "s.csv"
+        run(str(out))
+        config = json.loads((tmp_path / "s.csv.meta.jsonl").read_text())["config"]
+        assert {"study", "domain", "n_grid", "trials", "master_seed"} | keys <= set(config)
+        assert config["master_seed"] == 2 and config["n_grid"] == [50]
+
+
 class TestTailStudy:
     def test_extreme_thresholds(self):
         domain = IntervalUniform()
@@ -153,6 +197,10 @@ class TestTailStudy:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             run_tail_study(IntervalUniform(), 100, 10, [0.2, 0.1])
+
+    def test_trial_count_validation(self):
+        with pytest.raises(ValueError):
+            run_tail_study(IntervalUniform(), 100, 0, [0.1])
 
 
 class TestZnStudy:
@@ -249,6 +297,10 @@ class TestCli:
 
     def test_missing_domain_file_exit_code(self, capsys):
         assert cli_main(["study", "--domain", "no_such_domain.json"]) == 1
+
+    def test_unit_box_builtin(self, capsys):
+        assert cli_main(["study", "--domain", "unit_box", "--n-grid", "50",
+                         "--trials", "2", "--eta", "0.5"]) == 0
 
     def test_budget_exit_code(self, capsys):
         rc = cli_main(["study", "--domain", "sphere2", "--n-grid", "10000000",

@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from covrad.nets import (
-    ProbeNet,
-    build_index,
-    build_probe_net,
-    greedy_separated_net,
-    nearest,
-    spot_check_mesh,
-)
+from covrad.nets import ProbeNet, build_index, build_probe_net
 from covrad.sampler import SeedSpec, sample
 from covrad.spaces import (
     ArcsineInterval,
@@ -36,6 +29,12 @@ CERT_DOMAINS = [
     (Polyline([[0, 0], [1, 0], [1, 2]]), 0.02),
     (unit_box_polyhedron(), 0.1),
 ]
+
+
+def spot_check_mesh(net: ProbeNet, n_samples: int = 10_000, master_seed: int = 987) -> float:
+    """Max distance from fresh measure samples to the net; must be <= certified mesh."""
+    sset = sample(net.domain, n_samples, SeedSpec(master_seed, 0))
+    return float(build_index(net.points).nearest_distances(sset.points).max())
 
 
 class TestBuildProbeNet:
@@ -77,54 +76,14 @@ class TestBuildProbeNet:
             ProbeNet(IntervalUniform(), np.zeros((1, 1)), 0.0)
 
 
-class TestGreedySeparatedNet:
-    def test_given_order(self):
-        out = greedy_separated_net(np.array([0.0, 0.05, 1.0]), 0.1)
-        assert out.ravel().tolist() == [0.0, 1.0]
-
-    def test_separation_above_diameter(self):
-        pool = sample(Cube(2), 50, SeedSpec(0, 0)).points
-        out = greedy_separated_net(pool, 10.0)
-        assert len(out) == 1
-
-    def test_pairwise_separation_and_maximality(self):
-        pool = sample(Cube(2), 2000, SeedSpec(1, 0)).points
-        sep = 0.07
-        out = greedy_separated_net(pool, sep)
-        d2 = np.sum((out[:, None, :] - out[None, :, :]) ** 2, axis=-1)
-        np.fill_diagonal(d2, np.inf)
-        assert math.sqrt(d2.min()) >= sep - 1e-12
-        # maximality: every pool point within sep of the output
-        assert build_index(out).nearest_distances(pool).max() < sep
-
-    def test_cube_cardinality_sandwich(self):
-        # packing vs covering: n^d <= card <= ((1 + sqrt(d)) n)^d for the unit square
-        d = 2
-        for n in (5, 10, 20):
-            sep = 1.0 / n
-            pool = build_probe_net(Cube(d), sep / 4.0).points
-            card = len(greedy_separated_net(pool, sep))
-            assert n**d <= card <= ((1 + math.sqrt(d)) * n) ** d
-
-    def test_empty_pool(self):
-        with pytest.raises(ValueError):
-            greedy_separated_net(np.empty((0, 2)), 0.1)
-
-
 class TestSpatialIndex:
     def test_basic(self):
         idx = build_index(np.array([[0.0, 0.0], [1.0, 0.0]]))
-        assert nearest(idx, [0.4, 0.0]) == (0, pytest.approx(0.4))
+        assert idx.nearest_distances([[0.4, 0.0]]).tolist() == [pytest.approx(0.4)]
 
     def test_query_at_stored_point(self):
         idx = build_index(np.array([[0.0, 0.0], [1.0, 0.0]]))
-        i, d = idx.nearest([1.0, 0.0])
-        assert (i, d) == (1, 0.0)
-
-    def test_tie_breaks_to_lowest_index(self):
-        idx = build_index(np.array([[-1.0, 0.0], [1.0, 0.0]]))
-        i, d = idx.nearest([0.0, 0.0])
-        assert i == 0 and d == pytest.approx(1.0)
+        assert idx.nearest_distances([[1.0, 0.0]]).tolist() == [0.0]
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(8)

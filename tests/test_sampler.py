@@ -10,8 +10,6 @@ from covrad.sampler import (
     SeedSpec,
     load_sample_set,
     sample,
-    sample_stream,
-    save_sample_csv,
     save_sample_set,
 )
 from covrad.spaces import (
@@ -63,15 +61,14 @@ class TestDeterminism:
         assert not np.array_equal(a, b)
 
     def test_stream_trial_recovery(self):
-        full = list(sample_stream(Cube(2), 50, master_seed=7, trial_count=10))
+        # trial t of a study is stream SeedSpec(7, t), whatever was drawn before it
+        full = [sample(Cube(2), 50, SeedSpec(7, t)) for t in range(10)]
         alone = sample(Cube(2), 50, SeedSpec(7, 5))
         assert np.array_equal(full[5].points, alone.points)
 
     def test_invalid_counts(self):
         with pytest.raises(ValueError):
             sample(IntervalUniform(), 0, SeedSpec(0, 0))
-        with pytest.raises(ValueError):
-            list(sample_stream(IntervalUniform(), 1, 0, 0))
 
 
 class TestMembership:
@@ -255,11 +252,3 @@ class TestExport:
         assert sidecar["N"] == 10
         assert sidecar["generator"] == GENERATOR_NAME
         assert sidecar["domain"]["kind"] == "Cube"
-
-    def test_csv_export(self, tmp_path):
-        sset = sample(Cube(2), 5, SeedSpec(0, 0))
-        path = tmp_path / "pts.csv"
-        save_sample_csv(sset, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x0,x1"
-        assert len(lines) == 6
