@@ -195,8 +195,7 @@ def covering_radius_bounds(
         points = points.reshape(-1, 1)
     if probe.domain != domain:
         raise ValueError("probe net was certified for a different domain")
-    index = build_index(points)
-    lower = float(index.nearest_distances(probe.points).max())
+    lower = probe.max_nearest_distance(build_index(points))
     return CoveringRadiusInterval(
         lower=lower, upper=lower + probe.certified_mesh, probe_mesh=probe.certified_mesh
     )
