@@ -195,7 +195,8 @@ def covering_radius_bounds(
         points = points.reshape(-1, 1)
     if probe.domain != domain:
         raise ValueError("probe net was certified for a different domain")
-    lower = probe.max_nearest_distance(build_index(points))
+    index = build_index(points)
+    lower = float(index.nearest_distances(probe.points).max())
     return CoveringRadiusInterval(
         lower=lower, upper=lower + probe.certified_mesh, probe_mesh=probe.certified_mesh
     )

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -54,75 +53,6 @@ class ProbeNet:
         if self.certified_mesh <= 0:
             raise ValueError("certified mesh must be positive")
 
-    def max_nearest_distance(self, index: SpatialIndex) -> float:
-        """max over net points y of d(y) = dist(y, X), bit for bit, from the
-        cells that can hold it: d is 1-Lipschitz, so a cell of radius r around
-        c holds values in [d(c) - r, d(c) + r]. Each level, coarse to fine,
-        queries the children of kept cells and keeps those reaching max(d(c) - r)."""
-        if len(self.points) <= _PRUNE_MIN:
-            return float(index.nearest_distances(self.points).max())
-        levels, order, starts = self._cells
-        lower, keep = -math.inf, None
-        for centers, radius, parent in levels:
-            ids = np.arange(len(centers)) if keep is None else np.flatnonzero(keep[parent])
-            d = index.nearest_distances(centers[ids])
-            reach = radius + 1e-12 * (float(d.max()) + radius)  # r plus distance rounding
-            lower = max(lower, float(d.max()) - reach)
-            keep = np.bincount(ids[d + reach >= lower], minlength=len(centers)) > 0
-        kept = np.flatnonzero(keep)
-        sizes = starts[kept + 1] - starts[kept]
-        at = np.arange(sizes.sum()) + np.repeat(starts[kept] - np.cumsum(sizes) + sizes, sizes)
-        return float(index.nearest_distances(self.points[order[at]]).max())
-
-    @cached_property
-    def _cells(self) -> tuple[list, np.ndarray, np.ndarray]:
-        return _cell_tree(self.points, 4.0 * self.certified_mesh)
-
-
-_PRUNE_MIN = 1 << 14  # smaller nets are queried whole: a pass per level costs more
-_CHUNK = 1 << 16  # probe points sorted at a time while assigning cells
-
-
-def _cell_tree(points: np.ndarray, side: float) -> tuple[list, np.ndarray, np.ndarray]:
-    """(levels, order, starts) for the prune in ProbeNet.max_nearest_distance.
-
-    `levels` runs coarse to fine over grids of cubical cells whose side doubles
-    from `side`; a grid becomes a level where it halves the cell count. A level
-    is [centers, radius, parent]: occupied cells, a bound on the distance from a
-    center to its points, and each cell's index in the previous level. Finest
-    cell k holds points[order[starts[k]:starts[k + 1]]]; cells are found per
-    chunk, so a cell met by two chunks appears twice.
-    """
-    half_diagonal = math.sqrt(points.shape[1]) / 2.0
-    origin = points.min(axis=0)
-    ext = np.floor((points.max(axis=0) - origin) / side).astype(np.int64) + 1
-    slack = 1e-9 * (side + float(np.abs(points).max()))  # rounding of membership
-    order = np.empty(len(points), dtype=np.int32)
-    keys, starts = [], []
-    for s in range(0, len(points), _CHUNK):
-        cell = np.floor((points[s:s + _CHUNK] - origin) / side).astype(np.int64)
-        flat = np.ravel_multi_index(tuple(cell.T), tuple(ext))
-        o = np.argsort(flat, kind="stable")
-        order[s:s + len(o)] = o + s
-        first = np.flatnonzero(np.diff(flat[o], prepend=-1))
-        keys.append(flat[o][first])
-        starts.append(first + s)
-    starts = np.concatenate([*starts, [len(points)]])
-    key, levels, up = np.concatenate(keys), [], None
-    while True:
-        grid = np.stack(np.unravel_index(key, tuple(ext)), axis=1)
-        if up is None:
-            levels.append([origin + (grid + 0.5) * side, side * half_diagonal + slack, None])
-            up = np.arange(len(key))
-        if len(key) <= 64:
-            return levels[::-1], order, starts
-        ext, side = (ext + 1) // 2, 2.0 * side
-        key, inv = np.unique(np.ravel_multi_index(tuple((grid // 2).T), tuple(ext)),
-                             return_inverse=True)
-        up = inv.ravel()[up]
-        if 2 * len(key) <= len(up):  # sparse nets (Cantor's) shrink slowly
-            levels[-1][2], up = up, None
-
 
 # ---------------------------------------------------------------------------
 # Spatial index (exact nearest neighbor)
@@ -130,7 +60,10 @@ def _cell_tree(points: np.ndarray, side: float) -> tuple[list, np.ndarray, np.nd
 
 
 class SpatialIndex:
-    """Exact Euclidean nearest-neighbor index over a fixed point set (a k-d tree)."""
+    """Exact Euclidean nearest-neighbor index over a fixed point set.
+
+    Backed by a k-d tree; queries return exact minimum distances.
+    """
 
     def __init__(self, points: np.ndarray):
         points = np.asarray(points, dtype=float)
@@ -139,10 +72,9 @@ class SpatialIndex:
         self._tree = cKDTree(points)
 
     def nearest_distances(self, queries: np.ndarray, workers: int = -1) -> np.ndarray:
-        """Exact nearest distances for a batch of query points; a batch under
-        4096 points runs on one thread, which costs less than starting more."""
-        queries = np.asarray(queries, dtype=float)
-        return self._tree.query(queries, workers=workers if len(queries) >= 4096 else 1)[0]
+        """Vectorized exact nearest distances for a batch of query points."""
+        dist, _ = self._tree.query(np.asarray(queries, dtype=float), workers=workers)
+        return dist
 
 
 def build_index(points: np.ndarray) -> SpatialIndex:

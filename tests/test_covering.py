@@ -18,19 +18,15 @@ from covrad.covering import (
     probe_mesh_for,
     rho_scale,
 )
-from covrad import nets
 from covrad.errors import UnsupportedDomainError
 from covrad.nets import build_index, build_probe_net
 from covrad.sampler import SeedSpec, sample
 from covrad.spaces import (
     ArcsineInterval,
-    Ball,
-    Cantor,
     Cube,
     IntervalUniform,
     Polyline,
     Sphere,
-    unit_box_polyhedron,
 )
 
 
@@ -176,23 +172,6 @@ class TestSandwichBounds:
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             CoveringRadiusInterval(lower=0.5, upper=0.4, probe_mesh=0.1)
-
-    @pytest.mark.parametrize("chunk", [1 << 20, 97])
-    def test_lower_is_the_full_net_maximum(self, chunk, monkeypatch):
-        # the cell prune must give exactly the max over every probe point; a
-        # small chunk splits cells across chunks
-        monkeypatch.setattr(nets, "_CHUNK", chunk)
-        monkeypatch.setattr(nets, "_PRUNE_MIN", 0)
-        cases = [(Cube(2), 0.01), (Cube(3), 0.05), (Sphere(2), 0.02), (Ball(2), 0.01),
-                 (Ball(3), 0.05), (unit_box_polyhedron(), 0.08), (Cantor(12), 1e-3),
-                 (IntervalUniform(), 1e-3), (Polyline([[0, 0], [1, 0], [1, 2]]), 1e-3)]
-        for k, (domain, mesh) in enumerate(cases):
-            net = build_probe_net(domain, mesh)
-            for n in (1, 3, 50, 2000):
-                pts = sample(domain, n, SeedSpec(31, 10 * k + n % 7)).points
-                for shift in (0.0, 1e3):  # far samples: distance rounding dominates
-                    full = build_index(pts + shift).nearest_distances(net.points).max()
-                    assert covering_radius_bounds(domain, pts + shift, net).lower == full
 
     @pytest.mark.parametrize("mesh", [1e-2, 1e-3])
     def test_sandwich_soundness(self, mesh):
