@@ -24,6 +24,16 @@ CASES = {
          "--eta", "0.2", "--seed", "3"],
         "9bd287ba287d696d5c131f99383589e056ce342c856e806f2705f4a4cb0fa037",
     ),
+    "study_ball2": (
+        ["study", "--domain", "ball2", "--n-grid", "100", "--trials", "4", "--eta", "0.2",
+         "--seed", "3"],
+        "b30c60ccc96bc3da5f5ff28dc1f3a2cc2d2fad20d685b6647025afadd93996ec",
+    ),
+    "study_unit_box": (
+        ["study", "--domain", "unit_box", "--n-grid", "50", "--trials", "3", "--eta", "0.2",
+         "--seed", "3"],
+        "12ea6f1ab92051195d72de12ecd66096fa970a2685f9005cba7a06d693cf2c5a",
+    ),
     "study_cantor": (
         ["study", "--domain", "cantor", "--n-grid", "200", "--trials", "3", "--seed", "3"],
         "6a4cde83e955662e5e7920a1e02d5908c9aaf16bc027ed3d6c6e35772764ecc7",

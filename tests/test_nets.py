@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -30,6 +31,35 @@ CERT_DOMAINS = [
     (unit_box_polyhedron(), 0.1),
 ]
 
+# sha256 of points.tobytes(), point count and certified mesh per CERT_DOMAINS
+# case: a refactor of the net builders must keep every probe point bit for bit
+# and in order.
+NET_DIGESTS = {
+    "IntervalUniform(kind='IntervalUniform')":
+        ("cc68460f765f617551f639c2f3cfe98177ccc952f2f0454d01f8cff4296edd07", 26, 0.02),
+    "ArcsineInterval(kind='ArcsineInterval')":
+        ("ecab98abb371112345bcb9251fec9cfbb13fadc5879d9fb781fab927bcc87eb6", 51, 0.02),
+    "Cube(d=2, kind='Cube')":
+        ("5c55124bac7b66d87abeb91d93a9830493c595ba076d9f22fd81f5f207ff0f29", 256, 0.05),
+    "Cube(d=3, kind='Cube')":
+        ("1fbb5d8e57313ab976276cce1e451b41722bc6365ccb6b503da38467c7ebf3d0", 1000, 0.1),
+    "Sphere(d=1, kind='Sphere')":
+        ("481f4bb6a2b24516ac5bf10bd8817b63ce77aea0dfd7fabf6f30499a3cd66706", 84, 0.05),
+    "Sphere(d=2, kind='Sphere')":
+        ("beac798daf2e6a4e48a1dff3f2921c24c75ae87c236a6a9272e77545ac020a1f", 5400, 0.05),
+    "Ball(d=2, kind='Ball')":
+        ("2a28288bceb3bbed8432c6bd0e1ffdfdf57398627d3a89b545c6a571bda69e93", 1541, 0.05),
+    "Ball(d=3, kind='Ball')":
+        ("7d197918e23ef8722b0f6121b104beafa8f9f0a9aa738c0ff1d33b662f477eac", 29229, 0.1),
+    "Cantor(depth=20, kind='Cantor')":
+        ("f49d1e46dca04ffcbc5a4d4ba2ac8979c4ab747ec76dda3c32eebc3f2da32d8c", 64,
+         0.00411522633744856),
+    "Polyline([[0.0, 0.0], [1.0, 0.0], [1.0, 2.0]])":
+        ("431417ad47a6a2fbe8d25eba84453d57a989cb772274eee345672b6e08246246", 77, 0.02),
+    "Polyhedron3(<8 vertices, 6 tets>)":
+        ("03b3a4d2de72058f8285025a039f46f6526444d5332d20d1f8c5351b97e69fc6", 12447, 0.1),
+}
+
 
 def spot_check_mesh(net: ProbeNet, n_samples: int = 10_000, master_seed: int = 987) -> float:
     """Max distance from fresh measure samples to the net; must be <= certified mesh."""
@@ -59,6 +89,12 @@ class TestBuildProbeNet:
         net = build_probe_net(domain, mesh)
         assert net.certified_mesh <= mesh
         assert spot_check_mesh(net, n_samples=10_000) <= net.certified_mesh
+
+    @pytest.mark.parametrize("domain,mesh", CERT_DOMAINS, ids=lambda v: repr(v))
+    def test_points_are_golden(self, domain, mesh):
+        net = build_probe_net(domain, mesh)
+        digest = hashlib.sha256(net.points.tobytes()).hexdigest()
+        assert (digest, len(net.points), net.certified_mesh) == NET_DIGESTS[repr(domain)]
 
     def test_cantor_mesh_snaps_to_power_of_three(self):
         net = build_probe_net(Cantor(20), 0.01)
