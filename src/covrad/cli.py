@@ -111,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", dest="n_values", type=int, nargs="+")
     p.add_argument("--n", dest="n_cell_measures", type=float, nargs="+")
     p.add_argument("--m", dest="m_values", type=int, nargs="+")
-    _add_common(p)
+    p.add_argument("--config", help="JSON config file; flags override its fields")
+    p.add_argument("--out", help="CSV output path")
 
     p = sub.add_parser("versus", help="random vs structured grid configurations")
     p.add_argument("--d", type=int)

@@ -143,7 +143,7 @@ def _fmt(v) -> str:
     if v is None:
         return ""
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))  # a NumPy float subclass reprs as np.float64(...)
     return str(v)
 
 
@@ -192,7 +192,7 @@ def check_budget(config: StudyConfig) -> float:
 
 
 def _has_exact_1d_path(domain: Domain) -> bool:
-    return isinstance(domain, IntervalUniform) or (
+    return isinstance(domain, (IntervalUniform, ArcsineInterval)) or (
         isinstance(domain, Sphere) and domain.d == 1
     )
 

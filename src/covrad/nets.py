@@ -98,28 +98,32 @@ def _axis_grid(low: float, high: float, step: float) -> np.ndarray:
     return np.linspace(low, high, n_steps + 1)
 
 
+def _grid(axes) -> np.ndarray:
+    """Product of 1-D axes in "ij" order (last axis fastest), one point per row."""
+    out = np.empty([len(axis) for axis in axes] + [len(axes)])
+    for k, axis in enumerate(axes):
+        out[..., k] = axis.reshape([-1 if i == k else 1 for i in range(len(axes))])
+    return out.reshape(-1, len(axes))
+
+
 def _cube_grid(d: int, mesh: float, low: float = 0.0, high: float = 1.0) -> np.ndarray:
     step = 2.0 * mesh / math.sqrt(d)
-    axes = [_axis_grid(low, high, step)] * d
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    return _grid([_axis_grid(low, high, step)] * d)
 
 
 def _sphere_net(d: int, mesh: float) -> np.ndarray:
-    # grids on the faces of the cube [-1,1]^(d+1) surface, projected radially
+    # grids on the faces of the cube [-1,1]^(d+1) surface, projected radially;
+    # face (ax, side) holds the face grid in the other axes and -1/+1 at ax
     amb = d + 1
-    step = 2.0 * mesh / math.sqrt(d)
-    axis = _axis_grid(-1.0, 1.0, step)
-    face_grid = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    pieces = []
+    face_grid = _cube_grid(d, mesh, -1.0, 1.0)
+    faces = np.empty((amb, 2, len(face_grid), amb))
     for ax in range(amb):
-        for sign in (-1.0, 1.0):
-            pts = np.empty((face_grid.shape[0], amb))
-            cols = [c for c in range(amb) if c != ax]
-            pts[:, cols] = face_grid
-            pts[:, ax] = sign
-            pieces.append(pts)
-    pts = np.concatenate(pieces)
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        faces[ax, :, :, :ax] = face_grid[:, :ax]
+        faces[ax, :, :, ax + 1:] = face_grid[:, ax:]
+        faces[ax, :, :, ax] = [[-1.0], [1.0]]
+    pts = faces.reshape(-1, amb)
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    return pts
 
 
 def _ball_net(d: int, mesh: float) -> np.ndarray:
@@ -138,11 +142,9 @@ def _triangle_lattice(a, b, c, mesh: float) -> np.ndarray:
     # subdivide so every subtriangle has diameter <= mesh
     diam = max(np.linalg.norm(b - a), np.linalg.norm(c - b), np.linalg.norm(a - c))
     k = max(1, math.ceil(diam / mesh))
-    pts = []
-    for i in range(k + 1):
-        for j in range(k + 1 - i):
-            pts.append(a + (i / k) * (b - a) + (j / k) * (c - a))
-    return np.array(pts)
+    # steps (i, j - i) along b - a and c - a, for i <= j <= k in row order
+    i, j = np.triu_indices(k + 1)
+    return a + (i / k)[:, None] * (b - a) + ((j - i) / k)[:, None] * (c - a)
 
 
 def _polyhedron_net(domain: Polyhedron3, mesh: float) -> np.ndarray:
@@ -150,8 +152,7 @@ def _polyhedron_net(domain: Polyhedron3, mesh: float) -> np.ndarray:
     lo = domain.vertices.min(axis=0)
     hi = domain.vertices.max(axis=0)
     step = 2.0 * half / math.sqrt(3.0)
-    axes = [_axis_grid(lo[i], hi[i], step) for i in range(3)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    grid = _grid([_axis_grid(lo[i], hi[i], step) for i in range(3)])
     inside = grid[domain.contains_many(grid)]
     pieces = [inside] if inside.size else []
     for face in domain.faces:

@@ -255,19 +255,6 @@ class Polyhedron3:
             inside |= np.all(lam >= -tol, axis=1) & (lam.sum(axis=1) <= 1.0 + tol)
         return inside
 
-    def contains(self, point, tol: float = 1e-12) -> bool:
-        p = np.asarray(point, dtype=float)
-        for tet in self.tetrahedra:
-            a, b, c, d = (self.vertices[i] for i in tet)
-            m = np.column_stack([b - a, c - a, d - a])
-            try:
-                lam = np.linalg.solve(m, p - a)
-            except np.linalg.LinAlgError:
-                continue
-            if np.all(lam >= -tol) and lam.sum() <= 1.0 + tol:
-                return True
-        return False
-
     @property
     def intrinsic_dim(self) -> float:
         return 3
@@ -352,7 +339,12 @@ def hausdorff_mass(domain: Domain) -> float:
 
 
 def min_dihedral_angle(domain: Polyhedron3) -> float:
-    """Smallest interior dihedral angle over the edges of a polyhedron, in radians.
+    """Smallest interior dihedral angle over the edges of a polyhedron, in radians."""
+    return float(_dihedral_angles(domain).min())
+
+
+def _dihedral_angles(domain: Polyhedron3) -> np.ndarray:
+    """Interior dihedral angle at each edge of a polyhedron, in edge order.
 
     Each edge carries its two adjacent faces. The wedge angle between the two
     face half-planes is resolved to the interior side by probing whether the
@@ -364,7 +356,7 @@ def min_dihedral_angle(domain: Polyhedron3) -> float:
     if not domain.edges:
         raise ValueError("polyhedron has no edge adjacency data")
 
-    best = math.inf
+    phis, probes = [], []
     for a, b, fi, fj in domain.edges:
         pa, pb = domain.vertices[a], domain.vertices[b]
         e = pb - pa
@@ -391,13 +383,15 @@ def min_dihedral_angle(domain: Polyhedron3) -> float:
         phi = math.acos(float(np.clip(np.dot(u1, u2), -1.0, 1.0)))
         bis = u1 + u2
         if np.linalg.norm(bis) < 1e-12:
-            angle = math.pi
+            phi, probe = math.pi, mid  # flat edge: pi whichever side the probe lands
         else:
             bis = bis / np.linalg.norm(bis)
             eps = 1e-6 * elen
-            angle = phi if domain.contains(mid + eps * bis) else 2.0 * math.pi - phi
-        best = min(best, angle)
-    return best
+            probe = mid + eps * bis
+        phis.append(phi)
+        probes.append(probe)
+    phis = np.array(phis)
+    return np.where(domain.contains_many(np.array(probes)), phis, 2.0 * math.pi - phis)
 
 
 def limit_constant(domain: Domain, p: float = 1.0) -> float:
@@ -474,7 +468,10 @@ def regularity_witness(domain: Domain) -> RegularityWitness:
     Constants are conservative hand proofs; the sampler/covering test suite
     spot-checks them by Monte Carlo ball-measure estimation. The arcsine
     witness is only valid on the interior window [-3/4, 3/4]; polyhedron
-    constants assume convexity.
+    constants assume convexity. The polyhedron constants are exact, not
+    estimated: c_lower is the smallest vertex solid angle, by Gauss-Bonnet
+    over the dihedral angles, and r0 half the shortest edge. Both need the
+    edge data, so a polyhedron without edges raises ValueError.
     """
     if isinstance(domain, IntervalUniform):
         return RegularityWitness(s=1, c_lower=1.0, c_upper=2.0, r0=0.5)
@@ -511,7 +508,7 @@ def regularity_witness(domain: Domain) -> RegularityWitness:
     if isinstance(domain, Polyhedron3):
         omega = _min_vertex_solid_angle(domain)
         r0 = float(min(np.linalg.norm(domain.vertices[e[1]] - domain.vertices[e[0]])
-                       for e in domain.edges)) / 2.0 if domain.edges else domain.diameter / 4.0
+                       for e in domain.edges)) / 2.0
         return RegularityWitness(
             s=3,
             c_lower=omega / (3.0 * domain.volume),
@@ -524,19 +521,19 @@ def regularity_witness(domain: Domain) -> RegularityWitness:
     raise UnsupportedDomainError(f"no witness for {domain!r}")
 
 
-def _min_vertex_solid_angle(domain: Polyhedron3, n_mc: int = 20000) -> float:
-    """Monte Carlo estimate of the smallest vertex solid angle (steradians)."""
-    rng = np.random.default_rng(0)
-    dirs = rng.standard_normal((n_mc, 3))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    best = 4.0 * math.pi
-    r = 1e-6 * domain.diameter
-    for v in domain.vertices:
-        inside = sum(domain.contains(v + r * u) for u in dirs)
-        if inside:
-            best = min(best, 4.0 * math.pi * inside / n_mc)
-    # never report zero; a vertex with no interior directions is degenerate
-    return max(best, 4.0 * math.pi / n_mc)
+def _min_vertex_solid_angle(domain: Polyhedron3) -> float:
+    """Smallest vertex solid angle (steradians), exact by Gauss-Bonnet.
+
+    Around vertex v the solid is a cone over a spherical polygon whose corner
+    angles are the dihedral angles theta_e of the k_v edges at v, so its
+    solid angle is sum_e theta_e - (k_v - 2) pi.
+    """
+    theta = _dihedral_angles(domain)
+    ends = np.array([e[:2] for e in domain.edges]).ravel()
+    k = np.bincount(ends, minlength=len(domain.vertices))
+    total = np.bincount(ends, weights=np.repeat(theta, 2), minlength=len(domain.vertices))
+    # a vertex on no edge is interior to the decomposition and has no cone
+    return float((total - (k - 2) * math.pi)[k > 0].min())
 
 
 # ---------------------------------------------------------------------------

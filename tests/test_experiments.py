@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from covrad.cli import main as cli_main
+from covrad.covering import covering_radius_1d
 from covrad.errors import BudgetExceededError
 from covrad.experiments import (
     StudyConfig,
+    StudyWriter,
     check_budget,
     circle_expectation_oracle,
     dump_f_grid,
@@ -19,8 +21,8 @@ from covrad.experiments import (
     run_tail_study,
     run_zn_study,
 )
-from covrad.sampler import SeedSpec
-from covrad.spaces import Cube, IntervalUniform, Sphere
+from covrad.sampler import SeedSpec, sample
+from covrad.spaces import ArcsineInterval, Cube, IntervalUniform, Sphere
 
 
 class TestStudyConfig:
@@ -138,6 +140,29 @@ class TestExpectationStudy:
 
         cfg = StudyConfig(domain=Cantor(30), n_grid=[100], trials=5)
         assert run_expectation_study(cfg)[0].target is None
+
+
+class TestArcsineExactPath:
+    def test_study_and_tail_rows_are_exact(self):
+        dom = ArcsineInterval()
+        rhos = np.array([covering_radius_1d(dom, sample(dom, 200, SeedSpec(5, t)))
+                         for t in range(6)])
+        row = run_expectation_study(
+            StudyConfig(domain=dom, n_grid=[200], trials=6, master_seed=5))[0]
+        assert row.mean_rho_p_lower == row.mean_rho_p_upper == float(rhos.mean())
+        thresholds = sorted(rhos.tolist())[1::2]
+        for tail in run_tail_study(dom, 200, 6, thresholds, master_seed=5):
+            frac = float((rhos >= tail.threshold).mean())
+            assert tail.prob_lower_exceeds == tail.prob_upper_exceeds == frac
+
+
+class TestWriter:
+    def test_numpy_scalars_written_as_numbers(self, tmp_path):
+        out = tmp_path / "w.csv"
+        writer = StudyWriter(str(out), ["x", "k"])
+        writer.write([np.float64(0.9), np.int64(3)])
+        writer.close({})
+        assert out.read_text() == "x,k\n0.9,3\n"
 
 
 class TestSidecar:
@@ -310,6 +335,12 @@ class TestCli:
     def test_fgrid(self, capsys):
         assert cli_main(["fgrid", "--N", "100", "--n", "10", "--m", "2", "5"]) == 0
         assert "f=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", [["--trials", "3"], ["--seed", "1"], ["--force"]])
+    def test_fgrid_rejects_study_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["fgrid", *flag])
+        assert exc.value.code == 2
 
     def test_domain_json_file(self, tmp_path, capsys):
         doc = tmp_path / "domain.json"

@@ -183,11 +183,10 @@ class TestPolyhedronValidation:
 
     def test_contains(self):
         box = unit_box_polyhedron()
-        assert box.contains([0.5, 0.5, 0.5])
-        assert box.contains([0.0, 0.0, 0.0])
-        assert not box.contains([1.5, 0.5, 0.5])
-        flags = box.contains_many(np.array([[0.2, 0.3, 0.4], [-0.1, 0.5, 0.5]]))
-        assert flags.tolist() == [True, False]
+        flags = box.contains_many(np.array([[0.5, 0.5, 0.5], [0.0, 0.0, 0.0],
+                                            [1.5, 0.5, 0.5], [0.2, 0.3, 0.4],
+                                            [-0.1, 0.5, 0.5]]))
+        assert flags.tolist() == [True, True, False, True, False]
 
 
 class TestDomainValidation:
@@ -224,6 +223,28 @@ class TestRegularityWitness:
     def test_cantor_witness_dimension(self):
         w = regularity_witness(Cantor())
         assert w.s == pytest.approx(LOG2_OVER_LOG3)
+
+    @pytest.mark.parametrize("make,omega", [
+        (equilateral_prism, math.pi / 3.0),
+        (regular_tetrahedron, 3.0 * math.acos(1.0 / 3.0) - math.pi),
+    ], ids=["prism", "tetrahedron"])
+    def test_min_vertex_solid_angle_is_exact(self, make, omega):
+        # c_lower = (smallest vertex solid angle) / (3 volume)
+        domain = make()
+        w = regularity_witness(domain)
+        assert w.c_lower * 3.0 * domain.volume == pytest.approx(omega, rel=0, abs=1e-12)
+
+    def test_unit_box_witness_c_lower(self):
+        w = regularity_witness(unit_box_polyhedron())
+        assert w.c_lower == pytest.approx(math.pi / 6.0, rel=0, abs=1e-12)
+
+    def test_edgeless_polyhedron_rejected(self):
+        box = unit_box_polyhedron()
+        edgeless = Polyhedron3(box.vertices, box.tetrahedra, box.faces, [])
+        with pytest.raises(ValueError):
+            regularity_witness(edgeless)
+        with pytest.raises(ValueError):
+            min_dihedral_angle(edgeless)
 
     def test_witness_invariants(self):
         for domain in (IntervalUniform(), ArcsineInterval(), Cube(2), Cube(3),
