@@ -467,11 +467,11 @@ def regularity_witness(domain: Domain) -> RegularityWitness:
 
     Constants are conservative hand proofs; the sampler/covering test suite
     spot-checks them by Monte Carlo ball-measure estimation. The arcsine
-    witness is only valid on the interior window [-3/4, 3/4]; polyhedron
-    constants assume convexity. The polyhedron constants are exact, not
-    estimated: c_lower is the smallest vertex solid angle, by Gauss-Bonnet
-    over the dihedral angles, and r0 half the shortest edge. Both need the
-    edge data, so a polyhedron without edges raises ValueError.
+    witness is only valid on the interior window [-3/4, 3/4]. Polyhedron
+    constants assume convexity and are computed exactly, not estimated:
+    c_lower from the smallest vertex solid angle (Gauss-Bonnet over the
+    dihedral angles) and r0 as half the shortest edge. Both need the edge
+    data, so a polyhedron without edges raises ValueError.
     """
     if isinstance(domain, IntervalUniform):
         return RegularityWitness(s=1, c_lower=1.0, c_upper=2.0, r0=0.5)
