@@ -189,14 +189,14 @@ def covering_radius_bounds(
 
     L maximizes the nearest-sample distance over probe points, so L <= rho;
     any domain point is within delta of a probe point, so rho <= L + delta.
+    L is found from the probe cells that can hold it, bit for bit (covrad.nets).
     """
     points = x.points if isinstance(x, SampleSet) else np.asarray(x, dtype=float)
     if points.ndim == 1:
         points = points.reshape(-1, 1)
     if probe.domain != domain:
         raise ValueError("probe net was certified for a different domain")
-    index = build_index(points)
-    lower = float(index.nearest_distances(probe.points).max())
+    lower = probe.max_nearest_distance(build_index(points))
     return CoveringRadiusInterval(
         lower=lower, upper=lower + probe.certified_mesh, probe_mesh=probe.certified_mesh
     )

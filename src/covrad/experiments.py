@@ -109,14 +109,16 @@ class ZnRow:
 
 
 class StudyWriter:
-    """Appends CSV rows incrementally and records run metadata as JSONL."""
+    """CSV rows go to a temporary file that close() moves onto `path` (with run
+    metadata as JSONL) and discard() deletes, leaving `path` as it was."""
 
     def __init__(self, path: str | Path | None, header: list[str]):
         self.path = Path(path) if path else None
         self.header = header
         self.t0 = time.time()
         if self.path:
-            self._fh = open(self.path, "w", buffering=1)
+            self._tmp = self.path.with_name(f".{self.path.name}.tmp")
+            self._fh = open(self._tmp, "w")
             self._fh.write(",".join(header) + "\n")
             self.meta_path = self.path.with_suffix(self.path.suffix + ".meta.jsonl")
         else:
@@ -129,6 +131,7 @@ class StudyWriter:
     def close(self, config_echo: dict) -> None:
         if self._fh:
             self._fh.close()
+            self._tmp.replace(self.path)
             meta = {
                 "config": config_echo,
                 "generator": GENERATOR_NAME,
@@ -137,6 +140,11 @@ class StudyWriter:
             }
             with open(self.meta_path, "w") as fh:
                 fh.write(json.dumps(meta) + "\n")
+
+    def discard(self) -> None:
+        if self._fh:
+            self._fh.close()
+            self._tmp.unlink()
 
 
 def _fmt(v) -> str:
@@ -258,9 +266,13 @@ def _write_rows(rows, header: list[str], config: dict, out: str | None) -> list:
     """Write each row to the CSV as it is made, then the sidecar; returns the rows."""
     writer = StudyWriter(out, header)
     done = []
-    for row in rows:
-        writer.write(row.values() if isinstance(row, dict) else astuple(row))
-        done.append(row)
+    try:
+        for row in rows:
+            writer.write(row.values() if isinstance(row, dict) else astuple(row))
+            done.append(row)
+    except BaseException:
+        writer.discard()
+        raise
     writer.close(config)
     return done
 

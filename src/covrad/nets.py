@@ -19,12 +19,20 @@ can then be sandwiched to within delta. Mesh proofs per kind:
   triangle lattices on (fan-triangulated) faces at mesh delta/2; points near
   the boundary reach a face net through their boundary projection.
 * Cantor depth D: both endpoints of all depth-k cylinders with 3^-k <= delta.
+
+ProbeNet.max_nearest_distance evaluates the 1-Lipschitz d(y) = dist(y, X)
+sparingly: on a cell within r of probe point p, d lies in [d(p) - r, d(p) + r].
+Over cubical cells built with the net, coarse to fine, each level evaluates d
+at a probe point near the center of each child of a kept cell, raises L to the
+largest value (a probe value) and keeps cells with d(p) + r >= L, as the
+maximizer's cells are; the kept finest cells' points give the maximum, bit for
+bit with allowances for rounded distances (1e-12) and cells (1e-9 of scale).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -45,13 +53,72 @@ from .spaces import (
 
 @dataclass(frozen=True)
 class ProbeNet:
+    """Probe points, their certified mesh, and cells over them (see above)."""
     domain: Domain
     points: np.ndarray
     certified_mesh: float
+    cells: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.certified_mesh <= 0:
             raise ValueError("certified mesh must be positive")
+        # finest cells 8 meshes wide: at N=1e5 (sandwich-large, 2 CPUs) 6 is as fast, 4
+        # raised cube2's peak RSS 734 -> 938 MB and 12-16 slowed sphere2 queries 3-7x
+        object.__setattr__(self, "cells", _cell_tree(self.points, 8 * self.certified_mesh))
+
+    def max_nearest_distance(self, index: SpatialIndex) -> float:
+        """index.nearest_distances(points).max(), from the cells that can hold it."""
+        levels, order, starts = self.cells
+        lower, keep = -math.inf, None
+        for reps, r, parent in levels:
+            ids = np.arange(len(reps)) if keep is None else np.flatnonzero(keep[parent])
+            d = index.nearest_distances(self.points[reps[ids]])
+            lower = max(lower, float(d.max()))
+            keep = np.bincount(ids[(d + r[ids]) * (1 + 1e-12) >= lower], minlength=len(reps)) > 0
+        sizes, first = np.diff(starts)[keep], starts[:-1][keep]
+        at = np.arange(sizes.sum()) + np.repeat(first - np.cumsum(sizes) + sizes, sizes)
+        return float(index.nearest_distances(self.points[order[at]]).max())
+
+
+def _cell_tree(points: np.ndarray, side: float) -> tuple[list, np.ndarray, np.ndarray]:
+    """(levels, order, starts) over < 2**31 points: coarse to fine, a grid that
+    halves the cell count is a level, with per cell a probe point, its reach to
+    the cell's points, and the parent cell. Finest cell k holds
+    points[order[starts[k]:starts[k + 1]]], once per chunk of points it meets."""
+    dim, lo, hi = points.shape[1], float(points.min()), float(points.max())
+    bits = 16  # 2**bits probe points are sorted into cells at a time
+    side = max(side, (hi - lo) / 2 ** (45 / dim))  # cubes over [lo, hi]^dim; keys < 2**46
+    ext = int((hi - lo) * (1.0 / side)) + 1
+    strides = float(ext) ** np.arange(dim - 1, -1, -1)
+    order, keys, starts = np.empty(len(points), dtype=np.int32), [], []
+    for s in range(0, len(points), 1 << bits):
+        chunk = points[s:s + (1 << bits)]
+        packed = (np.floor((chunk - lo) * (1.0 / side)) @ strides).astype(np.int64)
+        packed = packed << bits | np.arange(len(chunk))  # sort (cell key, position) pairs
+        packed.sort()
+        order[s:s + len(chunk)] = (packed & ((1 << bits) - 1)) + s
+        packed >>= bits
+        first = np.flatnonzero(np.diff(packed, prepend=-1))
+        keys.append(packed[first])
+        starts.append(first + s)
+    starts = np.concatenate([*starts, [len(points)]])
+    reps, up = order[(starts[:-1] + starts[1:]) // 2], np.arange(len(starts) - 1)
+    key, levels, starts = np.concatenate(keys), [], starts.astype(np.int32)
+    slack = 1e-9 * (side + max(abs(lo), abs(hi)))  # rounded cells and centers
+    while True:
+        grid = np.stack(np.unravel_index(key, (ext,) * dim), axis=1)
+        if not levels or 2 * len(key) <= len(up):  # sparse nets (Cantor's) shrink slowly
+            if levels:  # a coarse cell takes a child's probe point
+                levels[-1][2], reps = up, reps[np.unique(up, return_index=True)[1]]
+            gap = np.linalg.norm(points[reps] - lo - (grid + 0.5) * side, axis=1)
+            levels.append([reps, gap + (side * math.sqrt(dim) / 2.0 + slack), None])
+            up = np.arange(len(key))
+        if len(key) <= 64:
+            return levels[::-1], order, starts
+        ext, side = (ext + 1) // 2, 2.0 * side
+        key, inv = np.unique(np.ravel_multi_index(tuple((grid // 2).T), (ext,) * dim),
+                             return_inverse=True)
+        up = inv.ravel()[up]
 
 
 # ---------------------------------------------------------------------------
@@ -60,10 +127,7 @@ class ProbeNet:
 
 
 class SpatialIndex:
-    """Exact Euclidean nearest-neighbor index over a fixed point set.
-
-    Backed by a k-d tree; queries return exact minimum distances.
-    """
+    """Exact Euclidean nearest-neighbor index over a fixed point set (a k-d tree)."""
 
     def __init__(self, points: np.ndarray):
         points = np.asarray(points, dtype=float)
@@ -73,8 +137,7 @@ class SpatialIndex:
 
     def nearest_distances(self, queries: np.ndarray, workers: int = -1) -> np.ndarray:
         """Vectorized exact nearest distances for a batch of query points."""
-        dist, _ = self._tree.query(np.asarray(queries, dtype=float), workers=workers)
-        return dist
+        return self._tree.query(np.asarray(queries, dtype=float), workers=workers)[0]
 
 
 def build_index(points: np.ndarray) -> SpatialIndex:
@@ -122,7 +185,8 @@ def _sphere_net(d: int, mesh: float) -> np.ndarray:
         faces[ax, :, :, ax + 1:] = face_grid[:, ax:]
         faces[ax, :, :, ax] = [[-1.0], [1.0]]
     pts = faces.reshape(-1, amb)
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    for chunk in np.array_split(pts, range(1 << 16, len(pts), 1 << 16)):
+        chunk /= np.linalg.norm(chunk, axis=1, keepdims=True)  # no full-size temporaries
     return pts
 
 

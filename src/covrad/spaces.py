@@ -189,7 +189,7 @@ class Polyhedron3:
     face polygons, and edges annotated with their two adjacent faces.
 
     The decomposition is supplied, not computed; construction validates that
-    the tetra volumes sum to the face-based (divergence theorem) volume.
+    the tetra volumes sum to the face volume and any edges list each side once.
     """
 
     kind = "Polyhedron3"
@@ -209,6 +209,10 @@ class Polyhedron3:
         self.edges = [tuple(int(i) for i in e) for e in edges]
         if any(len(e) != 4 for e in self.edges):
             raise ValueError("edges must be (a, b, face_i, face_j) tuples")
+        sides = sorted((*sorted(ab), k) for k, f in enumerate(self.faces)
+                       for ab in zip(f, f[1:] + f[:1]))
+        if self.edges and sides != sorted((*sorted(e[:2]), f) for e in self.edges for f in e[2:]):
+            raise ValueError("edges must list every side of every face exactly once")
 
         self.tet_volumes = np.array([self._tet_volume(t) for t in tets])
         if np.any(self.tet_volumes <= 0.0):

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
+from test_nets import CERT_DOMAINS
 
 from covrad.covering import (
     CoveringRadiusInterval,
@@ -23,6 +25,8 @@ from covrad.nets import build_index, build_probe_net
 from covrad.sampler import SeedSpec, sample
 from covrad.spaces import (
     ArcsineInterval,
+    Ball,
+    Cantor,
     Cube,
     IntervalUniform,
     Polyline,
@@ -186,6 +190,71 @@ class TestSandwichBounds:
             b = covering_radius_bounds(domain, pts, nets[domain])
             assert b.lower <= exact + 1e-12
             assert exact <= b.upper + 1e-12
+
+
+_NETS: dict = {}
+
+
+def _net(domain, mesh):
+    key = (repr(domain), mesh)
+    if key not in _NETS:
+        _NETS[key] = build_probe_net(domain, mesh)
+    return _NETS[key]
+
+
+# nets deep enough that the cell walk has several levels and prunes
+DEEP_NETS = [(Cube(2), 0.002), (Cube(3), 0.01), (Sphere(2), 0.005), (Ball(2), 0.003),
+             (Cantor(20), 1e-5)]
+
+
+class TestPrunedMaximum:
+    """covering_radius_bounds prunes the probe net to the cells that can hold the
+    maximum; L must still be the maximum over the whole net, bit for bit."""
+
+    @staticmethod
+    def check(domain, net, n, seed, dup, probe_at):
+        x = sample(domain, n, SeedSpec(seed, 0)).points.reshape(n, -1)
+        x = np.concatenate([x, x[:dup]])  # duplicated sample points
+        if probe_at is not None:  # a sample placed on a probe point
+            x[-1] = net.points[probe_at % len(net.points)]
+        full = float(build_index(x).nearest_distances(net.points).max())
+        assert covering_radius_bounds(domain, x, net).lower == full
+
+    @pytest.mark.parametrize("domain, mesh", CERT_DOMAINS, ids=lambda v: repr(v)[:24])
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 400), seed=st.integers(0, 2**32), dup=st.integers(0, 50),
+           probe_at=st.none() | st.integers(0, 10**6))
+    @example(n=1, seed=0, dup=0, probe_at=None)
+    @example(n=1, seed=0, dup=3, probe_at=0)
+    def test_cert_domains(self, domain, mesh, n, seed, dup, probe_at):
+        self.check(domain, _net(domain, mesh), n, seed, dup, probe_at)
+
+    @pytest.mark.parametrize("domain, mesh", DEEP_NETS, ids=lambda v: repr(v)[:24])
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.sampled_from([1, 10, 1000, 5000]), seed=st.integers(0, 2**32),
+           dup=st.integers(0, 50), probe_at=st.none() | st.integers(0, 10**7))
+    def test_deep_nets(self, domain, mesh, n, seed, dup, probe_at):
+        net = _net(domain, mesh)
+        assert len(net.cells[0]) >= 3  # coarse-to-fine levels above the finest cells
+        self.check(domain, net, n, seed, dup, probe_at)
+
+
+class TestSphereHullOracle:
+    """On S^2 the chord covering radius is sqrt(2 - 2 min facet offset) over the
+    facets of the samples' convex hull, when the origin is strictly inside it."""
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_sandwich_contains_hull_radius(self, n):
+        domain = Sphere(2)
+        net = build_probe_net(domain, probe_mesh_for(domain, n, 0.05))
+        for t in range(20):
+            x = sample(domain, n, SeedSpec(2024, t)).points
+            offsets = ConvexHull(x).equations[:, -1]
+            assert (offsets < 0.0).all()  # origin strictly inside the hull
+            rho = math.sqrt(2.0 - 2.0 * float((-offsets).min()))
+            b = covering_radius_bounds(domain, x, net)
+            assert b.lower <= rho + 1e-12
+            assert rho <= b.upper + 1e-12
 
 
 class TestBallMeasure:

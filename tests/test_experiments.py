@@ -10,6 +10,7 @@ from covrad.errors import BudgetExceededError
 from covrad.experiments import (
     StudyConfig,
     StudyWriter,
+    _run_study,
     check_budget,
     circle_expectation_oracle,
     dump_f_grid,
@@ -163,6 +164,41 @@ class TestWriter:
         writer.write([np.float64(0.9), np.int64(3)])
         writer.close({})
         assert out.read_text() == "x,k\n0.9,3\n"
+
+    @staticmethod
+    def _failing_study(out):
+        def kernel(domain, n, seed, prepared):
+            if n == 30 and seed.stream_id == 1:
+                raise RuntimeError("kernel failed")
+            return 0.5
+
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            _run_study(IntervalUniform(), [20, 30], 3, 0, prepare=lambda n: None,
+                       kernel=kernel, reduce=lambda n, prepared, v: [{"N": n}],
+                       header=["N"], echo={}, out=str(out))
+
+    def test_failed_study_keeps_earlier_csv(self, tmp_path):
+        out = tmp_path / "s.csv"
+        run_expectation_study(StudyConfig(domain=IntervalUniform(), n_grid=[20], trials=3,
+                                          out=str(out)))
+        meta = tmp_path / "s.csv.meta.jsonl"
+        before = out.read_bytes(), meta.read_bytes()
+        self._failing_study(out)  # the row for N=20 is written before N=30 fails
+        assert (out.read_bytes(), meta.read_bytes()) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s.csv.meta.jsonl"]
+
+    def test_failed_study_leaves_no_csv(self, tmp_path):
+        self._failing_study(tmp_path / "s.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_path_names_the_final_file(self, tmp_path):
+        out = tmp_path / "w.csv"
+        writer = StudyWriter(str(out), ["x"])
+        assert writer.path == out and not out.exists()
+        writer.write([1])
+        writer.close({})
+        assert out.read_text() == "x\n1\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["w.csv", "w.csv.meta.jsonl"]
 
 
 class TestSidecar:

@@ -238,6 +238,25 @@ class TestRegularityWitness:
         w = regularity_witness(unit_box_polyhedron())
         assert w.c_lower == pytest.approx(math.pi / 6.0, rel=0, abs=1e-12)
 
+    def test_incomplete_edges_rejected(self):
+        box = unit_box_polyhedron()
+        with pytest.raises(ValueError):
+            Polyhedron3(box.vertices, box.tetrahedra, box.faces, box.edges[:1])
+        # a side listed twice, or with the wrong face, is rejected too
+        twice = box.edges[:-1] + [box.edges[0]]
+        with pytest.raises(ValueError):
+            Polyhedron3(box.vertices, box.tetrahedra, box.faces, twice)
+        a, b, fi, _ = box.edges[0]
+        wrong_face = [(a, b, fi, 1)] + box.edges[1:]
+        with pytest.raises(ValueError):
+            Polyhedron3(box.vertices, box.tetrahedra, box.faces, wrong_face)
+
+    def test_complete_edges_accepted(self):
+        for poly in (unit_box_polyhedron(), equilateral_prism(), regular_tetrahedron()):
+            again = Polyhedron3(poly.vertices, poly.tetrahedra, poly.faces,
+                                list(reversed(poly.edges)))
+            assert regularity_witness(again) == regularity_witness(poly)
+
     def test_edgeless_polyhedron_rejected(self):
         box = unit_box_polyhedron()
         edgeless = Polyhedron3(box.vertices, box.tetrahedra, box.faces, [])
