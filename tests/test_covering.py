@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 from test_nets import CERT_DOMAINS
+from test_spaces import equilateral_prism, regular_tetrahedron
 
 from covrad.covering import (
     CoveringRadiusInterval,
@@ -21,7 +22,7 @@ from covrad.covering import (
     rho_scale,
 )
 from covrad.errors import UnsupportedDomainError
-from covrad.nets import build_index, build_probe_net
+from covrad.nets import ProbeNet, SpatialIndex, build_index, build_probe_net
 from covrad.sampler import SeedSpec, sample
 from covrad.spaces import (
     ArcsineInterval,
@@ -31,6 +32,7 @@ from covrad.spaces import (
     IntervalUniform,
     Polyline,
     Sphere,
+    unit_box_polyhedron,
 )
 
 
@@ -204,7 +206,12 @@ def _net(domain, mesh):
 
 # nets deep enough that the cell walk has several levels and prunes
 DEEP_NETS = [(Cube(2), 0.002), (Cube(3), 0.01), (Sphere(2), 0.005), (Ball(2), 0.003),
-             (Cantor(20), 1e-5)]
+             (Cantor(20), 1e-5), (unit_box_polyhedron(), 0.015)]
+
+
+def levels(net) -> int:
+    """Levels of blocks the walk evaluates before the finest blocks' points."""
+    return max(len(cells.levels) for cells in net.cells)
 
 
 class TestPrunedMaximum:
@@ -219,6 +226,13 @@ class TestPrunedMaximum:
             x[-1] = net.points[probe_at % len(net.points)]
         full = float(build_index(x).nearest_distances(net.points).max())
         assert covering_radius_bounds(domain, x, net).lower == full
+
+    @staticmethod
+    def check_at(domain, net, x):
+        """check() at given samples; returns the probe points holding the maximum."""
+        d = build_index(x).nearest_distances(net.points)
+        assert covering_radius_bounds(domain, x, net).lower == float(d.max())
+        return net.points[d == d.max()]
 
     @pytest.mark.parametrize("domain, mesh", CERT_DOMAINS, ids=lambda v: repr(v)[:24])
     @settings(max_examples=25, deadline=None)
@@ -235,8 +249,71 @@ class TestPrunedMaximum:
            dup=st.integers(0, 50), probe_at=st.none() | st.integers(0, 10**7))
     def test_deep_nets(self, domain, mesh, n, seed, dup, probe_at):
         net = _net(domain, mesh)
-        assert len(net.cells[0]) >= 3  # coarse-to-fine levels above the finest cells
+        assert levels(net) >= 3  # coarse-to-fine levels above the finest blocks' points
         self.check(domain, net, n, seed, dup, probe_at)
+
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.sampled_from([1, 10, 1000]), seed=st.integers(0, 2**32),
+           scale=st.sampled_from([0.0, 1e-3, 0.1, 0.5]))
+    def test_maximum_on_the_ball_boundary(self, n, seed, scale):
+        # samples near the centre: the farthest probe points are the projected
+        # boundary sphere's and the clipped near piece's, on |y| = 1
+        domain = Ball(2)
+        x = scale * sample(domain, n, SeedSpec(seed, 0)).points
+        at = self.check_at(domain, _net(domain, 0.003), x)
+        assert np.allclose(np.linalg.norm(at, axis=1), 1.0)
+
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.sampled_from([1, 10, 1000]), seed=st.integers(0, 2**32))
+    def test_maximum_on_the_far_face_of_the_unit_box(self, n, seed):
+        # samples on the face z = 0: the maximum lies on the face z = 1, held by
+        # the face lattices, the vertices and the masked interior grid
+        domain = unit_box_polyhedron()
+        x = sample(domain, n, SeedSpec(seed, 0)).points * [1.0, 1.0, 0.0]
+        at = self.check_at(domain, _net(domain, 0.015), x)
+        assert (at[:, 2] == 1.0).all()
+
+    @pytest.mark.parametrize("domain", [regular_tetrahedron(), equilateral_prism()],
+                             ids=["tetrahedron", "prism"])
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.sampled_from([1, 10, 1000]), seed=st.integers(0, 2**32),
+           dup=st.integers(0, 50), probe_at=st.none() | st.integers(0, 10**6))
+    def test_polyhedra_inside_their_bounding_box(self, domain, n, seed, dup, probe_at):
+        # most of the bounding-box grid lies outside: its blocks are left out,
+        # and the blocks across the boundary are masked point by point
+        self.check(domain, _net(domain, 0.03), n, seed, dup, probe_at)
+
+
+# the acceptance 07/08 nets at N = 1e5: sphere2 and ball2 at eta 0.05, cube2 at 0.025
+LARGE_NETS = [(Sphere(2), probe_mesh_for(Sphere(2), 10**5, 0.05)),
+              (Ball(2), probe_mesh_for(Ball(2), 10**5, 0.05)),
+              (Cube(2), probe_mesh_for(Cube(2), 10**5, 0.025))]
+
+
+class TestLazyNet:
+    """The sandwich never builds the whole probe net, and a trial makes one
+    k-d tree query per level of blocks plus one over the kept blocks' points."""
+
+    @pytest.mark.parametrize("domain, mesh", CERT_DOMAINS + LARGE_NETS,
+                             ids=lambda v: repr(v)[:24])
+    def test_points_never_materialised(self, domain, mesh, monkeypatch):
+        def materialised(net):
+            raise AssertionError("the whole probe net was built")
+
+        monkeypatch.setattr(ProbeNet, "points", property(materialised))
+        calls = []
+        query = SpatialIndex.nearest_distances
+        monkeypatch.setattr(SpatialIndex, "nearest_distances",
+                            lambda index, q: calls.append(len(q)) or query(index, q))
+        net = build_probe_net(domain, mesh)
+        n = 10**5 if (domain, mesh) in LARGE_NETS else 200
+        x = sample(domain, n, SeedSpec(3, 0)).points
+        b = covering_radius_bounds(domain, x, net)
+        assert len(calls) <= levels(net) + 1
+        calls.clear()
+        eps = (b.lower + b.upper) / 2.0
+        assert is_eps_net(domain, x, eps, net).value is Verdict.UNKNOWN
+        assert len(calls) <= levels(net) + 1
 
 
 class TestSphereHullOracle:

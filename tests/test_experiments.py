@@ -1,8 +1,10 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from test_acceptance import circle_chord_expectation
 
 from covrad.cli import main as cli_main
 from covrad.covering import covering_radius_1d
@@ -72,6 +74,19 @@ class TestCircleOracle:
     def test_validation(self):
         with pytest.raises(ValueError):
             circle_expectation_oracle(0)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_chord_expectation_matches_max_spacing_law(self, n):
+        # acceptance 04's chord-metric oracle E[2 sin(pi S / 2)] against a
+        # quadrature of the maximal-spacing law
+        # P(S <= x) = sum_k (-1)^k C(n, k) (1 - kx)_+^(n-1), integrated by parts
+        mpmath.mp.dps = 30
+        cdf = lambda x: sum((-1) ** k * mpmath.binomial(n, k) * max(1 - k * x, 0) ** (n - 1)
+                            for k in range(n + 1))
+        kinks = sorted({mpmath.mpf(0)} | {mpmath.mpf(1) / k for k in range(1, n + 1)})
+        exact = mpmath.quad(lambda x: mpmath.pi * mpmath.cos(mpmath.pi * x / 2) * (1 - cdf(x)),
+                            kinks)
+        assert abs(circle_chord_expectation(n) - exact) <= 1e-15
 
 
 class TestBudget:

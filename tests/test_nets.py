@@ -6,6 +6,8 @@ import pytest
 
 from covrad.nets import ProbeNet, build_index, build_probe_net
 from covrad.sampler import SeedSpec, sample
+from test_spaces import equilateral_prism, regular_tetrahedron
+
 from covrad.spaces import (
     ArcsineInterval,
     Ball,
@@ -61,6 +63,17 @@ NET_DIGESTS = {
 }
 
 
+def block_points(piece, cells):
+    """Every grid point of a piece's finest blocks: its block, image and keep-mask."""
+    offsets = np.stack(np.unravel_index(np.arange(cells.side.prod()), cells.side), axis=1)
+    idx = cells.first[:, None, :] + offsets
+    inside = (idx < piece.shape).all(axis=2)
+    block = np.broadcast_to(np.arange(len(idx))[:, None], inside.shape)[inside]
+    x = piece.coords(idx[inside])
+    kept = np.ones(len(x), dtype=bool) if piece.keep is None else piece.keep(x)
+    return block, piece.fmap(x), kept
+
+
 def spot_check_mesh(net: ProbeNet, n_samples: int = 10_000, master_seed: int = 987) -> float:
     """Max distance from fresh measure samples to the net; must be <= certified mesh."""
     sset = sample(net.domain, n_samples, SeedSpec(master_seed, 0))
@@ -109,7 +122,35 @@ class TestBuildProbeNet:
 
     def test_probe_net_validation(self):
         with pytest.raises(ValueError):
-            ProbeNet(IntervalUniform(), np.zeros((1, 1)), 0.0)
+            ProbeNet(IntervalUniform(), build_probe_net(IntervalUniform(), 0.1).pieces, 0.0)
+
+
+# the polyhedra leave most of their bounding-box grid out
+BLOCK_DOMAINS = CERT_DOMAINS + [(regular_tetrahedron(), 0.1), (equilateral_prism(), 0.05)]
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("domain,mesh", BLOCK_DOMAINS, ids=lambda v: repr(v)[:24])
+    def test_blocks_hold_every_probe_point(self, domain, mesh):
+        # blocks left out at build time hold no probe point
+        net = build_probe_net(domain, mesh)
+        held = np.concatenate([pts[kept] for piece, cells in zip(net.pieces, net.cells)
+                               for _, pts, kept in [block_points(piece, cells)]])
+        rows = lambda a: a[np.lexsort(a.T[::-1])]
+        assert np.array_equal(rows(held), rows(np.array(net.points)))
+
+    @pytest.mark.parametrize("domain,mesh", BLOCK_DOMAINS, ids=lambda v: repr(v)[:24])
+    def test_reach_covers_every_grid_point(self, domain, mesh):
+        # on every level, each grid point's image lies within its block's reach
+        # of the block's representative, masked or not
+        net = build_probe_net(domain, mesh)
+        for piece, cells in zip(net.pieces, net.cells):
+            block, pts, _ = block_points(piece, cells)
+            for level in cells.levels:
+                gap = np.linalg.norm(pts - level.reps[block], axis=1)
+                assert (gap <= level.reach[block]).all()
+                if level.parent is not None:
+                    block = level.parent[block]
 
 
 class TestSpatialIndex:
