@@ -3,11 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from test_spaces import equilateral_prism, regular_tetrahedron
 
 from covrad.nets import ProbeNet, build_index, build_probe_net
 from covrad.sampler import SeedSpec, sample
-from test_spaces import equilateral_prism, regular_tetrahedron
-
 from covrad.spaces import (
     ArcsineInterval,
     Ball,
