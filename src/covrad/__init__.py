@@ -39,11 +39,9 @@ from .covering import (
     NetVerdict,
     Verdict,
     WindowSpec,
-    ball_measure,
     covering_radius_1d,
     covering_radius_bounds,
     covering_radius_window,
     is_eps_net,
-    is_measure_eps_net,
 )
 from .auxfn import OccupancyParams, RegimeSpec, f_dp, f_exact, f_lower_bound, regime_params

@@ -1,5 +1,5 @@
 """Covering radii: exact in one dimension, certified sandwich elsewhere,
-plus epsilon-net verdicts and ball-measure estimation."""
+plus epsilon-net verdicts."""
 
 from __future__ import annotations
 
@@ -11,15 +11,12 @@ import numpy as np
 
 from .errors import UnsupportedDomainError
 from .nets import ProbeNet, build_index
-from .sampler import SampleSet, SeedSpec
+from .sampler import SampleSet
 from .spaces import (
     ArcsineInterval,
-    Ball,
     Cantor,
-    Cube,
     Domain,
     IntervalUniform,
-    Polyhedron3,
     Polyline,
     Sphere,
     unit_ball_volume,
@@ -203,52 +200,6 @@ def covering_radius_bounds(
 
 
 # ---------------------------------------------------------------------------
-# Ball measures
-# ---------------------------------------------------------------------------
-
-
-def _arcsine_cdf(x: float) -> float:
-    return 1.0 - math.acos(min(1.0, max(-1.0, x))) / math.pi
-
-
-def ball_measure(
-    domain: Domain,
-    center,
-    r: float,
-    mc_budget: int = 100_000,
-    seed: SeedSpec | None = None,
-) -> tuple[float, float]:
-    """Normalized measure of the ball B(center, r): (estimate, 99% CI half-width).
-
-    Exact closed forms for the interval, arcsine interval and circle
-    (half-width 0); Monte Carlo with a binomial normal-approximation CI
-    otherwise.
-    """
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    c = np.asarray(center, dtype=float).ravel()
-    if isinstance(domain, IntervalUniform):
-        return max(0.0, min(1.0, c[0] + r) - max(0.0, c[0] - r)), 0.0
-    if isinstance(domain, ArcsineInterval):
-        return _arcsine_cdf(c[0] + r) - _arcsine_cdf(c[0] - r), 0.0
-    if isinstance(domain, Sphere) and domain.d == 1:
-        if r >= 2.0:
-            return 1.0, 0.0
-        return 2.0 * math.asin(r / 2.0) / math.pi, 0.0
-
-    if mc_budget < 100:
-        raise ValueError("Monte Carlo ball measure needs a budget of at least 100")
-    from .sampler import sample  # local import to avoid cycle at module load
-
-    seed = seed or SeedSpec(0, 0)
-    pts = sample(domain, mc_budget, seed).points
-    hits = np.linalg.norm(pts - c, axis=1) <= r
-    p = float(hits.mean())
-    half = 2.576 * math.sqrt(max(p * (1.0 - p), 1.0 / mc_budget) / mc_budget)
-    return p, half
-
-
-# ---------------------------------------------------------------------------
 # Net verdicts
 # ---------------------------------------------------------------------------
 
@@ -263,50 +214,6 @@ def is_eps_net(domain: Domain, a_points, eps: float, probe: ProbeNet) -> NetVerd
     if bounds.lower > eps:
         return NetVerdict(Verdict.NO, bounds.lower - eps)
     return NetVerdict(Verdict.UNKNOWN, min(eps - bounds.lower, bounds.upper - eps))
-
-
-def is_measure_eps_net(
-    domain: Domain,
-    a_points,
-    eps: float,
-    probe: ProbeNet,
-    mc_budget: int = 20_000,
-    seed: SeedSpec | None = None,
-) -> NetVerdict:
-    """Is `a_points` a measure eps-net (every ball of measure >= eps meets it)?
-
-    For each probe point y with nearest-sample distance r_y, the ball
-    B(y, r_y) misses the configuration up to its boundary. If some such ball
-    has measure above eps (beyond its CI), the answer is No. If every ball
-    B(y, r_y + mesh) stays below eps, the answer is Yes: an arbitrary empty
-    ball B(z, r) has its center within mesh of a probe point y, r <= r_y and
-    B(z, r) subset of B(y, r_y + mesh). Otherwise Unknown.
-    """
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must lie in (0, 1)")
-    a = np.asarray(a_points, dtype=float)
-    if a.ndim == 1:
-        a = a.reshape(-1, 1)
-    index = build_index(a)
-    r_y = index.nearest_distances(probe.points)
-    seed = seed or SeedSpec(0, 0)
-
-    worst_no = -math.inf
-    worst_yes = -math.inf
-    for k in np.argsort(-r_y)[: min(len(r_y), 256)]:
-        y = probe.points[k]
-        if r_y[k] > 0.0:
-            est, half = ball_measure(domain, y, float(r_y[k]), mc_budget, seed)
-            if est - half > eps:
-                return NetVerdict(Verdict.NO, est - half - eps)
-            worst_no = max(worst_no, est - half - eps)
-        est_hi, half_hi = ball_measure(
-            domain, y, float(r_y[k]) + probe.certified_mesh, mc_budget, seed
-        )
-        worst_yes = max(worst_yes, est_hi + half_hi)
-    if worst_yes < eps:
-        return NetVerdict(Verdict.YES, eps - worst_yes)
-    return NetVerdict(Verdict.UNKNOWN, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -32,42 +32,47 @@ contains_many, the (i, j >= i) index lattice of each face triangle under an
 affine map, and its vertices on an index axis; a segment is its t-axis under
 an affine map; Cantor's sorted endpoints are one axis.
 
-Blocks. Each piece's grid is cut into blocks of about 8 certified meshes
-(sizing the grid step by the map's Lipschitz bound on the whole piece), and
-block sides double from level to level until a piece has at most 64 blocks;
-blocks that cannot hold a kept point (a box outside the ball's band, beyond a
-face plane of every tetrahedron of a polyhedron, or below a triangle's
-diagonal) are left out. Built with the net from the axes alone,
-each block has a representative (the image of its middle grid point), its
-parent and a reach r >= the distance from the representative to the image of
-any grid point of the block: the distance in the grid box from the middle
-point to the farthest corner, times a Lipschitz bound of the map on the box,
-plus 1e-9 of the coordinate scale for rounding. The bounds: 1 for the identity
-and for clipping to the ball (a projection onto a convex set); 1/min|x| over
-the box for the radial projection of a cube face, since
+Blocks. Each piece's grid is cut into finest blocks of about 8 certified
+meshes (sizing the grid step by the map's Lipschitz bound on the whole piece).
+Its top level has blocks 2^k finest sides wide, for the smallest k that leaves
+at most 64 of them, and each level below splits a block into the 2^dim blocks
+of half its side. Blocks that start past the grid, and blocks that cannot hold
+a kept point (a box outside the ball's band, beyond a face plane of every
+tetrahedron of a polyhedron, or below a triangle's diagonal), are left out.
+Each block has a representative (the image of its middle grid point) and a
+reach r >= the distance from the representative to the image of any grid point
+of the block: the distance in the grid box from the middle point to the
+farthest corner, times a Lipschitz bound of the map on the box, plus 1e-9 of
+the coordinate scale for rounding. The bounds: 1 for the identity and for
+clipping to the ball (a projection onto a convex set); 1/min|x| over the box
+for the radial projection of a cube face, since
 |x/|x| - y/|y|| <= |x - y|/sqrt(|x||y|) and |x| >= 1 there; the spectral norm
 for affine maps; and the image diameter on an index axis, whose distinct
-indices lie at least 1 apart.
+indices lie at least 1 apart. A net stores its pieces' top levels only, so
+building it costs at most 64 blocks per piece however fine its grid.
 
 The walk. d(y) = dist(y, X) is 1-Lipschitz, so d <= d(p) + r on a block with
-representative p. ProbeNet.max_nearest_distance walks the levels coarse to
-fine: each level evaluates d at the representatives of the children of kept
-blocks, all pieces in one query, raises L to the largest value at a
-representative the keep-mask keeps (a probe value, so L never passes the net's
-maximum; a masked representative is no probe point, so it may prune but never
-raise L) and keeps blocks with (d(p) + r)(1 + 1e-12) >= L, as the maximizer's
-blocks are (1e-12 allows for rounded distances). One last query evaluates the
-probe points of the kept finest blocks. Every probe point is computed by the
-same row-wise arithmetic wherever it is generated, so this is the maximum over
-the whole net bit for bit, and the net itself is never materialised unless
-ProbeNet.points is read.
+representative p. ProbeNet.max_nearest_distance refines the top levels down to
+the finest blocks, a piece joining at its top so that all pieces reach their
+finest blocks together. Each level evaluates d at the representatives of the
+children of the blocks kept on the level above, all pieces in one query,
+raises L to the largest value at a representative the keep-mask keeps (a probe
+value, so L never passes the net's maximum; a masked representative is no
+probe point, so it may prune but never raise L) and keeps blocks with
+(d(p) + r)(1 + 1e-12) >= L, as the maximizer's blocks are (1e-12 allows for
+rounded distances). One last query evaluates the probe points of the kept
+finest blocks. Only kept blocks are split, so a trial's work and memory follow
+the blocks that can hold the maximum, not the net. Every probe point is
+computed by the same row-wise arithmetic wherever it is generated, so this is
+the maximum over the whole net bit for bit, and the net itself is never
+materialised unless ProbeNet.points is read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -121,26 +126,51 @@ class _Piece:
 
 
 class _Level(NamedTuple):
-    """One level of a piece's blocks."""
+    """Blocks of one size in a piece's grid."""
+    first: np.ndarray  # first grid index of each block
     reps: np.ndarray  # representative points
     reach: np.ndarray  # bounds on the distance from each to its block's points
     ok: np.ndarray | None  # representative kept by the piece's mask
-    parent: np.ndarray | None  # parent's position in the next level; None at the top
 
 
-@dataclass(frozen=True)
-class _Blocks:
-    """A piece's blocks: the first grid index of each finest block, their side,
-    and the levels, finest first."""
-    first: np.ndarray
+class _Blocks(NamedTuple):
+    """A piece's finest block side, its levels below the top, and its top level."""
     side: np.ndarray
-    levels: list
+    depth: int
+    top: _Level
 
-    def grid_indices(self, kept: np.ndarray, shape) -> np.ndarray:
-        """Grid indices of the kept finest blocks."""
-        offsets = np.stack(np.unravel_index(np.arange(self.side.prod()), self.side), axis=1)
-        idx = (self.first[kept][:, None, :] + offsets).reshape(-1, len(self.side))
-        return idx[(idx < shape).all(axis=1)]
+
+@lru_cache(maxsize=64)
+def _box(shape: tuple) -> np.ndarray:
+    """The grid indices of a box of the given shape, in "ij" order (read-only)."""
+    out = np.stack(np.unravel_index(np.arange(math.prod(shape)), shape), axis=1)
+    out.setflags(write=False)
+    return out
+
+
+def _in_grid(idx: np.ndarray, shape: tuple) -> np.ndarray:
+    """Which (m, k) grid indices lie in a grid of the given shape."""
+    inside = idx[:, 0] < shape[0]  # column by column: all(axis=1) took 10x longer
+    for k in range(1, len(shape)):
+        inside &= idx[:, k] < shape[k]
+    return inside
+
+
+def _level(piece: _Piece, first: np.ndarray, size: np.ndarray) -> _Level:
+    """The blocks of the given size starting at first, less those that start past
+    the grid or cannot hold a kept point."""
+    # np.compress: several times faster than a boolean index on rows
+    first = np.compress(_in_grid(first, piece.shape), first, axis=0)
+    last = np.minimum(first + size, piece.shape) - 1
+    lo, hi = piece.coords(first), piece.coords(last)
+    if piece.holds is not None:
+        held = piece.holds(lo, hi)
+        first, last, lo, hi = (np.compress(held, a, axis=0) for a in (first, last, lo, hi))
+    mid = piece.coords((first + last) // 2)
+    reps = piece.fmap(mid)
+    reach = piece.lip(lo, hi) * _row_norms(np.maximum(mid - lo, hi - mid))
+    reach += 1e-9 * (reach + np.abs(reps).max(initial=0.0))  # rounded coordinates and maps
+    return _Level(first, reps, reach, None if piece.keep is None else piece.keep(mid))
 
 
 def _blocks(piece: _Piece, width: float) -> _Blocks:
@@ -149,29 +179,11 @@ def _blocks(piece: _Piece, width: float) -> _Blocks:
     lip = float(np.max(piece.lip(ends[:1], ends[1:])))
     step = np.array([np.diff(axis).min() if len(axis) > 1 else np.inf for axis in piece.axes])
     side = np.clip(np.round(width / (lip * step)), 1, shape).astype(np.int64)
-    counts = -(-shape // side)
-    first = np.stack(np.unravel_index(np.arange(counts.prod()), counts), axis=1) * side
-    if piece.holds is not None:
-        first = first[piece.holds(piece.coords(first),
-                                  piece.coords(np.minimum(first + side, shape) - 1))]
-    out, size = _Blocks(first, side, []), side
-    while len(first):
-        last = np.minimum(first + size, shape) - 1
-        lo, hi, mid = piece.coords(first), piece.coords(last), piece.coords((first + last) // 2)
-        reps = piece.fmap(mid)
-        reach = piece.lip(lo, hi) * np.linalg.norm(np.maximum(mid - lo, hi - mid), axis=1)
-        reach += 1e-9 * (reach + np.abs(reps).max())  # rounded coordinates and maps
-        ok = None if piece.keep is None else piece.keep(mid)
-        if len(first) <= 64:  # a top of 8 or 512 blocks walked no faster
-            out.levels.append(_Level(reps, reach, ok, None))
-            break
-        size, counts = 2 * size, -(-shape // (2 * size))
-        up = np.ravel_multi_index(tuple((first // size).T), counts)
-        live = np.zeros(counts.prod(), dtype=bool)
-        live[up] = True
-        out.levels.append(_Level(reps, reach, ok, np.cumsum(live)[up] - 1))
-        first = np.stack(np.unravel_index(np.flatnonzero(live), counts), axis=1) * size
-    return out
+    depth = 0
+    while np.prod(-(-shape // (side << depth))) > 64:  # a top of 8 or 512 blocks walked no faster
+        depth += 1
+    size = side << depth
+    return _Blocks(side, depth, _level(piece, _box(tuple(-(-shape // size))) * size, size))
 
 
 @dataclass(frozen=True)
@@ -185,8 +197,8 @@ class ProbeNet:
     def __post_init__(self):
         if self.certified_mesh <= 0:
             raise ValueError("certified mesh must be positive")
-        # finest blocks 8 meshes wide: at N=1e5 (sphere2, ball2, cube2; 2 CPUs) 6 and 12
-        # were as fast per build and two trials, 4 built 3-6x slower, 16 walked sphere2 2x slower
+        # finest blocks 8 meshes wide: at N=1e5 (2 CPUs; every build under 3 ms) 6 and 12
+        # walked sphere2, ball2 and cube2 as fast, 6 walked cube3 1.2x and 12 8x slower
         width = 8 * self.certified_mesh
         object.__setattr__(self, "cells", tuple(_blocks(p, width) for p in self.pieces))
 
@@ -205,26 +217,28 @@ class ProbeNet:
 
     def max_nearest_distance(self, index: SpatialIndex) -> float:
         """index.nearest_distances(points).max(), from the blocks that can hold it."""
-        lower, keep = -math.inf, [None] * len(self.cells)
-        for level in range(max(len(c.levels) for c in self.cells) - 1, -1, -1):
-            batch = []  # (piece, its level, the blocks evaluated)
-            for p, cells in enumerate(self.cells):
-                if level < len(cells.levels):
-                    lev = cells.levels[level]
-                    ids = (np.arange(len(lev.reach)) if keep[p] is None
-                           else np.flatnonzero(keep[p][lev.parent]))
-                    batch.append((p, lev, ids))
-            d = index.nearest_distances(np.concatenate([lev.reps[ids] for _, lev, ids in batch]))
-            parts = np.split(d, np.cumsum([len(ids) for _, _, ids in batch])[:-1])
-            for (_, lev, ids), dp in zip(batch, parts):
-                probe = dp if lev.ok is None else dp[lev.ok[ids]]
+        lower, live = -math.inf, [None] * len(self.cells)  # per piece, its kept blocks' first
+        for level in range(max(c.depth for c in self.cells), -1, -1):
+            batch = []  # (piece, the blocks evaluated)
+            for p, (piece, cells) in enumerate(zip(self.pieces, self.cells)):
+                if level == cells.depth:
+                    batch.append((p, cells.top))
+                elif level < cells.depth and len(live[p]):
+                    size = cells.side << level
+                    kids = live[p][:, None, :] + _box((2,) * len(size)) * size
+                    batch.append((p, _level(piece, kids.reshape(-1, len(size)), size)))
+            d = index.nearest_distances(np.concatenate([lev.reps for _, lev in batch]))
+            parts = np.split(d, np.cumsum([len(lev.reach) for _, lev in batch])[:-1])
+            for (_, lev), dp in zip(batch, parts):
+                probe = dp if lev.ok is None else dp[lev.ok]
                 if len(probe):
                     lower = max(lower, float(probe.max()))
-            for (p, lev, ids), dp in zip(batch, parts):
-                keep[p] = np.zeros(len(lev.reach), dtype=bool)
-                keep[p][ids[(dp + lev.reach[ids]) * (1 + 1e-12) >= lower]] = True
-        pts = [piece.points(cells.grid_indices(keep[p], piece.shape))
-               for p, (piece, cells) in enumerate(zip(self.pieces, self.cells)) if cells.levels]
+            for (p, lev), dp in zip(batch, parts):
+                live[p] = np.compress((dp + lev.reach) * (1 + 1e-12) >= lower, lev.first, axis=0)
+        pts = []
+        for first, piece, cells in zip(live, self.pieces, self.cells):
+            idx = (first[:, None, :] + _box(tuple(cells.side))).reshape(-1, len(cells.side))
+            pts.append(piece.points(np.compress(_in_grid(idx, piece.shape), idx, axis=0)))
         return float(index.nearest_distances(np.concatenate(pts)).max())
 
 
@@ -277,10 +291,16 @@ def _cube_axes(d: int, mesh: float, low: float = 0.0, high: float = 1.0) -> tupl
     return (_axis_grid(low, high, 2.0 * mesh / math.sqrt(d)),) * d
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """|x| per row, for bounds only: 3-5x faster than np.linalg.norm(x, axis=1),
+    which probe points keep for their bits."""
+    return np.sqrt(np.einsum("ij,ij->i", x, x))
+
+
 def _box_norms(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Smallest and largest |x| over the boxes [lo, hi]."""
     near = np.maximum(np.maximum(lo, -hi), 0.0)
-    return np.linalg.norm(near, axis=1), np.linalg.norm(np.maximum(-lo, hi), axis=1)
+    return _row_norms(near), _row_norms(np.maximum(-lo, hi))
 
 
 def _sphere_pieces(d: int, mesh: float) -> list:
@@ -288,7 +308,8 @@ def _sphere_pieces(d: int, mesh: float) -> list:
     # face (ax, side) holds the face grid in the other axes and -1/+1 at ax
     def face(ax, side):
         def fmap(x):
-            pts = np.insert(x, ax, side, axis=1)
+            pts = np.empty((len(x), d + 1))
+            pts[:, :ax], pts[:, ax], pts[:, ax + 1:] = x[:, :ax], side, x[:, ax:]
             pts /= np.linalg.norm(pts, axis=1, keepdims=True)
             return pts
         return fmap

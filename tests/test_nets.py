@@ -1,11 +1,14 @@
 import hashlib
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from test_spaces import equilateral_prism, regular_tetrahedron
 
-from covrad.nets import ProbeNet, build_index, build_probe_net
+from covrad.covering import probe_mesh_for
+from covrad.nets import ProbeNet, _level, build_index, build_probe_net
 from covrad.sampler import SeedSpec, sample
 from covrad.spaces import (
     ArcsineInterval,
@@ -62,15 +65,26 @@ NET_DIGESTS = {
 }
 
 
-def block_points(piece, cells):
-    """Every grid point of a piece's finest blocks: its block, image and keep-mask."""
-    offsets = np.stack(np.unravel_index(np.arange(cells.side.prod()), cells.side), axis=1)
-    idx = cells.first[:, None, :] + offsets
-    inside = (idx < piece.shape).all(axis=2)
-    block = np.broadcast_to(np.arange(len(idx))[:, None], inside.shape)[inside]
-    x = piece.coords(idx[inside])
+def refine(piece, cells):
+    """A piece's levels of blocks, top first, each block split into all its
+    children down to the finest side, with no pruning."""
+    levels = [cells.top]
+    for j in range(cells.depth - 1, -1, -1):
+        size = cells.side << j
+        corners = np.array(list(itertools.product((0, 1), repeat=len(size))))
+        kids = levels[-1].first[:, None, :] + corners * size
+        levels.append(_level(piece, kids.reshape(-1, len(size)), size))
+    return levels
+
+
+def grid_points(piece, cells, finest):
+    """Every grid point of a piece's finest blocks: its grid index, image and keep-mask."""
+    offsets = np.array(list(itertools.product(*(range(s) for s in cells.side))))
+    idx = (finest.first[:, None, :] + offsets).reshape(-1, len(cells.side))
+    idx = idx[(idx < piece.shape).all(axis=1)]
+    x = piece.coords(idx)
     kept = np.ones(len(x), dtype=bool) if piece.keep is None else piece.keep(x)
-    return block, piece.fmap(x), kept
+    return idx, piece.fmap(x), kept
 
 
 def spot_check_mesh(net: ProbeNet, n_samples: int = 10_000, master_seed: int = 987) -> float:
@@ -131,10 +145,11 @@ BLOCK_DOMAINS = CERT_DOMAINS + [(regular_tetrahedron(), 0.1), (equilateral_prism
 class TestBlocks:
     @pytest.mark.parametrize("domain,mesh", BLOCK_DOMAINS, ids=lambda v: repr(v)[:24])
     def test_blocks_hold_every_probe_point(self, domain, mesh):
-        # blocks left out at build time hold no probe point
+        # blocks the top level leaves out, or refinement drops, hold no probe point
         net = build_probe_net(domain, mesh)
         held = np.concatenate([pts[kept] for piece, cells in zip(net.pieces, net.cells)
-                               for _, pts, kept in [block_points(piece, cells)]])
+                               for _, pts, kept in [grid_points(piece, cells,
+                                                                refine(piece, cells)[-1])]])
         rows = lambda a: a[np.lexsort(a.T[::-1])]
         assert np.array_equal(rows(held), rows(np.array(net.points)))
 
@@ -144,12 +159,33 @@ class TestBlocks:
         # of the block's representative, masked or not
         net = build_probe_net(domain, mesh)
         for piece, cells in zip(net.pieces, net.cells):
-            block, pts, _ = block_points(piece, cells)
-            for level in cells.levels:
+            levels = refine(piece, cells)
+            idx, pts, _ = grid_points(piece, cells, levels[-1])
+            for j, level in zip(range(cells.depth, -1, -1), levels):
+                size = cells.side << j
+                counts = -(-np.array(piece.shape) // size)
+                block = np.full(counts.prod(), -1)
+                block[np.ravel_multi_index((level.first // size).T, counts)] = np.arange(
+                    len(level.first))
+                block = block[np.ravel_multi_index((idx // size).T, counts)]
+                assert (block >= 0).all()
                 gap = np.linalg.norm(pts - level.reps[block], axis=1)
                 assert (gap <= level.reach[block]).all()
-                if level.parent is not None:
-                    block = level.parent[block]
+
+    def test_build_is_bounded_by_the_top_level(self):
+        # 1.58e9 grid points in 4.66M finest blocks: the build allocates and
+        # stores the top level's blocks only
+        tracemalloc.start()
+        try:
+            net = build_probe_net(Cube(3), probe_mesh_for(Cube(3), 10**6, 0.05))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (piece,), (cells,) = net.pieces, net.cells
+        assert math.prod(piece.shape) > 1.5e9
+        assert math.prod(-(-np.array(piece.shape) // cells.side)) > 4.6e6
+        assert all(len(a) <= 64 for a in (cells.side, *cells.top) if a is not None)
+        assert peak < 1e6
 
 
 class TestSpatialIndex:
