@@ -180,7 +180,7 @@ def _blocks(piece: _Piece, width: float) -> _Blocks:
     step = np.array([np.diff(axis).min() if len(axis) > 1 else np.inf for axis in piece.axes])
     side = np.clip(np.round(width / (lip * step)), 1, shape).astype(np.int64)
     depth = 0
-    while np.prod(-(-shape // (side << depth))) > 64:  # a top of 8 or 512 blocks walked no faster
+    while np.prod(-(-shape // (side << depth))) > 64:  # sweep of 8-512 in CHANGES.md
         depth += 1
     size = side << depth
     return _Blocks(side, depth, _level(piece, _box(tuple(-(-shape // size))) * size, size))
@@ -297,10 +297,9 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", x, x))
 
 
-def _box_norms(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest and largest |x| over the boxes [lo, hi]."""
-    near = np.maximum(np.maximum(lo, -hi), 0.0)
-    return _row_norms(near), _row_norms(np.maximum(-lo, hi))
+def _min_norms(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Smallest |x| over the boxes [lo, hi]."""
+    return _row_norms(np.maximum(np.maximum(lo, -hi), 0.0))
 
 
 def _sphere_pieces(d: int, mesh: float) -> list:
@@ -315,7 +314,7 @@ def _sphere_pieces(d: int, mesh: float) -> list:
         return fmap
 
     def lip(lo, hi):  # |x| >= min over the box of sqrt(1 + |face coordinates|^2)
-        return 1.0 / np.sqrt(1.0 + _box_norms(lo, hi)[0] ** 2)
+        return 1.0 / np.sqrt(1.0 + _min_norms(lo, hi) ** 2)
 
     axes = _cube_axes(d, mesh, -1.0, 1.0)
     return [_Piece(axes, face(ax, side), lip) for ax in range(d + 1) for side in (-1.0, 1.0)]
@@ -327,9 +326,9 @@ def _band(low: float, high: float) -> dict:
         r = np.linalg.norm(x, axis=1)
         return (r > low) & (r <= high)
 
-    def holds(lo, hi):  # 1e-9: rounded norms
-        r_min, r_max = _box_norms(lo, hi)
-        return (r_max > low - 1e-9) & (r_min <= high + 1e-9)
+    def holds(lo, hi):  # 1e-9: rounded norms; the largest |x| is at the farthest corner
+        return ((_row_norms(np.maximum(-lo, hi)) > low - 1e-9)
+                & (_min_norms(lo, hi) <= high + 1e-9))
 
     return {"keep": keep, "holds": holds}
 
