@@ -39,6 +39,7 @@ from .covering import (
     NetVerdict,
     Verdict,
     WindowSpec,
+    ball_measure,
     covering_radius_1d,
     covering_radius_bounds,
     covering_radius_window,

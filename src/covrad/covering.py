@@ -1,5 +1,5 @@
 """Covering radii: exact in one dimension, certified sandwich elsewhere,
-plus epsilon-net verdicts."""
+plus epsilon-net verdicts and ball-measure estimation."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import UnsupportedDomainError
 from .nets import ProbeNet, build_index
-from .sampler import SampleSet
+from .sampler import SampleSet, SeedSpec
 from .spaces import (
     ArcsineInterval,
     Cantor,
@@ -197,6 +197,52 @@ def covering_radius_bounds(
     return CoveringRadiusInterval(
         lower=lower, upper=lower + probe.certified_mesh, probe_mesh=probe.certified_mesh
     )
+
+
+# ---------------------------------------------------------------------------
+# Ball measures
+# ---------------------------------------------------------------------------
+
+
+def _arcsine_cdf(x: float) -> float:
+    return 1.0 - math.acos(min(1.0, max(-1.0, x))) / math.pi
+
+
+def ball_measure(
+    domain: Domain,
+    center,
+    r: float,
+    mc_budget: int = 100_000,
+    seed: SeedSpec | None = None,
+) -> tuple[float, float]:
+    """Normalized measure of the ball B(center, r): (estimate, 99% CI half-width).
+
+    Exact closed forms for the interval, arcsine interval and circle
+    (half-width 0); Monte Carlo with a binomial normal-approximation CI
+    otherwise.
+    """
+    if r <= 0:
+        raise ValueError("radius must be positive")
+    c = np.asarray(center, dtype=float).ravel()
+    if isinstance(domain, IntervalUniform):
+        return max(0.0, min(1.0, c[0] + r) - max(0.0, c[0] - r)), 0.0
+    if isinstance(domain, ArcsineInterval):
+        return _arcsine_cdf(c[0] + r) - _arcsine_cdf(c[0] - r), 0.0
+    if isinstance(domain, Sphere) and domain.d == 1:
+        if r >= 2.0:
+            return 1.0, 0.0
+        return 2.0 * math.asin(r / 2.0) / math.pi, 0.0
+
+    if mc_budget < 100:
+        raise ValueError("Monte Carlo ball measure needs a budget of at least 100")
+    from .sampler import sample  # local import to avoid cycle at module load
+
+    seed = seed or SeedSpec(0, 0)
+    pts = sample(domain, mc_budget, seed).points
+    hits = np.linalg.norm(pts - c, axis=1) <= r
+    p = float(hits.mean())
+    half = 2.576 * math.sqrt(max(p * (1.0 - p), 1.0 / mc_budget) / mc_budget)
+    return p, half
 
 
 # ---------------------------------------------------------------------------

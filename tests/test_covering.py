@@ -12,6 +12,7 @@ from covrad.covering import (
     CoveringRadiusInterval,
     Verdict,
     WindowSpec,
+    ball_measure,
     covering_radius_1d,
     covering_radius_bounds,
     covering_radius_window,
@@ -330,6 +331,52 @@ class TestSphereHullOracle:
             b = covering_radius_bounds(domain, x, net)
             assert b.lower <= rho + 1e-12
             assert rho <= b.upper + 1e-12
+
+
+class TestBallMeasure:
+    def test_interval_clip(self):
+        assert ball_measure(IntervalUniform(), [0.0], 0.3) == (pytest.approx(0.3), 0.0)
+        assert ball_measure(IntervalUniform(), [0.5], 0.2) == (pytest.approx(0.4), 0.0)
+
+    def test_arcsine_edge(self):
+        u = 0.05
+        est, half = ball_measure(ArcsineInterval(), [1.0], u)
+        assert half == 0.0
+        assert est == pytest.approx(math.acos(1.0 - u) / math.pi, rel=1e-12)
+
+    def test_arcsine_matches_numeric_integration(self):
+        from scipy.integrate import quad
+
+        center, r = 0.3, 0.25
+        est, _ = ball_measure(ArcsineInterval(), [center], r)
+        ref, _ = quad(lambda x: 1.0 / (math.pi * math.sqrt(1 - x * x)),
+                      center - r, center + r)
+        assert est == pytest.approx(ref, rel=1e-9)
+
+    def test_circle_arc(self):
+        r = 2.0 * math.sin(math.pi / 8.0)
+        est, half = ball_measure(Sphere(1), [1.0, 0.0], r)
+        assert half == 0.0
+        assert est == pytest.approx(0.25, rel=1e-12)
+
+    def test_cube_corner_quarter_disk(self):
+        est, half = ball_measure(Cube(2), [0.0, 0.0], 0.2, 10**6, SeedSpec(1, 0))
+        assert abs(est - math.pi * 0.04 / 4.0) <= half
+
+    def test_whole_domain_measure_one(self):
+        for domain, center in [
+            (IntervalUniform(), [0.5]),
+            (ArcsineInterval(), [0.0]),
+            (Sphere(1), [1.0, 0.0]),
+        ]:
+            est, _ = ball_measure(domain, center, domain.diameter + 1.0)
+            assert est == pytest.approx(1.0)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            ball_measure(IntervalUniform(), [0.0], 0.0)
+        with pytest.raises(ValueError):
+            ball_measure(Cube(2), [0.0, 0.0], 0.1, mc_budget=10)
 
 
 class TestEpsNetVerdicts:

@@ -281,12 +281,8 @@ class TestRegularityWitness:
 
     def test_witness_bounds_empirically(self):
         # Monte Carlo ball measures must respect the witness band.
+        from covrad.covering import ball_measure
         from covrad.sampler import SeedSpec, sample
-
-        def ball_measure(domain, center, r, n, seed):
-            """Monte Carlo measure of B(center, r) and its 99% CI half-width."""
-            p = float((np.linalg.norm(sample(domain, n, seed).points - center, axis=1) <= r).mean())
-            return p, 2.576 * math.sqrt(max(p * (1.0 - p), 1.0 / n) / n)
 
         for domain in (Cube(2), Ball(2)):
             w = regularity_witness(domain)
