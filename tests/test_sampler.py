@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -54,6 +55,44 @@ class TestDeterminism:
         a = sample(domain, 500, SeedSpec(42, 3)).points
         b = sample(domain, 500, SeedSpec(42, 3)).points
         assert a.tobytes() == b.tobytes()
+
+    # sha256 of sample(domain, n, SeedSpec(2024, stream)).points.tobytes(), recorded
+    # with the Philox generator of numpy 2.4; a sampler change that moves any
+    # stream fails here before it reaches a study's numbers
+    STREAM_DIGESTS = {
+        "interval": (IntervalUniform(), 1000, 5,
+                     "e87c64717eca9b40185b9135cc36e11ca02d1565f7e5e53cb09fca3818414177"),
+        "arcsine": (ArcsineInterval(), 1000, 5,
+                    "33724b1487520644e5bc60d55a1493b5827fce285bd3d0d951c7d7339e0f58e8"),
+        "cube2": (Cube(2), 1000, 5,
+                  "ee56e5b2a8e6b3d4f26a546a20d126b42258aa8ea26cf53df999495a9f0f0b1f"),
+        "cube3": (Cube(3), 1000, 5,
+                  "7bfcd2e70dab1dd7beb112097ac1e1cc5be01f9b732997f05addfd71d05825d5"),
+        "circle": (Sphere(1), 1000, 5,
+                   "5ded91fa56a713ebf06de30d49e31d28e9d9591ba8c2ab4ec04993e3f5f1a997"),
+        "sphere2": (Sphere(2), 1000, 5,
+                    "c88f76901ceed2df6617e4d6e90b532a5978d0a3c4be3485dc0ffb9936207e36"),
+        "ball2": (Ball(2), 1000, 5,
+                  "49bc25ff9765c21c6b322f9c20003502a8ea5f28329fb703fa83edb3c091e102"),
+        "ball3": (Ball(3), 1000, 5,
+                  "c445edc7eaa8059d12caca4833dfdb64480dfabffc9b26aefd49c00db58c4cdc"),
+        "polyline": (Polyline([[0, 0], [1, 0], [1, 2]]), 1000, 5,
+                     "fa35dca42485b5ba6488ad24271efbc11fe22d825df6aee0e285766e9e798536"),
+        "unit_box": (unit_box_polyhedron(), 1000, 5,
+                     "8e6cef110b45179c90565dbc4246ce7e5cf7ac8976222fda91e3ccb8df3408d1"),
+        "cantor20": (Cantor(20), 1000, 5,
+                     "a4f2b5a2017571fc0cba7fec6d5c25f3f01f665e7fe56e4ab1fc4c6e0902a6a8"),
+        "cantor40": (Cantor(40), 1000, 5,
+                     "53ba451703de0e07a6c5553f55d559e0a3f70568dddd1b61bd91c64de11e7f4c"),
+        "cantor40_1e5": (Cantor(40), 10**5, 0,
+                         "ece967b3fd3db32f69b2b11e0faaaa3940f16b8d945dd76654e9631814ad10c8"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(STREAM_DIGESTS))
+    def test_stream_digest(self, case):
+        domain, n, stream, want = self.STREAM_DIGESTS[case]
+        pts = sample(domain, n, SeedSpec(2024, stream)).points
+        assert hashlib.sha256(pts.tobytes()).hexdigest() == want
 
     def test_streams_differ(self):
         a = sample(IntervalUniform(), 100, SeedSpec(42, 0)).points
