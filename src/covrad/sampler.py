@@ -123,9 +123,11 @@ def _polyhedron_points(rng, n, domain: Polyhedron3):
 
 
 def _cantor_points(rng, n, domain: Cantor):
-    bits = rng.random((n, domain.depth)) < 0.5
+    # digit bits written over the uniforms (1.0 where u < 1/2), then one product
+    u = rng.random((n, domain.depth))
+    np.less(u, 0.5, out=u, casting="unsafe")
     weights = 2.0 * (3.0 ** -np.arange(1, domain.depth + 1))
-    return (bits @ weights).reshape(n, 1)
+    return (u @ weights).reshape(n, 1)
 
 
 def sample(domain: Domain, n: int, seed: SeedSpec) -> SampleSet:
