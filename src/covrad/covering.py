@@ -132,8 +132,63 @@ def _polyline_rho(domain: Polyline, points: np.ndarray) -> float:
     return best
 
 
+def _cantor_gap_values(a: np.ndarray, b: np.ndarray, depth: int) -> np.ndarray:
+    """Largest distance from a truncated-Cantor point in [a, b] to {a, b}, per gap.
+
+    The distance min(y - a, b - y) peaks at the midpoint m, so over the set's
+    points it peaks at the set's floor or ceiling of m. Both come from a
+    descent over the ternary digits: the floor takes digit 2 where m is at
+    least the 2-child's smallest point, the ceiling where m is above the
+    0-child's largest point (3^-i - 3^-depth above the prefix).
+    """
+    m = (a + b) / 2.0
+    floor = np.zeros_like(m)
+    ceil = np.zeros_like(m)
+    for i in range(1, depth + 1):
+        step = 2.0 * 3.0**-i
+        floor += np.where(m >= floor + step, step, 0.0)
+        ceil += np.where(m > ceil + (3.0**-i - 3.0**-depth), step, 0.0)
+    return np.maximum(np.minimum(floor - a, b - floor), np.minimum(ceil - a, b - ceil))
+
+
+def _cantor_rho(domain: Cantor, xs: np.ndarray) -> float:
+    """Exact covering radius of samples of the depth-D truncated Cantor set.
+
+    The end terms are the distances to 0 and to 1 - 3^-D. Consecutive samples
+    a < b first differ at some ternary digit j (0 in a, 2 in b), so the
+    level-j hole of width 3^-j lies between them, and 3^-j < b - a < 3^(1-j).
+    No set point lies in the hole, which bounds the gap's value by
+    min(d/2, d - 3^-j) with d = b - a; j = ceil(-log3 d + 1e-9) rounds up,
+    which keeps the bound an upper bound, and 1e-15 covers rounding. The
+    digit descent runs on the 16 gaps of largest bound, then on every gap
+    whose bound still exceeds the running maximum; the result equals the
+    descent over all gaps.
+    """
+    xs = np.sort(xs)
+    best = max(float(xs[0]), (1.0 - 3.0**-domain.depth) - float(xs[-1]))
+    if xs.size == 1:
+        return best
+    a, b = xs[:-1], xs[1:]
+    d = b - a
+    with np.errstate(divide="ignore"):
+        j = np.ceil(-np.log(d) / math.log(3.0) + 1e-9)
+    bound = np.minimum(d / 2.0, d - 3.0**-j) + 1e-15
+
+    def descend(idx) -> float:
+        return float(_cantor_gap_values(a[idx], b[idx], domain.depth).max())
+
+    first = np.argpartition(bound, -min(16, d.size))[-16:]
+    best = max(best, descend(first))
+    bound[first] = 0.0
+    rest = np.flatnonzero(bound > best)
+    return max(best, descend(rest)) if rest.size else best
+
+
 def covering_radius_1d(domain: Domain, x: SampleSet | np.ndarray) -> float:
-    """Exact covering radius on the one-dimensional catalog domains."""
+    """Exact covering radius on the one-dimensional domains: the interval, the
+    arcsine interval and the circle from sorted gaps, polylines from the lower
+    envelope per edge, and the truncated Cantor set from sorted gaps and a
+    digit descent in the gaps that can hold the maximum."""
     points = x.points if isinstance(x, SampleSet) else np.asarray(x, dtype=float)
     if points.ndim == 1:
         points = points.reshape(-1, 1)
@@ -147,6 +202,8 @@ def covering_radius_1d(domain: Domain, x: SampleSet | np.ndarray) -> float:
         return _circle_rho(points)
     if isinstance(domain, Polyline):
         return _polyline_rho(domain, points)
+    if isinstance(domain, Cantor):
+        return _cantor_rho(domain, points[:, 0])
     raise UnsupportedDomainError(f"no exact 1-D covering radius for {domain!r}")
 
 

@@ -172,13 +172,7 @@ def estimate_cost(domain: Domain, n: int, trials: int, eta: float) -> float:
 
 def _probe_count_estimate(domain: Domain, mesh: float) -> float:
     s = domain.intrinsic_dim
-    if isinstance(domain, Cantor):
-        k = math.ceil(-math.log(mesh) / math.log(3.0))
-        return 2.0 ** (min(k, domain.depth) + 1)
-    try:
-        mass = hausdorff_mass(domain)
-    except UnsupportedDomainError:
-        mass = domain.diameter
+    mass = hausdorff_mass(domain)
     step = 2.0 * mesh / math.sqrt(max(1.0, s))
     return mass / step**s * (3.0 if domain.kind in ("Sphere", "Ball") else 1.0)
 
@@ -200,7 +194,7 @@ def check_budget(config: StudyConfig) -> float:
 
 
 def _has_exact_1d_path(domain: Domain) -> bool:
-    return isinstance(domain, (IntervalUniform, ArcsineInterval)) or (
+    return isinstance(domain, (IntervalUniform, ArcsineInterval, Cantor)) or (
         isinstance(domain, Sphere) and domain.d == 1
     )
 

@@ -12,6 +12,7 @@ from covrad.covering import (
     CoveringRadiusInterval,
     Verdict,
     WindowSpec,
+    _cantor_gap_values,
     ball_measure,
     covering_radius_1d,
     covering_radius_bounds,
@@ -104,6 +105,87 @@ class TestCoveringRadius1D:
         assert covering_radius_1d(scaled, pts * lam) == pytest.approx(
             lam * covering_radius_1d(domain, pts), rel=1e-12
         )
+
+
+def cantor_points(depth: int) -> np.ndarray:
+    """All 2^depth points of the truncated Cantor set, sorted."""
+    pts = np.array([0.0])
+    for k in range(1, depth + 1):
+        pts = np.concatenate([pts, pts + 2.0 * 3.0**-k])
+    return np.sort(pts)
+
+
+def nearest_gap_max(probes: np.ndarray, xs: np.ndarray) -> float:
+    """max over probes of the distance to the nearest of the samples xs."""
+    xs = np.sort(xs)
+    pos = np.searchsorted(xs, probes)
+    left = np.where(pos > 0, probes - xs[np.maximum(pos - 1, 0)], np.inf)
+    right = np.where(pos < xs.size, xs[np.minimum(pos, xs.size - 1)] - probes, np.inf)
+    return float(np.minimum(np.abs(left), np.abs(right)).max())
+
+
+class TestCantorExact:
+    """The exact Cantor path against brute force over every point of the set,
+    against the descent over all gaps, and inside the probe-net sandwich."""
+
+    @pytest.mark.parametrize("depth", [1, 3, 8, 12, 16, 20])
+    def test_matches_brute_force(self, depth):
+        domain, every = Cantor(depth), cantor_points(depth)
+        for n in (1, 2, 3, 10, 100, 1000, 10**4):
+            for t in range(2):
+                xs = sample(domain, n, SeedSpec(depth, t)).points[:, 0]
+                xs = np.concatenate([xs, xs[: n // 2]])  # duplicated samples
+                rho = covering_radius_1d(domain, xs)
+                assert abs(rho - nearest_gap_max(every, xs)) <= 1e-15, (n, t)
+
+    def test_single_point_and_endpoints(self):
+        top = 1.0 - 3.0**-8
+        assert covering_radius_1d(Cantor(8), np.array([0.0])) == top
+        assert covering_radius_1d(Cantor(8), np.array([0.0, top])) == nearest_gap_max(
+            cantor_points(8), np.array([0.0, top]))
+
+    @pytest.mark.parametrize("depth", [5, 20, 40, 60])
+    def test_pruned_equals_descent_over_all_gaps(self, depth):
+        domain = Cantor(depth)
+        for n in (2, 17, 100, 1000, 10**4, 10**5):
+            for t in range(3):
+                xs = np.sort(sample(domain, n, SeedSpec(77, t)).points[:, 0])
+                gaps = _cantor_gap_values(xs[:-1], xs[1:], depth)
+                full = max(xs[0], (1.0 - 3.0**-depth) - xs[-1], gaps.max())
+                assert covering_radius_1d(domain, xs) == full, (n, t)
+
+    def test_prune_reaches_past_the_first_gaps(self):
+        # every point of Cantor(10) except inside 21 of the 32 level-6 holes'
+        # cylinders (hole width h): 20 decoy gaps end 8/9 h from their holes
+        # (value 8/9 h, bound 1.39 h), and the gap holding the maximum ends at
+        # its cylinder's ends (value h - 3^-10, bound h), so the 16 gaps of
+        # largest bound miss it and the second pass must find it
+        depth, h, tiny = 10, 3.0**-6, 3.0**-10 / 2.0
+        every = cantor_points(depth)
+        keep = np.ones(every.size, dtype=bool)
+        prefixes = cantor_points(5)
+        for p in prefixes[:20]:
+            keep &= ~((every > p + h / 9.0 - tiny) & (every < p + 2.0 * h + 8.0 * h / 9.0 - tiny))
+        p = prefixes[-1]
+        keep &= ~((every > p + tiny) & (every < p + 2.0 * h - tiny))
+        xs = every[keep]
+        gaps = _cantor_gap_values(xs[:-1], xs[1:], depth)
+        rho = covering_radius_1d(Cantor(depth), xs)
+        assert rho == gaps.max()
+        assert abs(rho - (h - 3.0**-depth)) <= 1e-15
+        assert abs(rho - nearest_gap_max(every, xs)) <= 1e-15
+
+    def test_inside_the_net_sandwich(self):
+        # the net's right cylinder endpoints lie 3^-D above the truncated set and
+        # coordinates round at ulp(1), so L may pass rho by a few 1e-16
+        domain = Cantor(40)
+        for n in (10**2, 10**3, 10**4, 10**5):
+            net = build_probe_net(domain, probe_mesh_for(domain, n))
+            for t in range(3):
+                x = sample(domain, n, SeedSpec(19, t))
+                rho = covering_radius_1d(domain, x)
+                b = covering_radius_bounds(domain, x, net)
+                assert b.lower - 1e-15 <= rho <= b.upper, (n, t)
 
 
 class TestWindowedCoveringRadius:

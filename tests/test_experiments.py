@@ -25,7 +25,7 @@ from covrad.experiments import (
     run_zn_study,
 )
 from covrad.sampler import SeedSpec, sample
-from covrad.spaces import ArcsineInterval, Cube, IntervalUniform, Sphere
+from covrad.spaces import ArcsineInterval, Cantor, Cube, IntervalUniform, Sphere
 
 
 class TestStudyConfig:
@@ -152,8 +152,6 @@ class TestExpectationStudy:
         assert r2.rescaled == pytest.approx(r1.rescaled**2, rel=0.1)
 
     def test_no_target_for_cantor(self):
-        from covrad.spaces import Cantor
-
         cfg = StudyConfig(domain=Cantor(30), n_grid=[100], trials=5)
         assert run_expectation_study(cfg)[0].target is None
 
@@ -168,6 +166,24 @@ class TestArcsineExactPath:
         assert row.mean_rho_p_lower == row.mean_rho_p_upper == float(rhos.mean())
         thresholds = sorted(rhos.tolist())[1::2]
         for tail in run_tail_study(dom, 200, 6, thresholds, master_seed=5):
+            frac = float((rhos >= tail.threshold).mean())
+            assert tail.prob_lower_exceeds == tail.prob_upper_exceeds == frac
+
+
+class TestCantorExactPath:
+    def test_study_and_tail_rows_are_exact_without_a_net(self, monkeypatch):
+        def no_net(*args):
+            raise AssertionError("a Cantor study built a probe net")
+
+        monkeypatch.setattr("covrad.experiments.build_probe_net", no_net)
+        dom = Cantor(40)
+        rhos = np.array([covering_radius_1d(dom, sample(dom, 300, SeedSpec(8, t)))
+                         for t in range(5)])
+        row = run_expectation_study(
+            StudyConfig(domain=dom, n_grid=[300], trials=5, master_seed=8))[0]
+        assert row.mean_rho_p_lower == row.mean_rho_p_upper == float(rhos.mean())
+        thresholds = sorted(rhos.tolist())[::2]
+        for tail in run_tail_study(dom, 300, 5, thresholds, master_seed=8):
             frac = float((rhos >= tail.threshold).mean())
             assert tail.prob_lower_exceeds == tail.prob_upper_exceeds == frac
 
