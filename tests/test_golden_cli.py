@@ -36,7 +36,7 @@ CASES = {
     ),
     "study_cantor": (
         ["study", "--domain", "cantor", "--n-grid", "200", "--trials", "3", "--seed", "3"],
-        "6a4cde83e955662e5e7920a1e02d5908c9aaf16bc027ed3d6c6e35772764ecc7",
+        "b672e1c6f59cfd4aaf09e1b1ba614b0a29250862b14229ef7e075c43648da49e",
     ),
     "tail_interval": (
         ["tail", "--domain", "interval", "--n", "100", "--trials", "20", "--seed", "3"],
