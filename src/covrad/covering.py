@@ -1,5 +1,6 @@
-"""Covering radii: exact in one dimension, certified sandwich elsewhere,
-plus epsilon-net verdicts and ball-measure estimation."""
+"""Covering radii: exact on the one-dimensional domains (the truncated Cantor
+set among them), certified sandwich elsewhere, plus epsilon-net verdicts and
+ball-measure estimation."""
 
 from __future__ import annotations
 
@@ -162,7 +163,8 @@ def _cantor_rho(domain: Cantor, xs: np.ndarray) -> float:
     which keeps the bound an upper bound, and 1e-15 covers rounding. The
     digit descent runs on the 16 gaps of largest bound, then on every gap
     whose bound still exceeds the running maximum; the result equals the
-    descent over all gaps.
+    descent over all gaps. The bound needs the samples to be points of the
+    set, as `sample` draws them.
     """
     xs = np.sort(xs)
     best = max(float(xs[0]), (1.0 - 3.0**-domain.depth) - float(xs[-1]))

@@ -123,7 +123,9 @@ def _polyhedron_points(rng, n, domain: Polyhedron3):
 
 
 def _cantor_points(rng, n, domain: Cantor):
-    # digit bits written over the uniforms (1.0 where u < 1/2), then one product
+    # digit bits (1.0 where u < 1/2) overwrite the uniforms, saving a copy; the
+    # product stays one call over all rows, as row chunks would sum some rows
+    # in another order and move the stream's bits
     u = rng.random((n, domain.depth))
     np.less(u, 0.5, out=u, casting="unsafe")
     weights = 2.0 * (3.0 ** -np.arange(1, domain.depth + 1))
