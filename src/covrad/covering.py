@@ -190,7 +190,8 @@ def covering_radius_1d(domain: Domain, x: SampleSet | np.ndarray) -> float:
     """Exact covering radius on the one-dimensional domains: the interval, the
     arcsine interval and the circle from sorted gaps, polylines from the lower
     envelope per edge, and the truncated Cantor set from sorted gaps and a
-    digit descent in the gaps that can hold the maximum."""
+    digit descent in the gaps that can hold the maximum. Samples must lie on
+    the domain: nothing checks it, and the Cantor prune relies on it."""
     points = x.points if isinstance(x, SampleSet) else np.asarray(x, dtype=float)
     if points.ndim == 1:
         points = points.reshape(-1, 1)
