@@ -1,15 +1,14 @@
 """Command-line interface for the study runners.
 
 Each subcommand reads an optional JSON config file (--config); explicit flags
-override config fields. Exit codes: 0 success, 1 invalid configuration,
-2 budget refusal.
+override config fields, and a key the subcommand does not take is invalid.
+Exit codes: 0 success, 1 invalid configuration, 2 budget refusal.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import spaces
@@ -47,18 +46,6 @@ def _resolve_domain(spec: str | dict) -> spaces.Domain:
     # otherwise treat as a path to a domain JSON document
     with open(spec) as fh:
         return spaces.domain_from_dict(json.load(fh))
-
-
-def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    cfg = dict(defaults)
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg.update(json.load(fh))
-    for key in defaults:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    return cfg
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -124,97 +111,59 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_study(args) -> int:
-    cfg = _merge_config(args, {
-        "domain": "interval", "n_grid": [100, 1000], "trials": 100, "p": 1.0,
-        "probe_eta": 0.05, "master_seed": 0, "out": None, "force": False,
-    })
-    config = StudyConfig(
-        domain=_resolve_domain(cfg["domain"]), n_grid=cfg["n_grid"], trials=cfg["trials"],
-        p=cfg["p"], probe_eta=cfg["probe_eta"], master_seed=cfg["master_seed"],
-        out=cfg["out"], force=bool(cfg["force"]),
-    )
-    if config.trials < 30:
+_STUDY = {"master_seed": 0, "out": None, "force": False}
+
+# subcommand: (runner, defaults, row format); the runner is called with the
+# merged config as keywords, and each row prints through the format
+TABLE = {
+    "study": (lambda **cfg: run_expectation_study(StudyConfig(**cfg)),
+              {"domain": "interval", "n_grid": [100, 1000], "trials": 100, "p": 1.0,
+               "probe_eta": 0.05, **_STUDY},
+              "N={n} rescaled={rescaled:.6g} ci={ci_half_width:.3g} target={target}"),
+    "tail": (run_tail_study, {"domain": "interval", "n": 1000, "trials": 200,
+                              "thresholds": None, "probe_eta": 0.05, **_STUDY},
+             "t={threshold:.6g} P(L>=t)={prob_lower_exceeds:.4f} "
+             "P(U>=t)={prob_upper_exceeds:.4f}"),
+    "zn": (run_zn_study, {"d": 1, "n_grid": [100, 1000, 10000], "trials": 100,
+                          "probe_eta": 0.05, **_STUDY},
+           "N={n} mean={mean:.4f} stdev={stdev:.4f} frac|Z-1|<=0.2={frac_within_02:.3f}"),
+    "arcsine": (run_arcsine_study, {"a_exponent": 2.0, "side": "right_edge",
+                                    "n_grid": [1000, 10000], "trials": 200, **_STUDY},
+                "N={n} rescaled={rescaled:.6g} ci={ci_half_width:.3g}"),
+    "epsnet": (run_epsnet_study, {"domain": "circle", "n_grid": [1000], "trials": 200,
+                                  "c_mult": 3.0, **_STUDY},
+               "N={N} eps={eps:.6g} yes={yes_fraction:.3f} "
+               "yes_or_unknown={yes_or_unknown_fraction:.3f}"),
+    "fgrid": (dump_f_grid, {"n_values": [100, 1000], "n_cell_measures": [10.0, 50.0],
+                            "m_values": [2, 5, 10], "out": None},
+              "N={N} n={n} m={m} f={f_dp:.6g} lower={f_lower_bound:.6g}"),
+    "versus": (run_random_vs_structured, {"d": 2, "n_grid": [100, 10000], "trials": 50,
+                                          "probe_eta": 0.05, **_STUDY},
+               "N={N} random={random_mean_rho:.6g} grid={grid_rho:.6g} ratio={ratio:.3f}"),
+}
+
+
+def _run(command: str, args: argparse.Namespace) -> int:
+    """Run one subcommand of TABLE on its defaults, updated by the --config
+    file, then by the flags given."""
+    runner, defaults, row_format = TABLE[command]
+    cfg = dict(defaults)
+    if args.config:
+        with open(args.config) as fh:
+            cfg.update(json.load(fh))
+    unknown = sorted(set(cfg) - set(defaults))
+    if unknown:
+        raise ValueError(f"{command} takes no config keys {unknown}")
+    for key in defaults:
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
+    if "domain" in cfg:
+        cfg["domain"] = _resolve_domain(cfg["domain"])
+    if command == "study" and cfg["trials"] < 30:
         print("warning: fewer than 30 trials; normal CIs are unreliable", file=sys.stderr)
-    for row in run_expectation_study(config):
-        print(f"N={row.n} rescaled={row.rescaled:.6g} ci={row.ci_half_width:.3g} "
-              f"target={row.target if row.target is not None else 'n/a'}")
-    return 0
-
-
-def _cmd_tail(args) -> int:
-    cfg = _merge_config(args, {
-        "domain": "interval", "n": 1000, "trials": 200, "thresholds": None,
-        "probe_eta": 0.05, "master_seed": 0, "out": None,
-    })
-    if cfg["thresholds"] is None:
-        n = cfg["n"]
-        base = math.log(n) / n
-        cfg["thresholds"] = [k * base for k in (1, 2, 5, 10)]
-    rows = run_tail_study(_resolve_domain(cfg["domain"]), cfg["n"], cfg["trials"],
-                          cfg["thresholds"], cfg["master_seed"], cfg["probe_eta"], cfg["out"])
-    for row in rows:
-        print(f"t={row.threshold:.6g} P(L>=t)={row.prob_lower_exceeds:.4f} "
-              f"P(U>=t)={row.prob_upper_exceeds:.4f}")
-    return 0
-
-
-def _cmd_zn(args) -> int:
-    cfg = _merge_config(args, {
-        "d": 1, "n_grid": [100, 1000, 10000], "trials": 100, "probe_eta": 0.05,
-        "master_seed": 0, "out": None,
-    })
-    for row in run_zn_study(cfg["d"], cfg["n_grid"], cfg["trials"], cfg["master_seed"],
-                            cfg["probe_eta"], cfg["out"]):
-        print(f"N={row.n} mean={row.mean:.4f} stdev={row.stdev:.4f} "
-              f"frac|Z-1|<=0.2={row.frac_within_02:.3f}")
-    return 0
-
-
-def _cmd_arcsine(args) -> int:
-    cfg = _merge_config(args, {
-        "a_exponent": 2.0, "side": "right_edge", "n_grid": [1000, 10000],
-        "trials": 200, "master_seed": 0, "out": None,
-    })
-    for row in run_arcsine_study(cfg["a_exponent"], cfg["side"], cfg["n_grid"],
-                                 cfg["trials"], cfg["master_seed"], cfg["out"]):
-        print(f"N={row.n} rescaled={row.rescaled:.6g} ci={row.ci_half_width:.3g}")
-    return 0
-
-
-def _cmd_epsnet(args) -> int:
-    cfg = _merge_config(args, {
-        "domain": "circle", "n_grid": [1000], "trials": 200, "c_mult": 3.0,
-        "master_seed": 0, "out": None,
-    })
-    for row in run_epsnet_study(_resolve_domain(cfg["domain"]), cfg["n_grid"],
-                                cfg["trials"], cfg["c_mult"], cfg["master_seed"], cfg["out"]):
-        print(f"N={row['N']} eps={row['eps']:.6g} yes={row['yes_fraction']:.3f} "
-              f"yes_or_unknown={row['yes_or_unknown_fraction']:.3f}")
-    return 0
-
-
-def _cmd_fgrid(args) -> int:
-    cfg = _merge_config(args, {
-        "n_values": [100, 1000], "n_cell_measures": [10.0, 50.0], "m_values": [2, 5, 10],
-        "out": None,
-    })
-    rows = dump_f_grid(cfg["n_values"], cfg["n_cell_measures"], cfg["m_values"], cfg["out"])
-    for row in rows:
-        print(f"N={row['N']} n={row['n']} m={row['m']} f={row['f_dp']:.6g} "
-              f"lower={row['f_lower_bound']:.6g}")
-    return 0
-
-
-def _cmd_versus(args) -> int:
-    cfg = _merge_config(args, {
-        "d": 2, "n_grid": [100, 10000], "trials": 50, "probe_eta": 0.05,
-        "master_seed": 0, "out": None,
-    })
-    for row in run_random_vs_structured(cfg["d"], cfg["n_grid"], cfg["trials"],
-                                        cfg["master_seed"], cfg["probe_eta"], cfg["out"]):
-        print(f"N={row['N']} random={row['random_mean_rho']:.6g} "
-              f"grid={row['grid_rho']:.6g} ratio={row['ratio']:.3f}")
+    for row in runner(**cfg):
+        fields = row if isinstance(row, dict) else vars(row)
+        print(row_format.format(**{k: "n/a" if v is None else v for k, v in fields.items()}))
     return 0
 
 
@@ -238,26 +187,16 @@ def _cmd_constants(args) -> int:
     return 0
 
 
-COMMANDS = {
-    "study": _cmd_study,
-    "tail": _cmd_tail,
-    "zn": _cmd_zn,
-    "arcsine": _cmd_arcsine,
-    "epsnet": _cmd_epsnet,
-    "fgrid": _cmd_fgrid,
-    "versus": _cmd_versus,
-    "constants": _cmd_constants,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        if args.command == "constants":
+            return _cmd_constants(args)
+        return _run(args.command, args)
     except BudgetExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, TypeError, OSError, KeyError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 1
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 import time
 from dataclasses import astuple, dataclass
@@ -65,12 +66,19 @@ class StudyConfig:
     force: bool = False
 
     def __post_init__(self):
-        if sorted(set(self.n_grid)) != list(self.n_grid):
-            raise ValueError("n_grid must be strictly increasing")
-        if self.trials < 2:
-            raise ValueError("need at least two trials")
-        if self.probe_eta <= 0:
-            raise ValueError("probe_eta must be positive")
+        _check_study(self.n_grid, self.trials, self.probe_eta)
+
+
+def _check_study(n_grid, trials: int, eta: float) -> None:
+    """Every study needs a strictly increasing grid of integers N >= 2, at
+    least two trials and eta > 0."""
+    grid = list(n_grid)
+    ints = all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+               for v in (*grid, trials))
+    if not (ints and grid and grid[0] >= 2 and all(a < b for a, b in zip(grid, grid[1:]))
+            and trials >= 2 and eta > 0):
+        raise ValueError("need a strictly increasing grid of integers N >= 2, at least two "
+                         f"trials and eta > 0; got N grid {grid}, {trials} trials, eta {eta}")
 
 
 @dataclass(frozen=True)
@@ -177,11 +185,11 @@ def _probe_count_estimate(domain: Domain, mesh: float) -> float:
     return mass / step**s * (3.0 if domain.kind in ("Sphere", "Ball") else 1.0)
 
 
-def check_budget(config: StudyConfig) -> float:
-    cost = sum(estimate_cost(config.domain, n, config.trials, config.probe_eta)
-               for n in config.n_grid)
+def check_budget(domain: Domain, n_grid, trials: int, eta: float, force: bool = False) -> float:
+    """Estimated cost of a study; refuses one above BUDGET_LIMIT unless forced."""
+    cost = sum(estimate_cost(domain, n, trials, eta) for n in n_grid)
     print(f"estimated cost: {cost:.3g} distance evaluations", file=sys.stderr)
-    if cost > BUDGET_LIMIT and not config.force:
+    if cost > BUDGET_LIMIT and not force:
         raise BudgetExceededError(
             f"estimated cost {cost:.3g} exceeds {BUDGET_LIMIT:.0e}; rerun with --force"
         )
@@ -230,20 +238,25 @@ def _trial_verdict(domain: Domain, n: int, seed: SeedSpec, eps_probe) -> tuple[b
 # ---------------------------------------------------------------------------
 
 
-def _run_study(domain: Domain, n_grid, trials: int, master_seed: int, *, prepare, kernel,
-               reduce, header: list[str], echo: dict, out: str | None) -> list:
+def _run_study(domain: Domain, n_grid, trials: int, master_seed: int, *, reduce,
+               header: list[str], echo: dict, out: str | None, eta: float = 0.05,
+               force: bool = False, prepare=None, kernel=_trial_bounds) -> list:
     """The trial loop behind every study.
 
-    Per N: prepared = prepare(n), once (a probe net, or None on exact paths);
-    then kernel(domain, n, SeedSpec(master_seed, t), prepared) for t in
+    The grid, trials and eta are checked and the cost estimated at eta
+    (check_budget) before the first sample. Per N: prepared = prepare(n),
+    once (by default the probe net at eta, or None on exact paths); then
+    kernel(domain, n, SeedSpec(master_seed, t), prepared) for t in
     range(trials), stacked in stream order into an array with one row per
     trial; then reduce(n, prepared, values) yields the output rows. The
     sidecar echoes the domain, grid, trials and seed plus `echo`, the study's
     own parameters.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    config = {"domain": domain_to_dict(domain), "n_grid": list(n_grid), "trials": trials,
+    n_grid = list(n_grid)
+    _check_study(n_grid, trials, eta)
+    check_budget(domain, n_grid, trials, eta, force)
+    prepare = prepare or (lambda n: _probe_for(domain, n, eta))
+    config = {"domain": domain_to_dict(domain), "n_grid": n_grid, "trials": trials,
               "master_seed": master_seed, **echo}
 
     def rows():
@@ -288,7 +301,6 @@ _STUDY_HEADER = ["N", "T", "mean_rho_p_lower", "mean_rho_p_upper",
 def run_expectation_study(config: StudyConfig) -> list[StudyRow]:
     """Per N: trial means of rho^p bounds, CI, and the rescaled midpoint
     against the domain's limit constant (absent where no sharp constant)."""
-    check_budget(config)
     try:
         target = limit_constant(config.domain, config.p)
     except UnsupportedDomainError:
@@ -304,11 +316,10 @@ def run_expectation_study(config: StudyConfig) -> list[StudyRow]:
                        rescaled=float(mids.mean()) * rescale, target=target)
 
     return _run_study(
-        config.domain, config.n_grid, config.trials, config.master_seed,
-        prepare=lambda n: _probe_for(config.domain, n, config.probe_eta),
-        kernel=_trial_bounds, reduce=reduce, header=_STUDY_HEADER,
+        config.domain, config.n_grid, config.trials, config.master_seed, reduce=reduce,
+        header=_STUDY_HEADER,
         echo={"study": "expectation", "p": config.p, "probe_eta": config.probe_eta},
-        out=config.out)
+        out=config.out, eta=config.probe_eta, force=config.force)
 
 
 def circle_expectation_oracle(n: int, circumference: float = 2.0 * math.pi) -> float:
@@ -320,9 +331,15 @@ def circle_expectation_oracle(n: int, circumference: float = 2.0 * math.pi) -> f
     return circumference * harmonic / (2.0 * n)
 
 
-def run_tail_study(domain: Domain, n: int, trials: int, thresholds, master_seed: int = 0,
-                   probe_eta: float = 0.05, out: str | None = None) -> list[TailRow]:
-    """Empirical tail probabilities P(L >= t) and P(U >= t) per threshold."""
+def run_tail_study(domain: Domain, n: int, trials: int, thresholds=None, master_seed: int = 0,
+                   probe_eta: float = 0.05, out: str | None = None,
+                   force: bool = False) -> list[TailRow]:
+    """Empirical tail probabilities P(L >= t) and P(U >= t) per threshold;
+    by default t = k log(N)/N for k in 1, 2, 5, 10."""
+    _check_study([n], trials, probe_eta)  # before log(N) / N makes the default thresholds
+    if thresholds is None:
+        base = math.log(n) / n
+        thresholds = [k * base for k in (1, 2, 5, 10)]
     thresholds = list(thresholds)
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])) or any(
         t < 0 for t in thresholds
@@ -337,15 +354,14 @@ def run_tail_study(domain: Domain, n: int, trials: int, thresholds, master_seed:
                           bound_form="upper-tail-polynomial-decay")
 
     return _run_study(
-        domain, [n], trials, master_seed,
-        prepare=lambda n: _probe_for(domain, n, probe_eta),
-        kernel=_trial_bounds, reduce=reduce,
+        domain, [n], trials, master_seed, reduce=reduce,
         header=["N", "threshold", "prob_lower_exceeds", "prob_upper_exceeds", "bound_form"],
-        echo={"study": "tail", "thresholds": thresholds, "probe_eta": probe_eta}, out=out)
+        echo={"study": "tail", "thresholds": thresholds, "probe_eta": probe_eta}, out=out,
+        eta=probe_eta, force=force)
 
 
-def run_zn_study(d: int, n_grid, trials: int, master_seed: int = 0,
-                 probe_eta: float = 0.05, out: str | None = None) -> list[ZnRow]:
+def run_zn_study(d: int, n_grid, trials: int, master_seed: int = 0, probe_eta: float = 0.05,
+                 out: str | None = None, force: bool = False) -> list[ZnRow]:
     """Distribution of the rescaled sphere covering radius Z_N, which
     converges in probability to 1."""
     if d not in (1, 2):
@@ -361,15 +377,14 @@ def run_zn_study(d: int, n_grid, trials: int, master_seed: int = 0,
                     frac_within_02=float((np.abs(zs - 1.0) <= 0.2).mean()))
 
     return _run_study(
-        domain, n_grid, trials, master_seed,
-        prepare=lambda n: _probe_for(domain, n, probe_eta),
-        kernel=_trial_bounds, reduce=reduce,
+        domain, n_grid, trials, master_seed, reduce=reduce,
         header=["N", "T", "mean", "stdev", "frac_within_01", "frac_within_02"],
-        echo={"study": "zn", "d": d, "probe_eta": probe_eta}, out=out)
+        echo={"study": "zn", "d": d, "probe_eta": probe_eta}, out=out, eta=probe_eta,
+        force=force)
 
 
-def run_arcsine_study(a_exponent: float, side: str, n_grid, trials: int,
-                      master_seed: int = 0, out: str | None = None) -> list[StudyRow]:
+def run_arcsine_study(a_exponent: float, side: str, n_grid, trials: int, master_seed: int = 0,
+                      out: str | None = None, force: bool = False) -> list[StudyRow]:
     """Windowed covering radii on the arcsine interval, rescaled by the
     two-sided-bound rate for the given window regime."""
     window = WindowSpec(a_exponent=a_exponent, side=side)
@@ -387,14 +402,14 @@ def run_arcsine_study(a_exponent: float, side: str, n_grid, trials: int,
                        target=None)
 
     return _run_study(
-        ArcsineInterval(), n_grid, trials, master_seed,
-        prepare=lambda n: window, kernel=_trial_window, reduce=reduce,
-        header=_STUDY_HEADER,
-        echo={"study": "arcsine", "a_exponent": a_exponent, "side": side}, out=out)
+        ArcsineInterval(), n_grid, trials, master_seed, reduce=reduce, header=_STUDY_HEADER,
+        echo={"study": "arcsine", "a_exponent": a_exponent, "side": side}, out=out,
+        force=force, prepare=lambda n: window, kernel=_trial_window)
 
 
 def run_random_vs_structured(d: int, n_grid, trials: int, master_seed: int = 0,
-                             probe_eta: float = 0.05, out: str | None = None) -> list[dict]:
+                             probe_eta: float = 0.05, out: str | None = None,
+                             force: bool = False) -> list[dict]:
     """Mean random covering radius vs the centered regular grid configuration
     on the cube; the ratio grows like (log N)^(1/d)."""
     if d not in (1, 2, 3):
@@ -409,15 +424,14 @@ def run_random_vs_structured(d: int, n_grid, trials: int, master_seed: int = 0,
                "grid_rho": grid_rho, "ratio": mean / grid_rho}
 
     return _run_study(
-        domain, n_grid, trials, master_seed,
-        prepare=lambda n: _probe_for(domain, n, probe_eta),
-        kernel=_trial_bounds, reduce=reduce,
+        domain, n_grid, trials, master_seed, reduce=reduce,
         header=["N", "T", "random_mean_rho", "grid_rho", "ratio"],
-        echo={"study": "versus", "d": d, "probe_eta": probe_eta}, out=out)
+        echo={"study": "versus", "d": d, "probe_eta": probe_eta}, out=out, eta=probe_eta,
+        force=force)
 
 
-def run_epsnet_study(domain: Domain, n_grid, trials: int, c_mult: float,
-                     master_seed: int = 0, out: str | None = None) -> list[dict]:
+def run_epsnet_study(domain: Domain, n_grid, trials: int, c_mult: float, master_seed: int = 0,
+                     out: str | None = None, force: bool = False) -> list[dict]:
     """Fraction of random configurations that form an eps-net at
     eps = c_mult * (mass/upsilon_s * log N / N)^(1/s)."""
     if c_mult <= 0:
@@ -433,10 +447,10 @@ def run_epsnet_study(domain: Domain, n_grid, trials: int, c_mult: float,
                "yes_or_unknown_fraction": int(verdicts[:, 1].sum()) / trials}
 
     return _run_study(
-        domain, n_grid, trials, master_seed,
-        prepare=prepare, kernel=_trial_verdict, reduce=reduce,
+        domain, n_grid, trials, master_seed, reduce=reduce,
         header=["N", "T", "eps", "yes_fraction", "yes_or_unknown_fraction"],
-        echo={"study": "epsnet", "c_mult": c_mult}, out=out)
+        echo={"study": "epsnet", "c_mult": c_mult}, out=out, eta=c_mult / 20.0, force=force,
+        prepare=prepare, kernel=_trial_verdict)
 
 
 def dump_f_grid(n_values, n_cell_measures, m_values, out: str | None = None) -> list[dict]:

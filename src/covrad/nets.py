@@ -365,9 +365,7 @@ def _triangle(a, b, c, mesh: float) -> _Piece:
 def _tetrahedra_meet(domain: Polyhedron3) -> Callable:
     """holds for contains_many: False where a box misses every tetrahedron."""
     forms = []  # per tetrahedron, its points are those with g p + h >= 0 (as in contains_many)
-    for tet in domain.tetrahedra:
-        a, b, c, d = (domain.vertices[i] for i in tet)
-        w = np.linalg.inv(np.column_stack([b - a, c - a, d - a]))  # barycentric coordinates
+    for a, w in domain.tet_inverses:  # barycentric coordinates (p - a) @ w.T
         total = w.sum(axis=0)
         forms.append((np.vstack([w, -total]), np.append(-(w @ a), 1.0 + total @ a)))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,7 +39,9 @@ class SeedSpec:
     stream_id: int = 0
 
     def __post_init__(self):
-        if not (0 <= self.master_seed < 2**64) or not (0 <= self.stream_id < 2**64):
+        # a float would be truncated to another seed's stream without a word
+        if not all(isinstance(s, numbers.Integral) and 0 <= s < 2**64
+                   for s in (self.master_seed, self.stream_id)):
             raise ValueError("seeds must be unsigned 64-bit integers")
 
     def generator(self) -> np.random.Generator:

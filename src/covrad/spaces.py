@@ -219,6 +219,10 @@ class Polyhedron3:
             raise InvalidGeometryError("tetrahedra must have positive volume")
         self.tet_volumes.setflags(write=False)
         self.volume = float(self.tet_volumes.sum())
+        # per tetrahedron (a, b, c, d): its first vertex a and the inverse W of
+        # [b - a, c - a, d - a]; (p - a) @ W.T are p's barycentric coordinates
+        self.tet_inverses = [(a, np.linalg.inv(np.column_stack([b - a, c - a, d - a])))
+                             for a, b, c, d in (v[list(t)] for t in tets)]
 
         vol_faces = self._volume_from_faces()
         if not math.isclose(self.volume, vol_faces, rel_tol=1e-9):
@@ -252,10 +256,8 @@ class Polyhedron3:
     def contains_many(self, points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         inside = np.zeros(pts.shape[0], dtype=bool)
-        for tet in self.tetrahedra:
-            a, b, c, d = (self.vertices[i] for i in tet)
-            m = np.column_stack([b - a, c - a, d - a])
-            lam = (pts - a) @ np.linalg.inv(m).T
+        for a, w in self.tet_inverses:
+            lam = (pts - a) @ w.T
             inside |= np.all(lam >= -tol, axis=1) & (lam.sum(axis=1) <= 1.0 + tol)
         return inside
 

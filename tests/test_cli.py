@@ -1,0 +1,125 @@
+"""The CLI's flags, and what every study subcommand does with bad input:
+invalid values and unknown config keys exit 1 without a traceback, and an
+estimated cost above the budget exits 2 before any sample is drawn."""
+
+import argparse
+import json
+
+import pytest
+
+from covrad.cli import TABLE, build_parser
+from covrad.cli import main as cli_main
+
+COMMON = {"--config": "config", "--seed": "master_seed", "--trials": "trials",
+          "--out": "out", "--force": "force"}
+
+# per subcommand: option string -> config key it sets
+OPTIONS = {
+    "study": {"--domain": "domain", "--n-grid": "n_grid", "--p": "p", "--eta": "probe_eta",
+              **COMMON},
+    "tail": {"--domain": "domain", "--n": "n", "--thresholds": "thresholds",
+             "--eta": "probe_eta", **COMMON},
+    "zn": {"--d": "d", "--n-grid": "n_grid", "--eta": "probe_eta", **COMMON},
+    "arcsine": {"--a": "a_exponent", "--side": "side", "--n-grid": "n_grid", **COMMON},
+    "epsnet": {"--domain": "domain", "--n-grid": "n_grid", "--c-mult": "c_mult", **COMMON},
+    "fgrid": {"--N": "n_values", "--n": "n_cell_measures", "--m": "m_values",
+              "--config": "config", "--out": "out"},
+    "versus": {"--d": "d", "--n-grid": "n_grid", "--eta": "probe_eta", **COMMON},
+    "constants": {},
+}
+
+
+def _subparsers() -> dict:
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_options_are_pinned(command):
+    parser = _subparsers()[command]
+    got = {opt: a.dest for a in parser._actions for opt in a.option_strings
+           if a.dest != "help"}
+    assert got == OPTIONS[command]
+    if command in TABLE:
+        assert set(got.values()) - {"config"} <= set(TABLE[command][1])
+
+
+def test_every_subcommand_is_pinned():
+    assert set(_subparsers()) == set(OPTIONS)
+
+
+# per study subcommand: a valid small run, and the flag that sets its N
+STUDIES = {
+    "study": (["study", "--domain", "interval", "--n-grid", "50", "100"], "--n-grid"),
+    "tail": (["tail", "--domain", "interval", "--n", "50"], "--n"),
+    "zn": (["zn", "--d", "1", "--n-grid", "50", "100"], "--n-grid"),
+    "arcsine": (["arcsine", "--a", "2", "--n-grid", "50", "100"], "--n-grid"),
+    "epsnet": (["epsnet", "--domain", "circle", "--n-grid", "50", "100"], "--n-grid"),
+    "versus": (["versus", "--d", "1", "--n-grid", "50", "100"], "--n-grid"),
+}
+
+# per study subcommand: a configuration estimated above the budget
+OVER_BUDGET = {
+    "study": ["study", "--domain", "sphere2", "--n-grid", "10000000"],
+    "tail": ["tail", "--domain", "sphere2", "--n", "10000000"],
+    "zn": ["zn", "--d", "2", "--n-grid", "10000000"],
+    "arcsine": ["arcsine", "--a", "2", "--n-grid", "100000000"],
+    "epsnet": ["epsnet", "--domain", "sphere2", "--n-grid", "10000000"],
+    "versus": ["versus", "--d", "2", "--n-grid", "10000000"],
+}
+
+
+def _exit_1(argv, capsys):
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", sorted(STUDIES))
+def test_valid_run(command, capsys):
+    argv, _ = STUDIES[command]
+    assert cli_main([*argv, "--trials", "2"]) == 0
+
+
+@pytest.mark.parametrize("command", sorted(STUDIES))
+def test_rejects_one_point(command, capsys):
+    argv, n_flag = STUDIES[command]
+    _exit_1([*argv, "--trials", "3", n_flag, "1"], capsys)
+
+
+@pytest.mark.parametrize("command", sorted(set(STUDIES) - {"tail"}))
+def test_rejects_decreasing_grid(command, capsys):
+    argv, _ = STUDIES[command]
+    _exit_1([*argv, "--trials", "3", "--n-grid", "100", "50"], capsys)
+
+
+@pytest.mark.parametrize("command", sorted(STUDIES))
+def test_rejects_one_trial(command, capsys):
+    argv, _ = STUDIES[command]
+    _exit_1([*argv, "--trials", "1"], capsys)
+
+
+@pytest.mark.parametrize("command", sorted(STUDIES))
+def test_rejects_unknown_config_key(command, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 3, "n_gird": [50]}))
+    argv, _ = STUDIES[command]
+    _exit_1([*argv, "--config", str(cfg)], capsys)
+
+
+@pytest.mark.parametrize("command", sorted(OVER_BUDGET))
+def test_refuses_over_budget(command, monkeypatch, capsys):
+    def no_sample(*args):
+        raise AssertionError("an over-budget study drew a sample")
+
+    monkeypatch.setattr("covrad.experiments.sample", no_sample)
+    assert cli_main([*OVER_BUDGET[command], "--trials", "1000"]) == 2
+    err = capsys.readouterr().err
+    assert "refused" in err and "Traceback" not in err
+
+
+def test_fgrid_rejects_unknown_config_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 3}))
+    _exit_1(["fgrid", "--config", str(cfg)], capsys)

@@ -78,6 +78,29 @@ class TestCoveringRadius1D:
         with pytest.raises(UnsupportedDomainError):
             covering_radius_1d(Cube(2), np.array([[0.5, 0.5]]))
 
+    def test_off_interval_samples_raise(self):
+        # the point -1 once gave 0.6 (its gap to 0.2), though no domain point is that far
+        with pytest.raises(ValueError):
+            covering_radius_1d(IntervalUniform(), [-1.0, 0.2, 0.9])
+        assert covering_radius_1d(IntervalUniform(), [0.2, 0.9]) == pytest.approx(0.35)
+
+    @pytest.mark.parametrize("domain,points", [
+        (IntervalUniform(), [0.5, 1.0 + 1e-12]),
+        (ArcsineInterval(), [-1.5, 0.0]),
+        (Cantor(8), [0.0, 1.0]),
+        (Sphere(1), circle_points([0.0, 2.0]) * (1.0 + 1e-6)),
+        (Sphere(1), [[1.0, 0.0, 0.0]]),
+    ], ids=["interval", "arcsine", "cantor", "off-circle", "circle-3d"])
+    def test_off_domain_samples_raise(self, domain, points):
+        with pytest.raises(ValueError):
+            covering_radius_1d(domain, points)
+
+    def test_sample_set_of_another_domain_raises(self):
+        x = sample(Sphere(1), 10, SeedSpec(0, 0))
+        with pytest.raises(ValueError):
+            covering_radius_1d(IntervalUniform(), x)
+        assert covering_radius_1d(Sphere(1), x) == covering_radius_1d(Sphere(1), x.points)
+
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30))
     @settings(max_examples=100, deadline=None)
     def test_interval_matches_dense_grid(self, xs):
@@ -194,6 +217,11 @@ class TestWindowedCoveringRadius:
         w = WindowSpec(2.0, "right_edge")
         got = covering_radius_window(ArcsineInterval(), np.array([1 - 2 * u, 1.0]), w, 10)
         assert got == pytest.approx(u, rel=1e-9)
+
+    def test_off_domain_samples_raise(self):
+        with pytest.raises(ValueError):
+            covering_radius_window(ArcsineInterval(), np.array([0.98, 1.5]),
+                                   WindowSpec(2.0, "right_edge"), 10)
 
     def test_window_with_interior_points(self):
         u = 0.01

@@ -38,6 +38,11 @@ class TestStudyConfig:
         with pytest.raises(ValueError):
             StudyConfig(domain=IntervalUniform(), n_grid=[10, 10], trials=5)
 
+    @pytest.mark.parametrize("n_grid", [[1, 10], [], [10.0, 100], [True, 10]])
+    def test_grid_of_integers_at_least_two(self, n_grid):
+        with pytest.raises(ValueError):
+            StudyConfig(domain=IntervalUniform(), n_grid=n_grid, trials=5)
+
     def test_trials_minimum(self):
         with pytest.raises(ValueError):
             StudyConfig(domain=IntervalUniform(), n_grid=[10], trials=1)
@@ -91,16 +96,14 @@ class TestCircleOracle:
 
 class TestBudget:
     def test_refusal(self):
-        config = StudyConfig(domain=Sphere(2), n_grid=[10**7], trials=1000)
         with pytest.raises(BudgetExceededError):
-            check_budget(config)
+            check_budget(Sphere(2), [10**7], 1000, 0.05)
 
     def test_force_overrides(self):
-        config = StudyConfig(domain=Sphere(2), n_grid=[10**7], trials=1000, force=True)
-        assert check_budget(config) > 1e10
+        assert check_budget(Sphere(2), [10**7], 1000, 0.05, force=True) > 1e10
 
     def test_estimate_goes_to_stderr(self, capsys):
-        check_budget(StudyConfig(domain=IntervalUniform(), n_grid=[100], trials=5))
+        check_budget(IntervalUniform(), [100], 5, 0.05)
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("estimated cost: ")
@@ -204,9 +207,9 @@ class TestWriter:
             return 0.5
 
         with pytest.raises(RuntimeError, match="kernel failed"):
-            _run_study(IntervalUniform(), [20, 30], 3, 0, prepare=lambda n: None,
-                       kernel=kernel, reduce=lambda n, prepared, v: [{"N": n}],
-                       header=["N"], echo={}, out=str(out))
+            _run_study(IntervalUniform(), [20, 30], 3, 0,
+                       reduce=lambda n, prepared, v: [{"N": n}], header=["N"], echo={},
+                       out=str(out), kernel=kernel)
 
     def test_failed_study_keeps_earlier_csv(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -345,8 +348,8 @@ class TestVersusStudy:
 
 class TestEpsNetStudy:
     def test_single_trial_fraction(self):
-        rows = run_epsnet_study(Sphere(1), [100], 1, 3.0, 0)
-        assert rows[0]["yes_fraction"] in (0.0, 1.0)
+        rows = run_epsnet_study(Sphere(1), [100], 2, 3.0, 0)
+        assert rows[0]["yes_fraction"] in (0.0, 0.5, 1.0)
 
     def test_c_mult_validation(self):
         with pytest.raises(ValueError):

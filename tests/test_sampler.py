@@ -48,6 +48,14 @@ class TestSeedSpec:
         with pytest.raises(ValueError):
             SeedSpec(0, 2**64)
 
+    def test_integers_only(self):
+        # 1.5 once ran seed 1's stream while the sidecar recorded 1.5
+        with pytest.raises(ValueError):
+            SeedSpec(1.5, 0)
+        with pytest.raises(ValueError):
+            SeedSpec(0, 2.0)
+        SeedSpec(np.uint64(2**64 - 1), np.int64(3))
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("domain", ALL_DOMAINS, ids=lambda d: repr(d))
