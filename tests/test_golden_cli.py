@@ -70,6 +70,11 @@ CASES = {
          "--c-mult", "1.5", "--seed", "3"],
         "2bef366b2bb8486af2a19d15b63f565d772900acb9350117b359d710d8305e9a",
     ),
+    "epsnet_sphere2": (
+        ["epsnet", "--domain", "sphere2", "--n-grid", "100", "300", "--trials", "10",
+         "--c-mult", "1.2", "--seed", "3"],
+        "657ebc4be5a903bbd895379c8213bc05e56c4f26ede43d81260dc950926a0ef6",
+    ),
     "fgrid": (
         ["fgrid", "--N", "100", "1000", "--n", "10", "50", "--m", "2", "5", "10"],
         "8188926c95dc599b526a2b209e11b45ebe361aadc24b959dfffaa85ce4267bb5",
