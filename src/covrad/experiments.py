@@ -71,14 +71,15 @@ class StudyConfig:
 
 def _check_study(n_grid, trials: int, eta: float) -> None:
     """Every study needs a strictly increasing grid of integers N >= 2, at
-    least two trials and eta > 0."""
+    least two trials and a finite eta > 0."""
     grid = list(n_grid)
     ints = all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
                for v in (*grid, trials))
     if not (ints and grid and grid[0] >= 2 and all(a < b for a, b in zip(grid, grid[1:]))
-            and trials >= 2 and eta > 0):
+            and trials >= 2 and eta > 0 and math.isfinite(eta)):
         raise ValueError("need a strictly increasing grid of integers N >= 2, at least two "
-                         f"trials and eta > 0; got N grid {grid}, {trials} trials, eta {eta}")
+                         f"trials and a finite eta > 0; got N grid {grid}, {trials} trials, "
+                         f"eta {eta}")
 
 
 @dataclass(frozen=True)
@@ -227,9 +228,15 @@ def _trial_window(domain: ArcsineInterval, n: int, seed: SeedSpec, window: Windo
 
 
 def _trial_verdict(domain: Domain, n: int, seed: SeedSpec, eps_probe) -> tuple[bool, bool]:
-    """(YES, YES or UNKNOWN) for one configuration."""
+    """(YES, YES or UNKNOWN) for one configuration. With no probe (the exact
+    1-D paths) both are rho <= eps, so UNKNOWN never occurs; otherwise they
+    come from is_eps_net's sandwich against the probe net."""
     eps, probe = eps_probe
-    verdict = is_eps_net(domain, sample(domain, n, seed).points, eps, probe).value
+    sset = sample(domain, n, seed)
+    if probe is None:
+        yes = covering_radius_1d(domain, sset) <= eps
+        return yes, yes
+    verdict = is_eps_net(domain, sset.points, eps, probe).value
     return verdict is Verdict.YES, verdict is not Verdict.NO
 
 
@@ -433,13 +440,18 @@ def run_random_vs_structured(d: int, n_grid, trials: int, master_seed: int = 0,
 def run_epsnet_study(domain: Domain, n_grid, trials: int, c_mult: float, master_seed: int = 0,
                      out: str | None = None, force: bool = False) -> list[dict]:
     """Fraction of random configurations that form an eps-net at
-    eps = c_mult * (mass/upsilon_s * log N / N)^(1/s)."""
+    eps = c_mult * (mass/upsilon_s * log N / N)^(1/s).
+
+    On the exact 1-D paths each verdict is rho <= eps from the exact covering
+    radius, with no probe net, so yes_fraction == yes_or_unknown_fraction.
+    Elsewhere is_eps_net decides against a probe net of mesh eps/20, and a
+    trial whose sandwich straddles eps counts only as YES or UNKNOWN."""
     if c_mult <= 0:
         raise ValueError("c_mult must be positive")
 
     def prepare(n):
         eps = c_mult * rho_scale(domain, n)
-        return eps, build_probe_net(domain, eps / 20.0)
+        return eps, None if _has_exact_1d_path(domain) else build_probe_net(domain, eps / 20.0)
 
     def reduce(n, eps_probe, verdicts):
         yield {"N": n, "T": trials, "eps": eps_probe[0],

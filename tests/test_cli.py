@@ -100,6 +100,17 @@ def test_rejects_one_trial(command, capsys):
     _exit_1([*argv, "--trials", "1"], capsys)
 
 
+# per study subcommand with an eta: the flag that sets it (epsnet: eta = c_mult / 20)
+ETA_FLAG = {"study": "--eta", "tail": "--eta", "zn": "--eta", "epsnet": "--c-mult",
+            "versus": "--eta"}
+
+
+@pytest.mark.parametrize("command", sorted(ETA_FLAG))
+def test_rejects_infinite_eta(command, capsys):
+    argv, _ = STUDIES[command]
+    _exit_1([*argv, "--trials", "3", ETA_FLAG[command], "inf"], capsys)
+
+
 @pytest.mark.parametrize("command", sorted(STUDIES))
 def test_rejects_unknown_config_key(command, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"

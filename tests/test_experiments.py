@@ -7,15 +7,17 @@ import pytest
 from test_acceptance import circle_chord_expectation
 
 from covrad.cli import main as cli_main
-from covrad.covering import covering_radius_1d
+from covrad.covering import Verdict, covering_radius_1d, is_eps_net, rho_scale
 from covrad.errors import BudgetExceededError
 from covrad.experiments import (
     StudyConfig,
     StudyWriter,
     _run_study,
+    _trial_verdict,
     check_budget,
     circle_expectation_oracle,
     dump_f_grid,
+    estimate_cost,
     load_bands,
     run_arcsine_study,
     run_epsnet_study,
@@ -24,6 +26,7 @@ from covrad.experiments import (
     run_tail_study,
     run_zn_study,
 )
+from covrad.nets import build_probe_net
 from covrad.sampler import SeedSpec, sample
 from covrad.spaces import ArcsineInterval, Cantor, Cube, IntervalUniform, Sphere
 
@@ -189,6 +192,35 @@ class TestCantorExactPath:
         for tail in run_tail_study(dom, 300, 5, thresholds, master_seed=8):
             frac = float((rhos >= tail.threshold).mean())
             assert tail.prob_lower_exceeds == tail.prob_upper_exceeds == frac
+
+
+class TestEpsNetExactPath:
+    N, T, C_MULT = 200, 20, 1.0
+
+    @pytest.mark.parametrize("dom", [Sphere(1), IntervalUniform(), ArcsineInterval(), Cantor(40)],
+                             ids=["circle", "interval", "arcsine", "cantor"])
+    def test_verdicts_are_exact_without_a_net(self, dom, monkeypatch):
+        eps = self.C_MULT * rho_scale(dom, self.N)
+        seeds = [SeedSpec(4, t) for t in range(self.T)]
+        rhos = np.array([covering_radius_1d(dom, sample(dom, self.N, s)) for s in seeds])
+        probe = build_probe_net(dom, eps / 20.0)
+        net = [is_eps_net(dom, sample(dom, self.N, s).points, eps, probe).value for s in seeds]
+
+        def no_net(*args):
+            raise AssertionError("an eps-net study on a 1-D domain built a probe net")
+
+        monkeypatch.setattr("covrad.experiments.build_probe_net", no_net)
+        for s, rho in zip(seeds, rhos):
+            assert _trial_verdict(dom, self.N, s, (eps, None)) == (rho <= eps, rho <= eps)
+        row = run_epsnet_study(dom, [self.N], self.T, self.C_MULT, master_seed=4)[0]
+        exact = float((rhos <= eps).mean())
+        assert row["eps"] == eps
+        assert row["yes_fraction"] == row["yes_or_unknown_fraction"] == exact
+        yes = float(np.mean([v is Verdict.YES for v in net]))
+        yes_or_unknown = float(np.mean([v is not Verdict.NO for v in net]))
+        assert yes <= exact <= yes_or_unknown
+        # the budget model counts T * N, the work this study now does
+        assert estimate_cost(dom, self.N, self.T, self.C_MULT / 20.0) == self.T * self.N
 
 
 class TestWriter:
