@@ -68,7 +68,7 @@ CASES = {
     "epsnet_circle": (
         ["epsnet", "--domain", "circle", "--n-grid", "100", "300", "--trials", "10",
          "--c-mult", "1.5", "--seed", "3"],
-        "2bef366b2bb8486af2a19d15b63f565d772900acb9350117b359d710d8305e9a",
+        "a96f5ed29d2c63d5df43090c54558a20a75a9d052b8c0469a23937f679e8621d",
     ),
     "epsnet_sphere2": (
         ["epsnet", "--domain", "sphere2", "--n-grid", "100", "300", "--trials", "10",
