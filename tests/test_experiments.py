@@ -202,9 +202,10 @@ class TestEpsNetExactPath:
     def test_verdicts_are_exact_without_a_net(self, dom, monkeypatch):
         eps = self.C_MULT * rho_scale(dom, self.N)
         seeds = [SeedSpec(4, t) for t in range(self.T)]
-        rhos = np.array([covering_radius_1d(dom, sample(dom, self.N, s)) for s in seeds])
+        ssets = [sample(dom, self.N, s) for s in seeds]
+        rhos = np.array([covering_radius_1d(dom, x) for x in ssets])
         probe = build_probe_net(dom, eps / 20.0)
-        net = [is_eps_net(dom, sample(dom, self.N, s).points, eps, probe).value for s in seeds]
+        net = [is_eps_net(dom, x.points, eps, probe).value for x in ssets]
 
         def no_net(*args):
             raise AssertionError("an eps-net study on a 1-D domain built a probe net")
