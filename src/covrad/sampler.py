@@ -102,27 +102,13 @@ def _polyhedron_points(rng, n, domain: Polyhedron3):
     flip = s + t > 1.0
     s[flip], t[flip] = 1.0 - s[flip], 1.0 - t[flip]
     over = t + u > 1.0
-    t_old, u_old = t.copy(), u.copy()
-    t[over] = 1.0 - u_old[over]
-    u[over] = 1.0 - s[over] - t_old[over]
+    t, u = np.where(over, 1.0 - u, t), np.where(over, 1.0 - s - t, u)
     mid = (~over) & (s + t + u > 1.0)
-    s_old, u_old = s.copy(), u.copy()
-    u[mid] = s_old[mid] + t[mid] + u_old[mid] - 1.0
-    s[mid] = 1.0 - t[mid] - u_old[mid]
+    s, u = np.where(mid, 1.0 - t - u, s), np.where(mid, s + t + u - 1.0, u)
     w0 = 1.0 - s - t - u
-    pts = np.empty((n, 3))
-    for j, tet in enumerate(domain.tetrahedra):
-        sel = idx == j
-        if not np.any(sel):
-            continue
-        v0, v1, v2, v3 = (domain.vertices[i] for i in tet)
-        pts[sel] = (
-            np.outer(w0[sel], v0)
-            + np.outer(s[sel], v1)
-            + np.outer(t[sel], v2)
-            + np.outer(u[sel], v3)
-        )
-    return pts
+    corners = domain.vertices[np.asarray(domain.tetrahedra)[idx]]  # (n, 4, 3)
+    return (w0[:, None] * corners[:, 0] + s[:, None] * corners[:, 1]
+            + t[:, None] * corners[:, 2] + u[:, None] * corners[:, 3])
 
 
 def _cantor_points(rng, n, domain: Cantor):
