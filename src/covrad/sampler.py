@@ -4,6 +4,9 @@ Streams are counter-based: SeedSpec(master_seed, stream_id) keys a Philox
 generator, so trial t of a study can be regenerated in isolation and results
 do not depend on scheduling. Gaussian variates are produced by inverse-CDF
 from the uniform stream to keep the stream contract exact across platforms.
+Cantor digits are bits of raw Philox words, read with shifts and masks and
+summed by elementwise IEEE arithmetic with no BLAS call, so neither byte
+order nor a reduction order moves the stream (see `_cantor_points`).
 """
 
 from __future__ import annotations
@@ -111,14 +114,34 @@ def _polyhedron_points(rng, n, domain: Polyhedron3):
             + t[:, None] * corners[:, 2] + u[:, None] * corners[:, 3])
 
 
+# _CANTOR_BLOCK[m]: integer of 8 ternary digits, 2 where m has a bit set, last at bit 0
+_CANTOR_BLOCK = np.array([sum(2 * 3**j for j in range(8) if m >> j & 1) for m in range(256)], float)
+_CANTOR_ROWS = 8192  # rows per chunk, which keeps the temporaries small
+
+
 def _cantor_points(rng, n, domain: Cantor):
-    # digit bits (1.0 where u < 1/2) overwrite the uniforms, saving a copy; the
-    # product stays one call over all rows, as row chunks would sum some rows
-    # in another order and move the stream's bits
-    u = rng.random((n, domain.depth))
-    np.less(u, 0.5, out=u, casting="unsafe")
-    weights = 2.0 * (3.0 ** -np.arange(1, domain.depth + 1))
-    return (u @ weights).reshape(n, 1)
+    # Digit k (1-based) is 2 where bit 63 - (k-1) % 64 of word (k-1) // 64 is set.
+    # Horner from the last group of up to 32 digits, x = (x + h) / 3^c, where
+    # h < 3^32 < 2^53 is the group's exact integer. x is within 2 ulp of M/3^D,
+    # and is M/3^D rounded if D <= 32; above depth 64 only points whose first 32
+    # digits are 0 (probability 2^-32) can miss this, by under 2^-100. Rows are
+    # independent, so the chunks move no bit.
+    d = domain.depth
+    x = np.empty(n)
+    for lo in range(0, n, _CANTOR_ROWS):
+        # an int64 view of the same words, so that blocks index the table as intp
+        words = rng.bit_generator.random_raw((min(_CANTOR_ROWS, n - lo), -(-d // 64)))
+        words = words.view(np.int64)
+        part = 0.0
+        for group in range(32 * ((d - 1) // 32), -1, -32):
+            h = 0.0
+            for k in range(group, min(group + 32, d), 8):
+                c = min(8, d - k)
+                block = (words[:, k // 64] >> (64 - k % 64 - c)) & (2**c - 1)
+                h = h * 3.0**c + _CANTOR_BLOCK[block]
+            part = (part + h) / 3.0 ** min(32, d - group)
+        x[lo:lo + len(words)] = part
+    return x.reshape(n, 1)
 
 
 def sample(domain: Domain, n: int, seed: SeedSpec) -> SampleSet:

@@ -167,7 +167,7 @@ class TestCantorExact:
         assert covering_radius_1d(Cantor(8), np.array([0.0, top])) == nearest_gap_max(
             cantor_points(8), np.array([0.0, top]))
 
-    @pytest.mark.parametrize("depth", [5, 20, 40, 60])
+    @pytest.mark.parametrize("depth", [5, 20, 40, 60, 100])
     def test_pruned_equals_descent_over_all_gaps(self, depth):
         domain = Cantor(depth)
         for n in (2, 17, 100, 1000, 10**4, 10**5):

@@ -1,5 +1,7 @@
 import hashlib
 import math
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from covrad.sampler import (
     GENERATOR_NAME,
     SampleSet,
     SeedSpec,
+    _cantor_points,
     load_sample_set,
     sample,
     save_sample_set,
@@ -113,6 +116,13 @@ class TestDeterminism:
         alone = sample(Cube(2), 50, SeedSpec(7, 5))
         assert np.array_equal(full[5].points, alone.points)
 
+    def test_cantor_stream_trial_recovery(self):
+        # the same for a Cantor stream's raw words (two per point at depth 100);
+        # rows are drawn in order in chunks, so a shorter draw is a prefix
+        full = [sample(Cantor(100), 9000, SeedSpec(7, t)) for t in range(3)]
+        alone = sample(Cantor(100), 8500, SeedSpec(7, 2))
+        assert np.array_equal(full[2].points[:8500], alone.points)
+
     def test_invalid_counts(self):
         with pytest.raises(ValueError):
             sample(IntervalUniform(), 0, SeedSpec(0, 0))
@@ -164,6 +174,41 @@ class TestMembership:
             while k:
                 k, digit = divmod(k, 3)
                 assert digit in (0, 2)
+
+
+def cantor_exact(words, depth: int) -> Fraction:
+    """M / 3^D with Python integers: digit k is 2 where bit 63 - (k-1) % 64 of
+    word (k-1) // 64 is set, else 0."""
+    m = sum(2 * 3 ** (depth - k) for k in range(1, depth + 1)
+            if int(words[(k - 1) // 64]) >> (63 - (k - 1) % 64) & 1)
+    return Fraction(m, 3**depth)
+
+
+class TestCantorExactness:
+    @pytest.mark.parametrize("depth", [1, 3, 8, 20, 40, 63, 64, 65, 100])
+    def test_within_two_ulp(self, depth):
+        n, seed = 1000, SeedSpec(11, depth)
+        x = sample(Cantor(depth), n, seed).points[:, 0]
+        words = seed.generator().bit_generator.random_raw((n, -(-depth // 64)))
+        for xi, w in zip(x.tolist(), words):
+            assert 0.0 <= xi <= 1.0
+            assert abs(Fraction(xi) - cantor_exact(w, depth)) <= 2 * Fraction(math.ulp(xi))
+
+    @pytest.mark.parametrize("depth", [40, 64, 100])
+    @pytest.mark.parametrize("zeros", [8, 16, 32, 40])
+    def test_leading_zero_digits(self, depth, zeros):
+        # random draws seldom start with many 0 digits, where the divisions add up
+        words = SeedSpec(12, depth).generator().bit_generator.random_raw((300, -(-depth // 64)))
+        for k in range(zeros):
+            words[:, k // 64] &= ~np.uint64(1 << (63 - k % 64))
+        rng = SimpleNamespace(bit_generator=SimpleNamespace(random_raw=lambda shape: words))
+        x = _cantor_points(rng, len(words), Cantor(depth))[:, 0]
+        for xi, w in zip(x.tolist(), words):
+            err = abs(Fraction(xi) - cantor_exact(w, depth))
+            if depth <= 64 or zeros < 32:
+                assert err <= 2 * Fraction(math.ulp(xi))
+            else:
+                assert err <= Fraction(1, 2**100)
 
 
 class TestDistributions:
