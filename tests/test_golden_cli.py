@@ -36,7 +36,7 @@ CASES = {
     ),
     "study_cantor": (
         ["study", "--domain", "cantor", "--n-grid", "200", "--trials", "3", "--seed", "3"],
-        "b672e1c6f59cfd4aaf09e1b1ba614b0a29250862b14229ef7e075c43648da49e",
+        "41e7471d8fd2d4a8e3c2dd917f336e1d231aaa5b7b5b5dc77f63e1ef0ba6d8bd",
     ),
     "tail_interval": (
         ["tail", "--domain", "interval", "--n", "100", "--trials", "20", "--seed", "3"],
