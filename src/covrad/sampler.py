@@ -115,7 +115,7 @@ def _polyhedron_points(rng, n, domain: Polyhedron3):
 
 
 # _CANTOR_BLOCK[m]: integer of 8 ternary digits, 2 where m has a bit set, last at bit 0
-_CANTOR_BLOCK = np.array([sum(2 * 3**j for j in range(8) if m >> j & 1) for m in range(256)], float)
+_CANTOR_BLOCK = np.array([sum(2.0 * 3**j for j in range(8) if m >> j & 1) for m in range(256)])
 _CANTOR_ROWS = 8192  # rows per chunk, which keeps the temporaries small
 
 
@@ -124,8 +124,8 @@ def _cantor_points(rng, n, domain: Cantor):
     # Horner from the last group of up to 32 digits, x = (x + h) / 3^c, where
     # h < 3^32 < 2^53 is the group's exact integer. x is within 2 ulp of M/3^D,
     # and is M/3^D rounded if D <= 32; above depth 64 only points whose first 32
-    # digits are 0 (probability 2^-32) can miss this, by under 2^-100. Rows are
-    # independent, so the chunks move no bit.
+    # digits are 0 (probability 2^-32) can miss this, and they stay within 2^-100.
+    # Rows are independent, so the chunks move no bit.
     d = domain.depth
     x = np.empty(n)
     for lo in range(0, n, _CANTOR_ROWS):
@@ -135,9 +135,9 @@ def _cantor_points(rng, n, domain: Cantor):
         part = 0.0
         for group in range(32 * ((d - 1) // 32), -1, -32):
             h = 0.0
-            for k in range(group, min(group + 32, d), 8):
-                c = min(8, d - k)
-                block = (words[:, k // 64] >> (64 - k % 64 - c)) & (2**c - 1)
+            for start in range(group, min(group + 32, d), 8):  # 0-based first digit
+                c = min(8, d - start)
+                block = (words[:, start // 64] >> (64 - start % 64 - c)) & (2**c - 1)
                 h = h * 3.0**c + _CANTOR_BLOCK[block]
             part = (part + h) / 3.0 ** min(32, d - group)
         x[lo:lo + len(words)] = part
