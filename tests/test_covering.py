@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, cKDTree
 from test_nets import CERT_DOMAINS
 from test_spaces import equilateral_prism, regular_tetrahedron
 
@@ -22,6 +22,7 @@ from covrad.covering import (
     rho_scale,
 )
 from covrad.errors import UnsupportedDomainError
+from covrad import nets
 from covrad.nets import ProbeNet, SpatialIndex, build_index, build_probe_net
 from covrad.sampler import SeedSpec, sample
 from covrad.spaces import (
@@ -313,9 +314,11 @@ def _net(domain, mesh):
     return _NETS[key]
 
 
-# nets deep enough that the cell walk has several levels and prunes
+# nets deep enough that the cell walk has several levels and prunes; the 3-D
+# sphere and ball are the coarsest with three levels (1.48M and 409k points)
 DEEP_NETS = [(Cube(2), 0.002), (Cube(3), 0.01), (Sphere(2), 0.005), (Ball(2), 0.003),
-             (Cantor(20), 1e-5), (unit_box_polyhedron(), 0.015)]
+             (Sphere(3), 0.031), (Ball(3), 0.032), (Cantor(20), 1e-5),
+             (unit_box_polyhedron(), 0.015)]
 
 
 def levels(net) -> int:
@@ -399,6 +402,16 @@ LARGE_NETS = [(Sphere(2), probe_mesh_for(Sphere(2), 10**5, 0.05)),
               (Cube(2), probe_mesh_for(Cube(2), 10**5, 0.025))]
 
 
+# rows one walk queries on the LARGE_NETS at N = 1e5, SeedSpec(3, 0): in all,
+# and in its last query (the probe points). The walk queried 72336/286
+# (sphere2), 37300/39 (ball2) and 56987/175 (cube2); with every child and
+# every point of the kept finest blocks queried it took 131878/11448,
+# 58416/1564 and 85668/2052. The ceilings leave about 10% headroom.
+LARGE_NET_ROWS = {"Sphere(d=2, kind='Sphere')": (80_000, 320),
+                  "Ball(d=2, kind='Ball')": (41_000, 45),
+                  "Cube(d=2, kind='Cube')": (63_000, 195)}
+
+
 class TestLazyNet:
     """The sandwich never builds the whole probe net, and a trial makes one
     k-d tree query per level of blocks plus one over the kept blocks' points."""
@@ -410,19 +423,26 @@ class TestLazyNet:
             raise AssertionError("the whole probe net was built")
 
         monkeypatch.setattr(ProbeNet, "points", property(materialised))
-        calls = []
-        query = SpatialIndex.nearest_distances
-        monkeypatch.setattr(SpatialIndex, "nearest_distances",
-                            lambda index, q: calls.append(len(q)) or query(index, q))
+        rows = []  # per k-d tree query, its rows: nearest and nearest_distances alike
+
+        class CountedTree(cKDTree):
+            def query(self, x, *args, **kwargs):
+                rows.append(len(x))
+                return super().query(x, *args, **kwargs)
+
+        monkeypatch.setattr(nets, "cKDTree", CountedTree)
         net = build_probe_net(domain, mesh)
-        n = 10**5 if (domain, mesh) in LARGE_NETS else 200
-        x = sample(domain, n, SeedSpec(3, 0)).points
+        large = (domain, mesh) in LARGE_NETS
+        x = sample(domain, 10**5 if large else 200, SeedSpec(3, 0)).points
         b = covering_radius_bounds(domain, x, net)
-        assert len(calls) <= levels(net) + 1
-        calls.clear()
+        assert 0 < len(rows) <= levels(net) + 1
+        if large:
+            total, last = LARGE_NET_ROWS[repr(domain)]
+            assert sum(rows) <= total and rows[-1] <= last
+        rows.clear()
         eps = (b.lower + b.upper) / 2.0
         assert is_eps_net(domain, x, eps, net).value is Verdict.UNKNOWN
-        assert len(calls) <= levels(net) + 1
+        assert 0 < len(rows) <= levels(net) + 1
 
 
 class TestSphereHullOracle:
