@@ -219,10 +219,13 @@ class Polyhedron3:
             raise InvalidGeometryError("tetrahedra must have positive volume")
         self.tet_volumes.setflags(write=False)
         self.volume = float(self.tet_volumes.sum())
-        # per tetrahedron (a, b, c, d): its first vertex a and the inverse W of
-        # [b - a, c - a, d - a]; (p - a) @ W.T are p's barycentric coordinates
-        self.tet_inverses = [(a, np.linalg.inv(np.column_stack([b - a, c - a, d - a])))
-                             for a, b, c, d in (v[list(t)] for t in tets)]
+        # per tetrahedron t = (a, b, c, d): tet_origins[t] = a and tet_inverses[t]
+        # the inverse W of [b - a, c - a, d - a]; (p - a) @ W.T are p's
+        # barycentric coordinates
+        corners = [v[list(t)] for t in tets]
+        self.tet_origins = np.stack([a for a, _, _, _ in corners])
+        self.tet_inverses = np.stack([np.linalg.inv(np.column_stack([b - a, c - a, d - a]))
+                                      for a, b, c, d in corners])
 
         vol_faces = self._volume_from_faces()
         if not math.isclose(self.volume, vol_faces, rel_tol=1e-9):
@@ -255,11 +258,11 @@ class Polyhedron3:
 
     def contains_many(self, points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        inside = np.zeros(pts.shape[0], dtype=bool)
-        for a, w in self.tet_inverses:
-            lam = (pts - a) @ w.T
-            inside |= np.all(lam >= -tol, axis=1) & (lam.sum(axis=1) <= 1.0 + tol)
-        return inside
+        # every tetrahedron's barycentric coordinates in one (T, m, 3) product;
+        # slice t is (pts - a) @ W.T, the same matrix product as for t alone
+        lam = (pts - self.tet_origins[:, None, :]) @ self.tet_inverses.transpose(0, 2, 1)
+        inside = (lam >= -tol).all(axis=2) & (lam.sum(axis=2) <= 1.0 + tol)
+        return inside.any(axis=0)
 
     @property
     def intrinsic_dim(self) -> float:

@@ -188,6 +188,42 @@ class TestPolyhedronValidation:
                                             [-0.1, 0.5, 0.5]]))
         assert flags.tolist() == [True, True, False, True, False]
 
+    @pytest.mark.parametrize("tol", [1e-12, 1e-9])
+    @pytest.mark.parametrize("make", [unit_box_polyhedron, regular_tetrahedron,
+                                      equilateral_prism], ids=lambda f: f.__name__)
+    def test_contains_many_matches_the_loop_over_tetrahedra(self, make, tol):
+        # contains_many takes all tetrahedra in one product; the oracle is one
+        # barycentric test per tetrahedron, or-ed, and the masks must agree
+        # bit for bit, on the boundary too
+        domain = make()
+
+        def loop(pts):
+            inside = np.zeros(len(pts), dtype=bool)
+            for a, w in zip(domain.tet_origins, domain.tet_inverses):
+                lam = (pts - a) @ w.T
+                inside |= np.all(lam >= -tol, axis=1) & (lam.sum(axis=1) <= 1.0 + tol)
+            return inside
+
+        rng = np.random.default_rng(17)
+        v = domain.vertices
+        lo, hi = v.min(axis=0), v.max(axis=0)
+        spread = lo + (hi - lo) * rng.uniform(-0.1, 1.1, (4000, 3))
+        on_faces, off_faces = [], []
+        for f in domain.faces:
+            corners = v[list(f)]
+            pts = rng.dirichlet(np.ones(len(f)), 300) @ corners
+            unit = domain.face_normal(f) / np.linalg.norm(domain.face_normal(f))
+            on_faces.append(pts)
+            # just inside and just outside, around the tolerance
+            step = rng.choice([-1.0, 1.0], (300, 1)) * rng.choice([0.5, 1.0, 2.0], (300, 1))
+            off_faces.append(pts + step * tol * unit)
+        on_grid = np.clip(np.round(spread * 8.0) / 8.0, lo, hi)  # on faces, edges and vertices
+        for pts in (spread, np.concatenate(on_faces), np.concatenate(off_faces), on_grid, v):
+            for m in (1, 2, 5, len(pts)):  # the product's shape varies with the row count
+                assert np.array_equal(domain.contains_many(pts[:m], tol), loop(pts[:m]))
+        assert domain.contains_many(v, tol).all()
+        assert domain.contains_many(np.concatenate(on_faces), tol).all()
+
 
 class TestDomainValidation:
     def test_bad_dimensions(self):
