@@ -424,8 +424,12 @@ def _tetrahedra_meet(domain: Polyhedron3) -> Callable:
     abs_g = np.abs(g)
 
     def holds(lo, hi):  # the largest g p + h over each box; 1e-9 >= contains_many's tolerance
-        top = ((lo + hi) / 2.0) @ g.T + ((hi - lo) / 2.0) @ abs_g.T + h
-        return (top >= -1e-9).reshape(len(lo), -1, 4).all(axis=2).any(axis=1)
+        mid, half, out = (lo + hi) / 2.0, (hi - lo) / 2.0, np.zeros(len(lo), dtype=bool)
+        rows = 4 * max(1, (1 << 14) // max(len(lo), 1))  # as many tetrahedra as contains_many
+        for r in range(0, len(h), rows):
+            top = mid @ g[r:r + rows].T + half @ abs_g[r:r + rows].T + h[r:r + rows]
+            out |= (top >= -1e-9).reshape(len(lo), -1, 4).all(axis=2).any(axis=1)
+        return out
 
     return holds
 

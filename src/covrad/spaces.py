@@ -222,8 +222,8 @@ class Polyhedron3:
         # per tetrahedron t = (a, b, c, d): tet_origins[t] = a and tet_inverses[t]
         # the inverse W of [b - a, c - a, d - a]; (p - a) @ W.T are p's
         # barycentric coordinates
-        corners = [v[list(t)] for t in tets]
-        self.tet_origins = np.stack([a for a, _, _, _ in corners])
+        corners = v[np.array(tets)]
+        self.tet_origins = corners[:, 0]
         self.tet_inverses = np.stack([np.linalg.inv(np.column_stack([b - a, c - a, d - a]))
                                       for a, b, c, d in corners])
 
@@ -258,11 +258,18 @@ class Polyhedron3:
 
     def contains_many(self, points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        # every tetrahedron's barycentric coordinates in one (T, m, 3) product;
-        # slice t is (pts - a) @ W.T, the same matrix product as for t alone
-        lam = (pts - self.tet_origins[:, None, :]) @ self.tet_inverses.transpose(0, 2, 1)
-        inside = (lam >= -tol).all(axis=2) & (lam.sum(axis=2) <= 1.0 + tol)
-        return inside.any(axis=0)
+        inside = np.zeros(len(pts), dtype=bool)
+        # barycentric coordinates of k tetrahedra as one (k, m, 3) product, each
+        # slice the same (pts - a) @ W.T as for its tetrahedron alone. With
+        # k * m <= 2^14 small batches take all tetrahedra at once (unit box, 6
+        # tetrahedra: 2x faster at m = 100, but 1.4x slower at m = 1e4) and large
+        # ones one at a time, in one tetrahedron's memory
+        k = max(1, (1 << 14) // max(len(pts), 1))
+        wt = self.tet_inverses.transpose(0, 2, 1)
+        for t in range(0, len(wt), k):
+            lam = (pts - self.tet_origins[t:t + k, None, :]) @ wt[t:t + k]
+            inside |= ((lam >= -tol).all(axis=2) & (lam.sum(axis=2) <= 1.0 + tol)).any(axis=0)
+        return inside
 
     @property
     def intrinsic_dim(self) -> float:

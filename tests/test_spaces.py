@@ -192,7 +192,7 @@ class TestPolyhedronValidation:
     @pytest.mark.parametrize("make", [unit_box_polyhedron, regular_tetrahedron,
                                       equilateral_prism], ids=lambda f: f.__name__)
     def test_contains_many_matches_the_loop_over_tetrahedra(self, make, tol):
-        # contains_many takes all tetrahedra in one product; the oracle is one
+        # contains_many takes several tetrahedra per product; the oracle is one
         # barycentric test per tetrahedron, or-ed, and the masks must agree
         # bit for bit, on the boundary too
         domain = make()
@@ -207,7 +207,7 @@ class TestPolyhedronValidation:
         rng = np.random.default_rng(17)
         v = domain.vertices
         lo, hi = v.min(axis=0), v.max(axis=0)
-        spread = lo + (hi - lo) * rng.uniform(-0.1, 1.1, (4000, 3))
+        spread = lo + (hi - lo) * rng.uniform(-0.1, 1.1, (20000, 3))
         on_faces, off_faces = [], []
         for f in domain.faces:
             corners = v[list(f)]
@@ -219,7 +219,8 @@ class TestPolyhedronValidation:
             off_faces.append(pts + step * tol * unit)
         on_grid = np.clip(np.round(spread * 8.0) / 8.0, lo, hi)  # on faces, edges and vertices
         for pts in (spread, np.concatenate(on_faces), np.concatenate(off_faces), on_grid, v):
-            for m in (1, 2, 5, len(pts)):  # the product's shape varies with the row count
+            # the row count sets how many tetrahedra share a product, and its shape
+            for m in (1, 2, 5, 3000, len(pts)):
                 assert np.array_equal(domain.contains_many(pts[:m], tol), loop(pts[:m]))
         assert domain.contains_many(v, tol).all()
         assert domain.contains_many(np.concatenate(on_faces), tol).all()
