@@ -58,13 +58,13 @@ finest blocks together. A query returns d(p) and the row of the sample x_nn
 nearest to p, and each kept block hands its x_nn down to its children. Each
 level drops the children whose representative c has
 (|c - x_nn| + r)(1 + 1e-12) < L with no query, since d(c) <= |c - x_nn|;
-evaluates d at the other children's representatives,
-all pieces in one query; raises L to the largest value at a representative
-the keep-mask keeps (a probe value, so L never passes the net's maximum; a
-masked representative is no probe point, so it may prune but never raise L);
-and keeps blocks with (d(p) + r)(1 + 1e-12) >= L. One last query evaluates the
-probe points y of the kept finest blocks, less those with
-|y - x_nn|(1 + 1e-12) < L for their block's x_nn. The maximizer y* survives
+evaluates d at the other children's representatives, all pieces in one query;
+raises L to the largest value at a representative the keep-mask keeps (a probe
+value, so L never passes the net's maximum; a masked representative is no
+probe point, so it may prune but never raise L); and keeps blocks with
+(d(p) + r)(1 + 1e-12) >= L. One last query evaluates the probe points y of the
+kept finest blocks, less those with |y - x_nn|(1 + 1e-12) < L for their
+block's x_nn. The maximizer y* survives
 every test: each block holding it has d(p) + r >= d(y*) >= L, each bound
 |c - x_nn| is at least d(c), and 1e-12 allows for rounded distances. A child
 or point dropped unqueried has d < L, so it could neither raise L nor pass the
@@ -130,7 +130,7 @@ class _Piece:
 
     def points(self, idx: np.ndarray) -> np.ndarray:
         x = self.coords(idx)
-        return self.fmap(x if self.keep is None else np.compress(self.keep(x), x, axis=0))
+        return self.fmap(x if self.keep is None else x[self.keep(x)])
 
 
 class _Level(NamedTuple):
@@ -284,7 +284,7 @@ _THREADS_FROM = 2048
 
 
 class SpatialIndex:
-    """Exact Euclidean nearest-neighbour index over a fixed point set (a k-d tree).
+    """Exact Euclidean nearest-neighbor index over a fixed point set (a k-d tree).
 
     points is a read-only view of the indexed points. nearest returns, with each
     distance, the row of the nearest point; the walk keeps these rows to bound
