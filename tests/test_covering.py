@@ -8,6 +8,7 @@ from scipy.spatial import ConvexHull, cKDTree
 from test_nets import CERT_DOMAINS
 from test_spaces import equilateral_prism, regular_tetrahedron
 
+from covrad import nets
 from covrad.covering import (
     CoveringRadiusInterval,
     Verdict,
@@ -22,8 +23,7 @@ from covrad.covering import (
     rho_scale,
 )
 from covrad.errors import UnsupportedDomainError
-from covrad import nets
-from covrad.nets import ProbeNet, SpatialIndex, build_index, build_probe_net
+from covrad.nets import ProbeNet, build_index, build_probe_net
 from covrad.sampler import SeedSpec, sample
 from covrad.spaces import (
     ArcsineInterval,

@@ -208,6 +208,18 @@ class TestSpatialIndex:
         ).min(axis=1)
         assert np.array_equal(got, brute) or np.allclose(got, brute, rtol=0, atol=0)
 
+    def test_nearest_rows(self):
+        # the rows nearest returns hold points at the returned distances, to
+        # within the 1e-12 the walk allows for rounding
+        rng = np.random.default_rng(9)
+        pts, queries = rng.random((500, 3)), rng.random((300, 3))
+        idx = build_index(pts)
+        d, rows = idx.nearest(queries)
+        assert np.array_equal(d, idx.nearest_distances(queries))
+        assert np.array_equal(idx.points, pts) and not idx.points.flags.writeable
+        assert np.allclose(d, np.linalg.norm(queries - idx.points[rows], axis=1),
+                           rtol=1e-12, atol=0)
+
     def test_empty_points(self):
         with pytest.raises(ValueError):
             build_index(np.empty((0, 2)))
