@@ -21,14 +21,10 @@ from .spaces import (
     IntervalUniform,
     Polyhedron3,
     Polyline,
-    RegularityWitness,
     Sphere,
-    domain_from_json,
-    domain_to_json,
     hausdorff_mass,
     limit_constant,
     min_dihedral_angle,
-    regularity_witness,
     unit_ball_volume,
     unit_box_polyhedron,
 )
@@ -39,7 +35,6 @@ from .covering import (
     NetVerdict,
     Verdict,
     WindowSpec,
-    ball_measure,
     covering_radius_1d,
     covering_radius_bounds,
     covering_radius_window,

@@ -329,15 +329,6 @@ def run_expectation_study(config: StudyConfig) -> list[StudyRow]:
         out=config.out, eta=config.probe_eta, force=config.force)
 
 
-def circle_expectation_oracle(n: int, circumference: float = 2.0 * math.pi) -> float:
-    """Exact expected arclength covering radius of N uniform points on a
-    circle: half the expected maximal spacing, L * H_N / (2N)."""
-    if n < 1:
-        raise ValueError("need at least one point")
-    harmonic = sum(1.0 / k for k in range(1, n + 1))
-    return circumference * harmonic / (2.0 * n)
-
-
 def run_tail_study(domain: Domain, n: int, trials: int, thresholds=None, master_seed: int = 0,
                    probe_eta: float = 0.05, out: str | None = None,
                    force: bool = False) -> list[TailRow]:

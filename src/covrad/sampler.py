@@ -11,11 +11,9 @@ order nor a reduction order moves the stream (see `_cantor_points`).
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtri
@@ -56,11 +54,7 @@ class SeedSpec:
 class SampleSet:
     domain: Domain
     seed: SeedSpec
-    points: np.ndarray  # (N, ambient_dim), read-only
-
-    @property
-    def n_points(self) -> int:
-        return self.points.shape[0]
+    points: np.ndarray  # (N, D) in the domain's ambient space, read-only
 
 
 def _uniform_open(rng: np.random.Generator, shape) -> np.ndarray:
@@ -170,31 +164,3 @@ def sample(domain: Domain, n: int, seed: SeedSpec) -> SampleSet:
     pts.setflags(write=False)
     return SampleSet(domain=domain, seed=seed, points=pts)
 
-
-# ---------------------------------------------------------------------------
-# Export
-# ---------------------------------------------------------------------------
-
-
-def save_sample_set(sset: SampleSet, path: str | Path) -> None:
-    """Write little-endian float64 coordinates plus a JSON sidecar."""
-    path = Path(path)
-    sset.points.astype("<f8").tofile(path)
-    sidecar = {
-        "domain": spaces.domain_to_dict(sset.domain),
-        "N": sset.n_points,
-        "seed": {"master_seed": sset.seed.master_seed, "stream_id": sset.seed.stream_id},
-        "generator": GENERATOR_NAME,
-        "ambient_dim": sset.domain.ambient_dim,
-    }
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=2))
-
-
-def load_sample_set(path: str | Path) -> SampleSet:
-    path = Path(path)
-    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    domain = spaces.domain_from_dict(sidecar["domain"])
-    pts = np.fromfile(path, dtype="<f8").reshape(sidecar["N"], sidecar["ambient_dim"])
-    pts.setflags(write=False)
-    seed = SeedSpec(sidecar["seed"]["master_seed"], sidecar["seed"]["stream_id"])
-    return SampleSet(domain=domain, seed=seed, points=pts)

@@ -7,7 +7,6 @@ implemented per kind, and users cannot register new kinds.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -46,10 +45,6 @@ class Sphere:
         return self.d
 
     @property
-    def ambient_dim(self) -> int:
-        return self.d + 1
-
-    @property
     def diameter(self) -> float:
         return 2.0
 
@@ -67,10 +62,6 @@ class Ball:
 
     @property
     def intrinsic_dim(self) -> float:
-        return self.d
-
-    @property
-    def ambient_dim(self) -> int:
         return self.d
 
     @property
@@ -94,10 +85,6 @@ class Cube:
         return self.d
 
     @property
-    def ambient_dim(self) -> int:
-        return self.d
-
-    @property
     def diameter(self) -> float:
         return math.sqrt(self.d)
 
@@ -113,10 +100,6 @@ class IntervalUniform:
         return 1
 
     @property
-    def ambient_dim(self) -> int:
-        return 1
-
-    @property
     def diameter(self) -> float:
         return 1.0
 
@@ -129,10 +112,6 @@ class ArcsineInterval:
 
     @property
     def intrinsic_dim(self) -> float:
-        return 1
-
-    @property
-    def ambient_dim(self) -> int:
         return 1
 
     @property
@@ -164,10 +143,6 @@ class Polyline:
     @property
     def intrinsic_dim(self) -> float:
         return 1
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.vertices.shape[1]
 
     @property
     def diameter(self) -> float:
@@ -276,10 +251,6 @@ class Polyhedron3:
         return 3
 
     @property
-    def ambient_dim(self) -> int:
-        return 3
-
-    @property
     def diameter(self) -> float:
         lo = self.vertices.min(axis=0)
         hi = self.vertices.max(axis=0)
@@ -321,10 +292,6 @@ class Cantor:
         return LOG2_OVER_LOG3
 
     @property
-    def ambient_dim(self) -> int:
-        return 1
-
-    @property
     def diameter(self) -> float:
         return 1.0
 
@@ -349,9 +316,7 @@ def hausdorff_mass(domain: Domain) -> float:
         return domain.total_length
     if isinstance(domain, Polyhedron3):
         return domain.volume
-    raise UnsupportedDomainError(
-        f"no single mass constant for {domain.kind}; use regularity_witness instead"
-    )
+    raise UnsupportedDomainError(f"no single mass constant for {domain.kind}")
 
 
 def min_dihedral_angle(domain: Polyhedron3) -> float:
@@ -448,111 +413,6 @@ def limit_constant(domain: Domain, p: float = 1.0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Regularity witnesses
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RegularityWitness:
-    """Two-sided bound c_lower * Phi(r) <= mu(B(x,r)) <= c_upper * Phi(r) for r < r0.
-
-    Phi(r) = r^s (power law) or r^alpha * log^beta(1/r).
-    """
-
-    s: float
-    c_lower: float
-    c_upper: float
-    r0: float
-    log_beta: float = 0.0
-
-    def __post_init__(self):
-        if not (0 < self.c_lower <= self.c_upper):
-            raise ValueError("need 0 < c_lower <= c_upper")
-        if self.r0 <= 0 or self.s <= 0 or self.log_beta < 0:
-            raise ValueError("need r0 > 0, s > 0, log_beta >= 0")
-
-    def phi(self, r: float) -> float:
-        out = r**self.s
-        if self.log_beta:
-            out *= math.log(1.0 / r) ** self.log_beta
-        return out
-
-
-def regularity_witness(domain: Domain) -> RegularityWitness:
-    """Built-in regularity witness (w.r.t. the normalized measure) per kind.
-
-    Constants are conservative hand proofs; the sampler/covering test suite
-    spot-checks them by Monte Carlo ball-measure estimation. The arcsine
-    witness is only valid on the interior window [-3/4, 3/4]. Polyhedron
-    constants assume convexity and are computed exactly, not estimated:
-    c_lower from the smallest vertex solid angle (Gauss-Bonnet over the
-    dihedral angles) and r0 as half the shortest edge. Both need the edge
-    data, so a polyhedron without edges raises ValueError.
-    """
-    if isinstance(domain, IntervalUniform):
-        return RegularityWitness(s=1, c_lower=1.0, c_upper=2.0, r0=0.5)
-    if isinstance(domain, ArcsineInterval):
-        # density on [-3/4, 3/4] lies in [1/pi, 1/(pi sqrt(7/16))]
-        return RegularityWitness(
-            s=1, c_lower=1.0 / math.pi, c_upper=2.0 / (math.pi * math.sqrt(7.0 / 16.0)), r0=0.125
-        )
-    if isinstance(domain, Cube):
-        d = domain.d
-        ud = unit_ball_volume(d)
-        return RegularityWitness(s=d, c_lower=ud / 2**d, c_upper=ud, r0=0.5)
-    if isinstance(domain, Sphere):
-        d = domain.d
-        area = (d + 1) * unit_ball_volume(d + 1)
-        ud = unit_ball_volume(d)
-        # geodesic cap radius phi(r) in [r, pi r / 2]; sin t in [2t/pi, t]
-        return RegularityWitness(
-            s=d,
-            c_lower=ud * (2.0 / math.pi) ** (d - 1) / area,
-            c_upper=ud * (math.pi / 2.0) ** d / area,
-            r0=2.0,
-        )
-    if isinstance(domain, Ball):
-        d = domain.d
-        # ball of radius r/2 tangent inward at the worst (boundary) point
-        return RegularityWitness(s=d, c_lower=0.5**d, c_upper=1.0, r0=1.0)
-    if isinstance(domain, Polyline):
-        n_edges = len(domain.edge_lengths)
-        length = domain.total_length
-        return RegularityWitness(
-            s=1, c_lower=1.0 / length, c_upper=2.0 * n_edges / length, r0=length / 2.0
-        )
-    if isinstance(domain, Polyhedron3):
-        omega = _min_vertex_solid_angle(domain)
-        r0 = float(min(np.linalg.norm(domain.vertices[e[1]] - domain.vertices[e[0]])
-                       for e in domain.edges)) / 2.0
-        return RegularityWitness(
-            s=3,
-            c_lower=omega / (3.0 * domain.volume),
-            c_upper=unit_ball_volume(3) / domain.volume,
-            r0=r0,
-        )
-    if isinstance(domain, Cantor):
-        # cylinder counting: mu(B(x,r)) in [r^s / 2, 4 r^s] for r < 1/3
-        return RegularityWitness(s=LOG2_OVER_LOG3, c_lower=0.5, c_upper=4.0, r0=1.0 / 3.0)
-    raise UnsupportedDomainError(f"no witness for {domain!r}")
-
-
-def _min_vertex_solid_angle(domain: Polyhedron3) -> float:
-    """Smallest vertex solid angle (steradians), exact by Gauss-Bonnet.
-
-    Around vertex v the solid is a cone over a spherical polygon whose corner
-    angles are the dihedral angles theta_e of the k_v edges at v, so its
-    solid angle is sum_e theta_e - (k_v - 2) pi.
-    """
-    theta = _dihedral_angles(domain)
-    ends = np.array([e[:2] for e in domain.edges]).ravel()
-    k = np.bincount(ends, minlength=len(domain.vertices))
-    total = np.bincount(ends, weights=np.repeat(theta, 2), minlength=len(domain.vertices))
-    # a vertex on no edge is interior to the decomposition and has no cone
-    return float((total - (k - 2) * math.pi)[k > 0].min())
-
-
-# ---------------------------------------------------------------------------
 # JSON catalog serialization
 # ---------------------------------------------------------------------------
 
@@ -601,14 +461,6 @@ def domain_from_dict(doc: dict) -> Domain:
     if kind == "Cantor":
         return Cantor(int(params.get("depth", 40)))
     raise UnsupportedDomainError(f"unknown domain kind {kind!r}")
-
-
-def domain_to_json(domain: Domain) -> str:
-    return json.dumps(domain_to_dict(domain))
-
-
-def domain_from_json(text: str) -> Domain:
-    return domain_from_dict(json.loads(text))
 
 
 def unit_box_polyhedron() -> Polyhedron3:

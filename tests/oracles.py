@@ -1,0 +1,193 @@
+"""Reference values that only the tests use: regularity witnesses of the catalog
+domains, ball measures, and the exact expected covering radius on the circle.
+
+No study, CLI command or tool computes from these; the tests check the library
+against them, and the witness spot-check checks them against measured ball
+masses.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from covrad.errors import UnsupportedDomainError
+from covrad.sampler import SeedSpec, sample
+from covrad.spaces import (
+    LOG2_OVER_LOG3,
+    ArcsineInterval,
+    Ball,
+    Cantor,
+    Cube,
+    Domain,
+    IntervalUniform,
+    Polyhedron3,
+    Polyline,
+    Sphere,
+    _dihedral_angles,
+    unit_ball_volume,
+)
+
+# ---------------------------------------------------------------------------
+# Regularity witnesses
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RegularityWitness:
+    """Two-sided bound c_lower * Phi(r) <= mu(B(x,r)) <= c_upper * Phi(r) for r < r0.
+
+    Phi(r) = r^s (power law) or r^alpha * log^beta(1/r).
+    """
+
+    s: float
+    c_lower: float
+    c_upper: float
+    r0: float
+    log_beta: float = 0.0
+
+    def __post_init__(self):
+        if not (0 < self.c_lower <= self.c_upper):
+            raise ValueError("need 0 < c_lower <= c_upper")
+        if self.r0 <= 0 or self.s <= 0 or self.log_beta < 0:
+            raise ValueError("need r0 > 0, s > 0, log_beta >= 0")
+
+    def phi(self, r: float) -> float:
+        out = r**self.s
+        if self.log_beta:
+            out *= math.log(1.0 / r) ** self.log_beta
+        return out
+
+
+def regularity_witness(domain: Domain) -> RegularityWitness:
+    """Built-in regularity witness (w.r.t. the normalized measure) per kind.
+
+    Constants are conservative hand proofs; the test suite spot-checks them
+    by Monte Carlo ball-measure estimation. The arcsine witness is only valid
+    on the interior window [-3/4, 3/4]. Polyhedron constants assume convexity
+    and are computed exactly, not estimated: c_lower from the smallest vertex
+    solid angle (Gauss-Bonnet over the dihedral angles) and r0 as half the
+    shortest edge. Both need the edge data, so a polyhedron without edges
+    raises ValueError.
+    """
+    if isinstance(domain, IntervalUniform):
+        return RegularityWitness(s=1, c_lower=1.0, c_upper=2.0, r0=0.5)
+    if isinstance(domain, ArcsineInterval):
+        # density on [-3/4, 3/4] lies in [1/pi, 1/(pi sqrt(7/16))]
+        return RegularityWitness(
+            s=1, c_lower=1.0 / math.pi, c_upper=2.0 / (math.pi * math.sqrt(7.0 / 16.0)), r0=0.125
+        )
+    if isinstance(domain, Cube):
+        d = domain.d
+        ud = unit_ball_volume(d)
+        return RegularityWitness(s=d, c_lower=ud / 2**d, c_upper=ud, r0=0.5)
+    if isinstance(domain, Sphere):
+        d = domain.d
+        area = (d + 1) * unit_ball_volume(d + 1)
+        ud = unit_ball_volume(d)
+        # geodesic cap radius phi(r) in [r, pi r / 2]; sin t in [2t/pi, t]
+        return RegularityWitness(
+            s=d,
+            c_lower=ud * (2.0 / math.pi) ** (d - 1) / area,
+            c_upper=ud * (math.pi / 2.0) ** d / area,
+            r0=2.0,
+        )
+    if isinstance(domain, Ball):
+        d = domain.d
+        # ball of radius r/2 tangent inward at the worst (boundary) point
+        return RegularityWitness(s=d, c_lower=0.5**d, c_upper=1.0, r0=1.0)
+    if isinstance(domain, Polyline):
+        n_edges = len(domain.edge_lengths)
+        length = domain.total_length
+        return RegularityWitness(
+            s=1, c_lower=1.0 / length, c_upper=2.0 * n_edges / length, r0=length / 2.0
+        )
+    if isinstance(domain, Polyhedron3):
+        omega = _min_vertex_solid_angle(domain)
+        r0 = float(min(np.linalg.norm(domain.vertices[e[1]] - domain.vertices[e[0]])
+                       for e in domain.edges)) / 2.0
+        return RegularityWitness(
+            s=3,
+            c_lower=omega / (3.0 * domain.volume),
+            c_upper=unit_ball_volume(3) / domain.volume,
+            r0=r0,
+        )
+    if isinstance(domain, Cantor):
+        # cylinder counting: mu(B(x,r)) in [r^s / 2, 4 r^s] for r < 1/3
+        return RegularityWitness(s=LOG2_OVER_LOG3, c_lower=0.5, c_upper=4.0, r0=1.0 / 3.0)
+    raise UnsupportedDomainError(f"no witness for {domain!r}")
+
+
+def _min_vertex_solid_angle(domain: Polyhedron3) -> float:
+    """Smallest vertex solid angle (steradians), exact by Gauss-Bonnet.
+
+    Around vertex v the solid is a cone over a spherical polygon whose corner
+    angles are the dihedral angles theta_e of the k_v edges at v, so its
+    solid angle is sum_e theta_e - (k_v - 2) pi.
+    """
+    theta = _dihedral_angles(domain)
+    ends = np.array([e[:2] for e in domain.edges]).ravel()
+    k = np.bincount(ends, minlength=len(domain.vertices))
+    total = np.bincount(ends, weights=np.repeat(theta, 2), minlength=len(domain.vertices))
+    # a vertex on no edge is interior to the decomposition and has no cone
+    return float((total - (k - 2) * math.pi)[k > 0].min())
+
+
+# ---------------------------------------------------------------------------
+# Ball measures
+# ---------------------------------------------------------------------------
+
+
+def _arcsine_cdf(x: float) -> float:
+    return 1.0 - math.acos(min(1.0, max(-1.0, x))) / math.pi
+
+
+def ball_measure(
+    domain: Domain,
+    center,
+    r: float,
+    mc_budget: int = 100_000,
+    seed: SeedSpec | None = None,
+) -> tuple[float, float]:
+    """Normalized measure of the ball B(center, r): (estimate, 99% CI half-width).
+
+    Exact closed forms for the interval, arcsine interval and circle
+    (half-width 0); Monte Carlo with a binomial normal-approximation CI
+    otherwise.
+    """
+    if r <= 0:
+        raise ValueError("radius must be positive")
+    c = np.asarray(center, dtype=float).ravel()
+    if isinstance(domain, IntervalUniform):
+        return max(0.0, min(1.0, c[0] + r) - max(0.0, c[0] - r)), 0.0
+    if isinstance(domain, ArcsineInterval):
+        return _arcsine_cdf(c[0] + r) - _arcsine_cdf(c[0] - r), 0.0
+    if isinstance(domain, Sphere) and domain.d == 1:
+        if r >= 2.0:
+            return 1.0, 0.0
+        return 2.0 * math.asin(r / 2.0) / math.pi, 0.0
+
+    if mc_budget < 100:
+        raise ValueError("Monte Carlo ball measure needs a budget of at least 100")
+    seed = seed or SeedSpec(0, 0)
+    pts = sample(domain, mc_budget, seed).points
+    hits = np.linalg.norm(pts - c, axis=1) <= r
+    p = float(hits.mean())
+    half = 2.576 * math.sqrt(max(p * (1.0 - p), 1.0 / mc_budget) / mc_budget)
+    return p, half
+
+
+# ---------------------------------------------------------------------------
+# Circle expectation
+# ---------------------------------------------------------------------------
+
+
+def circle_expectation_oracle(n: int, circumference: float = 2.0 * math.pi) -> float:
+    """Exact expected arclength covering radius of N uniform points on a
+    circle: half the expected maximal spacing, L * H_N / (2N)."""
+    if n < 1:
+        raise ValueError("need at least one point")
+    harmonic = sum(1.0 / k for k in range(1, n + 1))
+    return circumference * harmonic / (2.0 * n)

@@ -4,6 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from oracles import circle_expectation_oracle
 from test_acceptance import circle_chord_expectation
 
 from covrad.cli import main as cli_main
@@ -15,7 +16,6 @@ from covrad.experiments import (
     _run_study,
     _trial_verdict,
     check_budget,
-    circle_expectation_oracle,
     dump_f_grid,
     estimate_cost,
     load_bands,

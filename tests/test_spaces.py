@@ -1,9 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from oracles import RegularityWitness, ball_measure, regularity_witness
 
 from covrad.errors import InvalidGeometryError, UnsupportedDomainError
+from covrad.sampler import SeedSpec, sample
 from covrad.spaces import (
     ArcsineInterval,
     Ball,
@@ -13,14 +16,12 @@ from covrad.spaces import (
     LOG2_OVER_LOG3,
     Polyhedron3,
     Polyline,
-    RegularityWitness,
     Sphere,
-    domain_from_json,
-    domain_to_json,
+    domain_from_dict,
+    domain_to_dict,
     hausdorff_mass,
     limit_constant,
     min_dihedral_angle,
-    regularity_witness,
     unit_ball_volume,
     unit_box_polyhedron,
 )
@@ -318,10 +319,7 @@ class TestRegularityWitness:
 
     def test_witness_bounds_empirically(self):
         # Monte Carlo ball measures must respect the witness band.
-        from covrad.covering import ball_measure
-        from covrad.sampler import SeedSpec, sample
-
-        for domain in (Cube(2), Ball(2)):
+        for domain in (Cube(2), Ball(2), Sphere(2), unit_box_polyhedron(), Cantor(20)):
             w = regularity_witness(domain)
             centers = sample(domain, 25, SeedSpec(11, 0)).points
             rng = np.random.default_rng(12)
@@ -334,14 +332,15 @@ class TestRegularityWitness:
 
 class TestSerialization:
     def test_round_trip_all_kinds(self):
+        # the way the CLI writes and reads domain files
         domains = [
             Sphere(2), Ball(3), Cube(4), IntervalUniform(), ArcsineInterval(),
             Cantor(20), Polyline([[0, 0], [1, 0], [1, 2]]), unit_box_polyhedron(),
         ]
         for domain in domains:
-            again = domain_from_json(domain_to_json(domain))
+            again = domain_from_dict(json.loads(json.dumps(domain_to_dict(domain))))
             assert again == domain
 
     def test_unknown_kind(self):
         with pytest.raises(UnsupportedDomainError):
-            domain_from_json('{"kind": "Torus", "params": {}}')
+            domain_from_dict({"kind": "Torus", "params": {}})
