@@ -26,7 +26,7 @@ from .spaces import (
 @dataclass(frozen=True)
 class CoveringRadiusInterval:
     """Certified enclosure [lower, upper] of the covering radius, with
-    upper = lower + probe_mesh."""
+    upper = lower + probe_mesh; probe_mesh is 0 where the radius is exact."""
 
     lower: float
     upper: float
@@ -202,6 +202,13 @@ def _line_range(domain: Domain) -> tuple[float, float] | None:
     return None
 
 
+def has_exact_path(domain: Domain) -> bool:
+    """Whether studies take the covering radius exactly, with no probe net:
+    the interval, arcsine interval, Cantor set and circle. Polylines stay on
+    nets, because their exact radius costs O(N^2)."""
+    return _line_range(domain) is not None or (isinstance(domain, Sphere) and domain.d == 1)
+
+
 def covering_radius_1d(domain: Domain, x: SampleSet | np.ndarray) -> float:
     """Exact covering radius on the one-dimensional domains: the interval, the
     arcsine interval and the circle from sorted gaps, polylines from the lower
@@ -267,14 +274,20 @@ def covering_radius_window(
 
 
 def covering_radius_bounds(
-    domain: Domain, x: SampleSet | np.ndarray, probe: ProbeNet
+    domain: Domain, x: SampleSet | np.ndarray, probe: ProbeNet | None
 ) -> CoveringRadiusInterval:
-    """Sandwich [L, L + delta] for the covering radius from a certified probe net.
+    """Certified enclosure [L, U] of the covering radius.
 
-    L maximizes the nearest-sample distance over probe points, so L <= rho;
-    any domain point is within delta of a probe point, so rho <= L + delta.
-    L is found from the probe cells that can hold it, bit for bit (covrad.nets).
+    With no probe net, L = U = covering_radius_1d(domain, x) and probe_mesh
+    is 0 (UnsupportedDomainError off the one-dimensional domains). With a
+    certified probe net of mesh delta, U = L + delta: L maximizes the
+    nearest-sample distance over probe points, so L <= rho, and any domain
+    point is within delta of a probe point, so rho <= L + delta. L is found
+    from the probe cells that can hold it, bit for bit (covrad.nets).
     """
+    if probe is None:
+        rho = covering_radius_1d(domain, x)
+        return CoveringRadiusInterval(lower=rho, upper=rho, probe_mesh=0.0)
     if probe.domain != domain:
         raise ValueError("probe net was certified for a different domain")
     lower = probe.max_nearest_distance(build_index(_points(domain, x)))
@@ -288,11 +301,15 @@ def covering_radius_bounds(
 # ---------------------------------------------------------------------------
 
 
-def is_eps_net(domain: Domain, a_points, eps: float, probe: ProbeNet) -> NetVerdict:
-    """Is `a_points` an eps-net of the domain (covering radius <= eps)?"""
+def is_eps_net(domain: Domain, a_points, eps: float, probe: ProbeNet | None) -> NetVerdict:
+    """Is `a_points` an eps-net of the domain (covering radius <= eps)?
+
+    From covering_radius_bounds(domain, a_points, probe): YES where U <= eps,
+    NO where L > eps, else UNKNOWN. With no probe net L = U, so the verdict
+    is exact and never UNKNOWN."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    bounds = covering_radius_bounds(domain, np.asarray(a_points, dtype=float), probe)
+    bounds = covering_radius_bounds(domain, a_points, probe)
     if bounds.upper <= eps:
         return NetVerdict(Verdict.YES, eps - bounds.upper)
     if bounds.lower > eps:

@@ -22,20 +22,17 @@ import numpy as np
 from . import __version__
 from .covering import (
     WindowSpec,
-    covering_radius_1d,
     covering_radius_bounds,
     covering_radius_window,
-    is_eps_net,
+    has_exact_path,
     probe_mesh_for,
     rho_scale,
-    Verdict,
 )
 from .errors import BudgetExceededError, UnsupportedDomainError
 from .nets import build_probe_net
 from .sampler import GENERATOR_NAME, SeedSpec, sample
 from .spaces import (
     ArcsineInterval,
-    Cantor,
     Cube,
     Domain,
     IntervalUniform,
@@ -171,11 +168,10 @@ def _fmt(v) -> str:
 
 def estimate_cost(domain: Domain, n: int, trials: int, eta: float) -> float:
     """Rough count of distance evaluations: T * (N + P * q), q ~ log2 N."""
-    if _has_exact_1d_path(domain):
+    if has_exact_path(domain):
         probe_count = 0.0
     else:
-        mesh = probe_mesh_for(domain, n, eta)
-        probe_count = _probe_count_estimate(domain, mesh)
+        probe_count = _probe_count_estimate(domain, probe_mesh_for(domain, n, eta))
     return trials * (n + probe_count * max(1.0, math.log2(n)))
 
 
@@ -198,46 +194,18 @@ def check_budget(domain: Domain, n_grid, trials: int, eta: float, force: bool = 
 
 
 # ---------------------------------------------------------------------------
-# Per-trial kernels: kernel(domain, n, seed, prepared) for one trial
+# Per-trial kernels: kernel(domain, n, seed, net) for one trial
 # ---------------------------------------------------------------------------
 
 
-def _has_exact_1d_path(domain: Domain) -> bool:
-    return isinstance(domain, (IntervalUniform, ArcsineInterval, Cantor)) or (
-        isinstance(domain, Sphere) and domain.d == 1
-    )
+def _net(domain: Domain, mesh: float):
+    """The probe net of a study's trials at one N, or None on the exact paths."""
+    return None if has_exact_path(domain) else build_probe_net(domain, mesh)
 
 
-def _probe_for(domain: Domain, n: int, eta: float):
-    if _has_exact_1d_path(domain):
-        return None
-    return build_probe_net(domain, probe_mesh_for(domain, n, eta))
-
-
-def _trial_bounds(domain: Domain, n: int, seed: SeedSpec, probe) -> tuple[float, float]:
-    sset = sample(domain, n, seed)
-    if probe is None:
-        rho = covering_radius_1d(domain, sset)
-        return rho, rho
-    b = covering_radius_bounds(domain, sset, probe)
+def _trial_bounds(domain: Domain, n: int, seed: SeedSpec, net) -> tuple[float, float]:
+    b = covering_radius_bounds(domain, sample(domain, n, seed), net)
     return b.lower, b.upper
-
-
-def _trial_window(domain: ArcsineInterval, n: int, seed: SeedSpec, window: WindowSpec) -> float:
-    return covering_radius_window(domain, sample(domain, n, seed), window, n)
-
-
-def _trial_verdict(domain: Domain, n: int, seed: SeedSpec, eps_probe) -> tuple[bool, bool]:
-    """(YES, YES or UNKNOWN) for one configuration. With no probe (the exact
-    1-D paths) both are rho <= eps, so UNKNOWN never occurs; otherwise they
-    come from is_eps_net's sandwich against the probe net."""
-    eps, probe = eps_probe
-    sset = sample(domain, n, seed)
-    if probe is None:
-        yes = covering_radius_1d(domain, sset) <= eps
-        return yes, yes
-    verdict = is_eps_net(domain, sset.points, eps, probe).value
-    return verdict is Verdict.YES, verdict is not Verdict.NO
 
 
 # ---------------------------------------------------------------------------
@@ -247,31 +215,30 @@ def _trial_verdict(domain: Domain, n: int, seed: SeedSpec, eps_probe) -> tuple[b
 
 def _run_study(domain: Domain, n_grid, trials: int, master_seed: int, *, reduce,
                header: list[str], echo: dict, out: str | None, eta: float = 0.05,
-               force: bool = False, prepare=None, kernel=_trial_bounds) -> list:
+               force: bool = False, kernel=_trial_bounds) -> list:
     """The trial loop behind every study.
 
     The grid, trials and eta are checked and the cost estimated at eta
-    (check_budget) before the first sample. Per N: prepared = prepare(n),
-    once (by default the probe net at eta, or None on exact paths); then
-    kernel(domain, n, SeedSpec(master_seed, t), prepared) for t in
-    range(trials), stacked in stream order into an array with one row per
-    trial; then reduce(n, prepared, values) yields the output rows. The
-    sidecar echoes the domain, grid, trials and seed plus `echo`, the study's
-    own parameters.
+    (check_budget) before the first sample. Per N: net = _net(domain,
+    probe_mesh_for(domain, n, eta)), once, the net check_budget counted;
+    then kernel(domain, n, SeedSpec(master_seed, t), net) for t in
+    range(trials), by default the trial's (L, U) from covering_radius_bounds,
+    stacked in stream order into an array with one row per trial; then
+    reduce(n, values) yields the output rows. The sidecar echoes the domain,
+    grid, trials and seed plus `echo`, the study's own parameters.
     """
     n_grid = list(n_grid)
     _check_study(n_grid, trials, eta)
     check_budget(domain, n_grid, trials, eta, force)
-    prepare = prepare or (lambda n: _probe_for(domain, n, eta))
     config = {"domain": domain_to_dict(domain), "n_grid": n_grid, "trials": trials,
               "master_seed": master_seed, **echo}
 
     def rows():
         for n in n_grid:
-            prepared = prepare(n)
-            values = np.array([kernel(domain, n, SeedSpec(master_seed, t), prepared)
+            net = _net(domain, probe_mesh_for(domain, n, eta))
+            values = np.array([kernel(domain, n, SeedSpec(master_seed, t), net)
                                for t in range(trials)])
-            yield from reduce(n, prepared, values)
+            yield from reduce(n, values)
 
     return _write_rows(rows(), header, config, out)
 
@@ -313,7 +280,7 @@ def run_expectation_study(config: StudyConfig) -> list[StudyRow]:
     except UnsupportedDomainError:
         target = None
 
-    def reduce(n, probe, bounds):
+    def reduce(n, bounds):
         # float ** per value: NumPy's vectorised power may round differently
         lows, ups = (np.array([b**config.p for b in col]) for col in bounds.T.tolist())
         mids = (lows + ups) / 2.0
@@ -344,7 +311,7 @@ def run_tail_study(domain: Domain, n: int, trials: int, thresholds=None, master_
     ):
         raise ValueError("thresholds must be nonnegative and increasing")
 
-    def reduce(n, probe, bounds):
+    def reduce(n, bounds):
         for thr in thresholds:
             yield TailRow(n=n, threshold=thr,
                           prob_lower_exceeds=float((bounds[:, 0] >= thr).mean()),
@@ -367,7 +334,7 @@ def run_zn_study(d: int, n_grid, trials: int, master_seed: int = 0, probe_eta: f
     domain = Sphere(d)
     scale_const = unit_ball_volume(d) / ((d + 1) * unit_ball_volume(d + 1))
 
-    def reduce(n, probe, bounds):
+    def reduce(n, bounds):
         factor = (scale_const * n / math.log(n)) ** (1.0 / d)
         zs = (bounds[:, 0] + bounds[:, 1]) / 2.0 * factor
         yield ZnRow(n=n, trials=trials, mean=float(zs.mean()), stdev=float(zs.std(ddof=1)),
@@ -387,7 +354,10 @@ def run_arcsine_study(a_exponent: float, side: str, n_grid, trials: int, master_
     two-sided-bound rate for the given window regime."""
     window = WindowSpec(a_exponent=a_exponent, side=side)
 
-    def reduce(n, window, vals):
+    def kernel(domain, n, seed, net):
+        return covering_radius_window(domain, sample(domain, n, seed), window, n)
+
+    def reduce(n, vals):
         if side == "interior":
             rescale = n / math.log(n)
         elif a_exponent >= 2.0:
@@ -402,7 +372,7 @@ def run_arcsine_study(a_exponent: float, side: str, n_grid, trials: int, master_
     return _run_study(
         ArcsineInterval(), n_grid, trials, master_seed, reduce=reduce, header=_STUDY_HEADER,
         echo={"study": "arcsine", "a_exponent": a_exponent, "side": side}, out=out,
-        force=force, prepare=lambda n: window, kernel=_trial_window)
+        force=force, kernel=kernel)
 
 
 def run_random_vs_structured(d: int, n_grid, trials: int, master_seed: int = 0,
@@ -414,7 +384,7 @@ def run_random_vs_structured(d: int, n_grid, trials: int, master_seed: int = 0,
         raise ValueError("random-vs-structured study supports d in {1, 2, 3}")
     domain = IntervalUniform() if d == 1 else Cube(d)
 
-    def reduce(n, probe, bounds):
+    def reduce(n, bounds):
         mean = float(((bounds[:, 0] + bounds[:, 1]) / 2.0).mean())
         k = int(math.floor(n ** (1.0 / d)))
         grid_rho = math.sqrt(d) / (2.0 * k)  # centered k^d lattice, exact
@@ -433,27 +403,23 @@ def run_epsnet_study(domain: Domain, n_grid, trials: int, c_mult: float, master_
     """Fraction of random configurations that form an eps-net at
     eps = c_mult * (mass/upsilon_s * log N / N)^(1/s).
 
-    On the exact 1-D paths each verdict is rho <= eps from the exact covering
-    radius, with no probe net, so yes_fraction == yes_or_unknown_fraction.
-    Elsewhere is_eps_net decides against a probe net of mesh eps/20, and a
-    trial whose sandwich straddles eps counts only as YES or UNKNOWN."""
+    Each trial's verdict reduces its covering_radius_bounds as is_eps_net
+    does: YES where U <= eps, YES or UNKNOWN where L <= eps. The probe net
+    has mesh probe_mesh_for(domain, N, c_mult/20) = eps/20 up to rounding.
+    On the exact paths L = U, so yes_fraction == yes_or_unknown_fraction."""
     if c_mult <= 0:
         raise ValueError("c_mult must be positive")
 
-    def prepare(n):
+    def reduce(n, bounds):
         eps = c_mult * rho_scale(domain, n)
-        return eps, None if _has_exact_1d_path(domain) else build_probe_net(domain, eps / 20.0)
-
-    def reduce(n, eps_probe, verdicts):
-        yield {"N": n, "T": trials, "eps": eps_probe[0],
-               "yes_fraction": int(verdicts[:, 0].sum()) / trials,
-               "yes_or_unknown_fraction": int(verdicts[:, 1].sum()) / trials}
+        yield {"N": n, "T": trials, "eps": eps,
+               "yes_fraction": int((bounds[:, 1] <= eps).sum()) / trials,
+               "yes_or_unknown_fraction": int((bounds[:, 0] <= eps).sum()) / trials}
 
     return _run_study(
         domain, n_grid, trials, master_seed, reduce=reduce,
         header=["N", "T", "eps", "yes_fraction", "yes_or_unknown_fraction"],
-        echo={"study": "epsnet", "c_mult": c_mult}, out=out, eta=c_mult / 20.0, force=force,
-        prepare=prepare, kernel=_trial_verdict)
+        echo={"study": "epsnet", "c_mult": c_mult}, out=out, eta=c_mult / 20.0, force=force)
 
 
 def dump_f_grid(n_values, n_cell_measures, m_values, out: str | None = None) -> list[dict]:

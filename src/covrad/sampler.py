@@ -3,7 +3,11 @@
 Streams are counter-based: SeedSpec(master_seed, stream_id) keys a Philox
 generator, so trial t of a study can be regenerated in isolation and results
 do not depend on scheduling. Gaussian variates are produced by inverse-CDF
-from the uniform stream to keep the stream contract exact across platforms.
+(`ndtri`) from the uniform stream, one per uniform. `ndtri` and the arcsine
+sampler's `np.cos` call the C library's math functions, so sphere, ball and
+arcsine streams may differ in the last bits on another platform; cube,
+interval, polyline, polyhedron and Cantor streams use only IEEE arithmetic.
+The tests pin each catalog domain's stream by SHA-256 on one platform.
 Cantor digits are bits of raw Philox words, read with shifts and masks and
 summed by elementwise IEEE arithmetic with no BLAS call, so neither byte
 order nor a reduction order moves the stream (see `_cantor_points`).

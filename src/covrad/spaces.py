@@ -8,6 +8,7 @@ implemented per kind, and users cannot register new kinds.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -439,15 +440,24 @@ def domain_to_dict(domain: Domain) -> dict:
     raise UnsupportedDomainError(f"cannot serialize {domain!r}")
 
 
+def _int_param(params: dict, key: str, default=None) -> int:
+    """An integer parameter of a domain document; any other value, a bool
+    included, raises ValueError rather than being truncated."""
+    value = params.get(key, default)
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"domain parameter {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def domain_from_dict(doc: dict) -> Domain:
     kind = doc["kind"]
     params = doc.get("params", {})
     if kind == "Sphere":
-        return Sphere(int(params["d"]))
+        return Sphere(_int_param(params, "d"))
     if kind == "Ball":
-        return Ball(int(params["d"]))
+        return Ball(_int_param(params, "d"))
     if kind == "Cube":
-        return Cube(int(params["d"]))
+        return Cube(_int_param(params, "d"))
     if kind == "IntervalUniform":
         return IntervalUniform()
     if kind == "ArcsineInterval":
@@ -459,7 +469,7 @@ def domain_from_dict(doc: dict) -> Domain:
             params["vertices"], params["tetrahedra"], params["faces"], params["edges"]
         )
     if kind == "Cantor":
-        return Cantor(int(params.get("depth", 40)))
+        return Cantor(_int_param(params, "depth", 40))
     raise UnsupportedDomainError(f"unknown domain kind {kind!r}")
 
 

@@ -134,3 +134,15 @@ def test_fgrid_rejects_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"trials": 3}))
     _exit_1(["fgrid", "--config", str(cfg)], capsys)
+
+
+@pytest.mark.parametrize("params", [{"kind": "Sphere", "params": {"d": 1.9}},
+                                    {"kind": "Cube", "params": {"d": True}},
+                                    {"kind": "Cantor", "params": {"depth": 12.9}}])
+def test_rejects_non_integer_domain_parameter(params, tmp_path, capsys):
+    dom = tmp_path / "domain.json"
+    dom.write_text(json.dumps(params))
+    out = tmp_path / "s.csv"
+    _exit_1(["study", "--domain", str(dom), "--n-grid", "50", "--trials", "2",
+             "--out", str(out)], capsys)
+    assert list(tmp_path.iterdir()) == [dom]

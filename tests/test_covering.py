@@ -545,6 +545,45 @@ class TestEpsNetVerdicts:
             is_eps_net(IntervalUniform(), [0.5], 0.0, net)
 
 
+EXACT_DOMAINS = [IntervalUniform(), ArcsineInterval(), Sphere(1), Cantor(40),
+                 Polyline([[0.0, 0.0], [1.0, 0.0], [1.0, 2.0]])]
+
+
+class TestExactBounds:
+    """With no probe net, covering_radius_bounds and is_eps_net are exact."""
+
+    @pytest.mark.parametrize("domain", EXACT_DOMAINS, ids=repr)
+    def test_bounds_are_the_exact_radius(self, domain):
+        for t in range(3):
+            sset = sample(domain, 150, SeedSpec(21, t))
+            rho = covering_radius_1d(domain, sset)
+            b = covering_radius_bounds(domain, sset, None)
+            assert (b.lower, b.upper, b.probe_mesh) == (rho, rho, 0.0)
+
+    @pytest.mark.parametrize("domain", [Sphere(2), Cube(2)], ids=repr)
+    def test_no_exact_path_off_the_1d_domains(self, domain):
+        sset = sample(domain, 50, SeedSpec(21, 0))
+        with pytest.raises(UnsupportedDomainError):
+            covering_radius_bounds(domain, sset, None)
+        with pytest.raises(UnsupportedDomainError):
+            is_eps_net(domain, sset, 0.5, None)
+
+    @pytest.mark.parametrize("domain", EXACT_DOMAINS, ids=repr)
+    def test_eps_net_verdicts_are_exact(self, domain):
+        for t in range(3):
+            sset = sample(domain, 150, SeedSpec(22, t))
+            rho = covering_radius_1d(domain, sset)
+            for eps in (rho / 2.0, np.nextafter(rho, 0.0), rho, np.nextafter(rho, 2.0),
+                        2.0 * rho):
+                v = is_eps_net(domain, sset, float(eps), None).value
+                assert v is (Verdict.YES if rho <= eps else Verdict.NO)
+
+    def test_samples_of_another_domain_are_refused(self):
+        sset = sample(Cantor(20), 50, SeedSpec(22, 0))
+        with pytest.raises(ValueError, match="samples drawn on"):
+            is_eps_net(Cantor(40), sset, 0.5, None)
+
+
 class TestProbeMeshScale:
     def test_interval_scale(self):
         n = 1000

@@ -7,14 +7,15 @@ import pytest
 from oracles import circle_expectation_oracle
 from test_acceptance import circle_chord_expectation
 
+from covrad.cli import BUILTIN_DOMAINS
 from covrad.cli import main as cli_main
-from covrad.covering import Verdict, covering_radius_1d, is_eps_net, rho_scale
+from covrad.covering import Verdict, covering_radius_1d, is_eps_net, probe_mesh_for, rho_scale
 from covrad.errors import BudgetExceededError
 from covrad.experiments import (
     StudyConfig,
     StudyWriter,
     _run_study,
-    _trial_verdict,
+    _trial_bounds,
     check_budget,
     dump_f_grid,
     estimate_cost,
@@ -28,7 +29,8 @@ from covrad.experiments import (
 )
 from covrad.nets import build_probe_net
 from covrad.sampler import SeedSpec, sample
-from covrad.spaces import ArcsineInterval, Cantor, Cube, IntervalUniform, Sphere
+from covrad.spaces import (ArcsineInterval, Ball, Cantor, Cube, IntervalUniform, Sphere,
+                           domain_from_dict, unit_box_polyhedron)
 
 
 class TestStudyConfig:
@@ -212,7 +214,7 @@ class TestEpsNetExactPath:
 
         monkeypatch.setattr("covrad.experiments.build_probe_net", no_net)
         for s, rho in zip(seeds, rhos):
-            assert _trial_verdict(dom, self.N, s, (eps, None)) == (rho <= eps, rho <= eps)
+            assert _trial_bounds(dom, self.N, s, None) == (rho, rho)
         row = run_epsnet_study(dom, [self.N], self.T, self.C_MULT, master_seed=4)[0]
         exact = float((rhos <= eps).mean())
         assert row["eps"] == eps
@@ -241,7 +243,7 @@ class TestWriter:
 
         with pytest.raises(RuntimeError, match="kernel failed"):
             _run_study(IntervalUniform(), [20, 30], 3, 0,
-                       reduce=lambda n, prepared, v: [{"N": n}], header=["N"], echo={},
+                       reduce=lambda n, v: [{"N": n}], header=["N"], echo={},
                        out=str(out), kernel=kernel)
 
     def test_failed_study_keeps_earlier_csv(self, tmp_path):
@@ -387,6 +389,56 @@ class TestEpsNetStudy:
     def test_c_mult_validation(self):
         with pytest.raises(ValueError):
             run_epsnet_study(Sphere(1), [100], 5, 0.0, 0)
+
+
+class TestEpsNetNetDomains:
+    """On the net domains a row's fractions are is_eps_net's verdicts on the
+    study's own streams, against the net the budget gate estimates."""
+
+    N_GRID, T, SEED = [100, 300], 10, 6
+
+    @pytest.mark.parametrize("c_mult", [0.5, 1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("dom", [Sphere(2), Ball(2), Cube(2), unit_box_polyhedron()],
+                             ids=["sphere2", "ball2", "cube2", "unit_box"])
+    def test_rows_count_is_eps_net_verdicts(self, dom, c_mult):
+        rows = run_epsnet_study(dom, self.N_GRID, self.T, c_mult, master_seed=self.SEED)
+        for n, row in zip(self.N_GRID, rows, strict=True):
+            eps = c_mult * rho_scale(dom, n)
+            net = build_probe_net(dom, probe_mesh_for(dom, n, c_mult / 20.0))
+            verdicts = [is_eps_net(dom, sample(dom, n, SeedSpec(self.SEED, t)), eps, net).value
+                        for t in range(self.T)]
+            assert row["eps"] == eps
+            assert row["yes_fraction"] == sum(v is Verdict.YES for v in verdicts) / self.T
+            assert row["yes_or_unknown_fraction"] == sum(
+                v is not Verdict.NO for v in verdicts) / self.T
+
+
+class TestGateMatchesRunner:
+    """A study builds a probe net exactly where its budget estimate counts
+    one, at the mesh the estimate uses."""
+
+    @pytest.mark.parametrize("command", ["study", "epsnet"])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_DOMAINS))
+    def test_net_built_where_estimated(self, name, command, monkeypatch, capsys):
+        meshes = []
+
+        def counted(domain, mesh):
+            meshes.append(mesh)
+            return build_probe_net(domain, mesh)
+
+        monkeypatch.setattr("covrad.experiments.build_probe_net", counted)
+        domain = domain_from_dict(BUILTIN_DOMAINS[name])
+        if command == "study":
+            eta = 0.5 if name == "unit_box" else 0.05
+            flag = ["--eta", repr(eta)]
+        else:
+            c_mult = 10.0 if name == "unit_box" else 3.0
+            eta = c_mult / 20.0
+            flag = ["--c-mult", repr(c_mult)]
+        assert cli_main([command, "--domain", name, "--n-grid", "50", "--trials", "2",
+                         *flag]) == 0
+        estimated_net = estimate_cost(domain, 50, 2, eta) > 2 * 50
+        assert meshes == ([probe_mesh_for(domain, 50, eta)] if estimated_net else [])
 
 
 class TestFGrid:

@@ -344,3 +344,21 @@ class TestSerialization:
     def test_unknown_kind(self):
         with pytest.raises(UnsupportedDomainError):
             domain_from_dict({"kind": "Torus", "params": {}})
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "Sphere", "params": {"d": 1.9}},
+        {"kind": "Ball", "params": {"d": 2.0}},
+        {"kind": "Cube", "params": {"d": True}},
+        {"kind": "Cube", "params": {"d": "2"}},
+        {"kind": "Cube", "params": {}},
+        {"kind": "Cantor", "params": {"depth": 12.9}},
+        {"kind": "Cantor", "params": {"depth": False}},
+    ])
+    def test_non_integer_parameters_are_rejected(self, doc):
+        # int() would truncate these to another domain
+        with pytest.raises(ValueError, match="must be an integer"):
+            domain_from_dict(doc)
+
+    def test_integer_parameters_are_kept(self):
+        assert domain_from_dict({"kind": "Sphere", "params": {"d": np.int64(2)}}) == Sphere(2)
+        assert domain_from_dict({"kind": "Cantor"}) == Cantor(40)
