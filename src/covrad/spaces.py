@@ -161,16 +161,19 @@ class Polyline:
 
 
 class Polyhedron3:
-    """Polyhedron in R^3 given by vertices, a tetrahedral decomposition,
-    face polygons, and edges annotated with their two adjacent faces.
+    """Polyhedron in R^3 given by vertices, a tetrahedral decomposition and
+    face polygons.
 
-    The decomposition is supplied, not computed; construction validates that
-    the tetra volumes sum to the face volume and any edges list each side once.
+    The decomposition is supplied, not computed. The faces must be closed and
+    wound consistently, all counterclockwise or all clockwise seen from
+    outside: construction derives the edges from them, requiring each face
+    side to be run once in each direction, and checks that the tetra volumes
+    sum to the face volume.
     """
 
     kind = "Polyhedron3"
 
-    def __init__(self, vertices, tetrahedra, faces, edges):
+    def __init__(self, vertices, tetrahedra, faces):
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 3:
             raise ValueError("vertices must be an (n, 3) array")
@@ -181,14 +184,25 @@ class Polyhedron3:
         self.vertices.setflags(write=False)
         self.tetrahedra = tets
         self.faces = [tuple(int(i) for i in f) for f in faces]
-        # each edge: (vertex_a, vertex_b, face_i, face_j)
-        self.edges = [tuple(int(i) for i in e) for e in edges]
-        if any(len(e) != 4 for e in self.edges):
-            raise ValueError("edges must be (a, b, face_i, face_j) tuples")
-        sides = sorted((*sorted(ab), k) for k, f in enumerate(self.faces)
-                       for ab in zip(f, f[1:] + f[:1]))
-        if self.edges and sides != sorted((*sorted(e[:2]), f) for e in self.edges for f in e[2:]):
-            raise ValueError("edges must list every side of every face exactly once")
+        # each edge: (vertex_a, vertex_b, face_i, face_j), face_i running a -> b
+        # and face_j running b -> a
+        runs = {}
+        for k, f in enumerate(self.faces):
+            for a, b in zip(f, f[1:] + f[:1]):
+                if a == b:
+                    raise InvalidGeometryError(f"face {k} repeats vertex {a}")
+                if (a, b) in runs:
+                    raise InvalidGeometryError(
+                        f"faces {runs[a, b]} and {k} both run side ({a},{b}): "
+                        "faces are not wound consistently")
+                runs[a, b] = k
+        self.edges = []
+        for (a, b), k in runs.items():
+            if (b, a) not in runs:
+                raise InvalidGeometryError(
+                    f"no face runs side ({a},{b}) of face {k} back: faces are not closed")
+            if a < b:
+                self.edges.append((a, b, k, runs[b, a]))
 
         self.tet_volumes = np.array([self._tet_volume(t) for t in tets])
         if np.any(self.tet_volumes <= 0.0):
@@ -203,10 +217,13 @@ class Polyhedron3:
         self.tet_inverses = np.stack([np.linalg.inv(np.column_stack([b - a, c - a, d - a]))
                                       for a, b, c, d in corners])
 
+        # the signed face volume is negative when the faces wind clockwise
+        # seen from outside, so their area vectors point inward
         vol_faces = self._volume_from_faces()
-        if not math.isclose(self.volume, vol_faces, rel_tol=1e-9):
+        self.winding = math.copysign(1.0, vol_faces)
+        if not math.isclose(self.volume, abs(vol_faces), rel_tol=1e-9):
             raise InvalidGeometryError(
-                f"tetra volume sum {self.volume} disagrees with face volume {vol_faces}"
+                f"tetra volume sum {self.volume} disagrees with face volume {abs(vol_faces)}"
             )
 
     def _tet_volume(self, tet) -> float:
@@ -223,14 +240,14 @@ class Polyhedron3:
         return n / 2.0
 
     def _volume_from_faces(self) -> float:
-        # Divergence theorem: V = (1/3) |sum_faces centroid . area_vector|,
-        # with area vectors consistently oriented by the face winding.
+        # Divergence theorem: V = (1/3) sum_faces centroid . area_vector, with
+        # area vectors oriented by the face winding; the sign is the winding's.
         total = 0.0
         for face in self.faces:
             pts = self.vertices[list(face)]
             centroid = pts.mean(axis=0)
             total += float(np.dot(centroid, self.face_normal(face)))
-        return abs(total) / 3.0
+        return total / 3.0
 
     def contains_many(self, points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -263,7 +280,6 @@ class Polyhedron3:
             and np.array_equal(self.vertices, other.vertices)
             and self.tetrahedra == other.tetrahedra
             and self.faces == other.faces
-            and self.edges == other.edges
         )
 
     def __hash__(self):
@@ -328,52 +344,27 @@ def min_dihedral_angle(domain: Polyhedron3) -> float:
 def _dihedral_angles(domain: Polyhedron3) -> np.ndarray:
     """Interior dihedral angle at each edge of a polyhedron, in edge order.
 
-    Each edge carries its two adjacent faces. The wedge angle between the two
-    face half-planes is resolved to the interior side by probing whether the
-    wedge bisector points into the solid, so reflex edges yield angles in
-    (pi, 2pi).
+    With outward unit normals n_i, n_j of the edge's two faces and e the unit
+    vector along the edge in face_i's running direction (reversed when the
+    faces wind clockwise), the angle is pi - atan2((n_i x n_j) . e, n_i . n_j):
+    convex edges get angles in (0, pi) and reflex edges angles in (pi, 2pi).
     """
     if not isinstance(domain, Polyhedron3):
         raise UnsupportedDomainError("dihedral angles are defined for Polyhedron3 only")
-    if not domain.edges:
-        raise ValueError("polyhedron has no edge adjacency data")
-
-    phis, probes = [], []
-    for a, b, fi, fj in domain.edges:
-        pa, pb = domain.vertices[a], domain.vertices[b]
-        e = pb - pa
-        elen = np.linalg.norm(e)
-        if elen == 0.0:
-            raise InvalidGeometryError("degenerate edge")
-        e = e / elen
-        mid = (pa + pb) / 2.0
-
-        dirs = []
-        for f in (fi, fj):
-            face = domain.faces[f]
-            if np.linalg.norm(domain.face_normal(face)) < 1e-14:
-                raise InvalidGeometryError(f"face {f} has zero area")
-            centroid = domain.vertices[list(face)].mean(axis=0)
-            u = centroid - mid
-            u = u - np.dot(u, e) * e
-            norm = np.linalg.norm(u)
-            if norm < 1e-14:
-                raise InvalidGeometryError(f"face {f} is degenerate along edge ({a},{b})")
-            dirs.append(u / norm)
-        u1, u2 = dirs
-
-        phi = math.acos(float(np.clip(np.dot(u1, u2), -1.0, 1.0)))
-        bis = u1 + u2
-        if np.linalg.norm(bis) < 1e-12:
-            phi, probe = math.pi, mid  # flat edge: pi whichever side the probe lands
-        else:
-            bis = bis / np.linalg.norm(bis)
-            eps = 1e-6 * elen
-            probe = mid + eps * bis
-        phis.append(phi)
-        probes.append(probe)
-    phis = np.array(phis)
-    return np.where(domain.contains_many(np.array(probes)), phis, 2.0 * math.pi - phis)
+    normals = np.array([domain.face_normal(f) for f in domain.faces])
+    area = np.linalg.norm(normals, axis=1)
+    if np.any(area < 1e-14):
+        raise InvalidGeometryError(f"face {int(np.argmax(area < 1e-14))} has zero area")
+    normals /= area[:, None]
+    a, b, fi, fj = np.array(domain.edges).T
+    e = domain.vertices[b] - domain.vertices[a]
+    elen = np.linalg.norm(e, axis=1)
+    if np.any(elen == 0.0):
+        raise InvalidGeometryError("degenerate edge")
+    e *= (domain.winding / elen)[:, None]
+    ni, nj = normals[fi], normals[fj]
+    return math.pi - np.arctan2(np.einsum("ij,ij->i", np.cross(ni, nj), e),
+                                np.einsum("ij,ij->i", ni, nj))
 
 
 def limit_constant(domain: Domain, p: float = 1.0) -> float:
@@ -432,7 +423,6 @@ def domain_to_dict(domain: Domain) -> dict:
                 "vertices": domain.vertices.tolist(),
                 "tetrahedra": [list(t) for t in domain.tetrahedra],
                 "faces": [list(f) for f in domain.faces],
-                "edges": [list(e) for e in domain.edges],
             },
         }
     if isinstance(domain, Cantor):
@@ -465,9 +455,7 @@ def domain_from_dict(doc: dict) -> Domain:
     if kind == "Polyline":
         return Polyline(params["vertices"])
     if kind == "Polyhedron3":
-        return Polyhedron3(
-            params["vertices"], params["tetrahedra"], params["faces"], params["edges"]
-        )
+        return Polyhedron3(params["vertices"], params["tetrahedra"], params["faces"])
     if kind == "Cantor":
         return Cantor(_int_param(params, "depth", 40))
     raise UnsupportedDomainError(f"unknown domain kind {kind!r}")
@@ -492,9 +480,4 @@ def unit_box_polyhedron() -> Polyhedron3:
         (1, 2, 6, 5),  # x=1
         (3, 0, 4, 7),  # x=0
     ]
-    edges = [
-        (0, 1, 0, 2), (1, 2, 0, 4), (2, 3, 0, 3), (3, 0, 0, 5),
-        (4, 5, 1, 2), (5, 6, 1, 4), (6, 7, 1, 3), (7, 4, 1, 5),
-        (0, 4, 2, 5), (1, 5, 2, 4), (2, 6, 3, 4), (3, 7, 3, 5),
-    ]
-    return Polyhedron3(verts, tets, faces, edges)
+    return Polyhedron3(verts, tets, faces)

@@ -69,8 +69,7 @@ def regularity_witness(domain: Domain) -> RegularityWitness:
     on the interior window [-3/4, 3/4]. Polyhedron constants assume convexity
     and are computed exactly, not estimated: c_lower from the smallest vertex
     solid angle (Gauss-Bonnet over the dihedral angles) and r0 as half the
-    shortest edge. Both need the edge data, so a polyhedron without edges
-    raises ValueError.
+    shortest edge, over the edges the polyhedron derives from its faces.
     """
     if isinstance(domain, IntervalUniform):
         return RegularityWitness(s=1, c_lower=1.0, c_upper=2.0, r0=0.5)

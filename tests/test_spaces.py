@@ -21,6 +21,7 @@ from covrad.spaces import (
     domain_to_dict,
     hausdorff_mass,
     limit_constant,
+    _dihedral_angles,
     min_dihedral_angle,
     unit_ball_volume,
     unit_box_polyhedron,
@@ -42,23 +43,28 @@ def equilateral_prism():
         (1, 2, 5, 4),     # slanted side
         (2, 0, 3, 5),     # slanted side
     ]
-    edges = [
-        (0, 1, 0, 2), (1, 2, 0, 3), (2, 0, 0, 4),
-        (3, 4, 1, 2), (4, 5, 1, 3), (5, 3, 1, 4),
-        (0, 3, 2, 4), (1, 4, 2, 3), (2, 5, 3, 4),
-    ]
-    return Polyhedron3(verts, tets, faces, edges)
+    return Polyhedron3(verts, tets, faces)
 
 
 def regular_tetrahedron():
     verts = [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]
     tets = [(0, 1, 2, 3)]
     faces = [(0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3)]
-    edges = [
-        (0, 1, 0, 1), (0, 2, 0, 2), (0, 3, 1, 2),
-        (1, 2, 0, 3), (1, 3, 1, 3), (2, 3, 2, 3),
-    ]
-    return Polyhedron3(verts, tets, faces, edges)
+    return Polyhedron3(verts, tets, faces)
+
+
+def l_prism(arm):
+    """Prism of height 1 over the L-shaped ([0,arm]x[0,1] u [0,1]x[0,arm]),
+    arm > 1: one reflex edge, over the corner (1, 1), and 17 right angles."""
+    base = [(0, 0), (arm, 0), (arm, 1), (1, 1), (1, arm), (0, arm)]
+    verts = [[x, y, z] for z in (0, 1) for x, y in base]
+    triangles = [(0, 1, 2), (0, 2, 3), (0, 3, 5), (3, 4, 5)]
+    tets = [t for p, q, r in triangles
+            for t in ((p, q, r, p + 6), (q, r, p + 6, q + 6), (r, p + 6, q + 6, r + 6))]
+    # non-convex bottom and top, star-shaped from their first vertex (0, 0)
+    faces = [(0, 5, 4, 3, 2, 1), tuple(range(6, 12))]
+    faces += [(i, (i + 1) % 6, (i + 1) % 6 + 6, i + 6) for i in range(6)]
+    return Polyhedron3(verts, tets, faces)
 
 
 class TestUnitBallVolume:
@@ -162,6 +168,20 @@ class TestDihedralAngles:
             math.acos(1.0 / 3.0), abs=1e-9
         )
 
+    @pytest.mark.parametrize("arm", [3, 2])
+    def test_l_prism_has_one_reflex_edge(self, arm):
+        # the faces over the L are not convex: the reflex edge is found from
+        # the normals, whatever a face's vertex mean
+        angles = sorted(_dihedral_angles(l_prism(arm)))
+        assert angles == pytest.approx([math.pi / 2.0] * 17 + [3.0 * math.pi / 2.0],
+                                       rel=0, abs=1e-12)
+
+    def test_clockwise_winding_gives_the_same_angles(self):
+        box = unit_box_polyhedron()
+        inward = Polyhedron3(box.vertices, box.tetrahedra, [f[::-1] for f in box.faces])
+        assert np.array_equal(np.sort(_dihedral_angles(inward)),
+                              np.sort(_dihedral_angles(box)))
+
 
 class TestPolyhedronValidation:
     def test_volume_consistency(self):
@@ -175,12 +195,29 @@ class TestPolyhedronValidation:
     def test_inconsistent_decomposition_rejected(self):
         box = unit_box_polyhedron()
         with pytest.raises(InvalidGeometryError):
-            Polyhedron3(box.vertices, box.tetrahedra[:3], box.faces, box.edges)
+            Polyhedron3(box.vertices, box.tetrahedra[:3], box.faces)
 
     def test_degenerate_tet_rejected(self):
         verts = [[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]]
-        with pytest.raises(InvalidGeometryError):
-            Polyhedron3(verts, [(0, 1, 2, 3)], [(0, 1, 2)], [])
+        with pytest.raises(InvalidGeometryError, match="positive volume"):
+            Polyhedron3(verts, [(0, 1, 2, 3)], regular_tetrahedron().faces)
+
+    def test_inconsistent_winding_rejected(self):
+        # the box with its z = 0 face reversed still has volume 1 by the face
+        # sum's absolute value
+        box = unit_box_polyhedron()
+        with pytest.raises(InvalidGeometryError, match="wound consistently"):
+            Polyhedron3(box.vertices, box.tetrahedra, [box.faces[0][::-1]] + box.faces[1:])
+
+    def test_open_surface_rejected(self):
+        box = unit_box_polyhedron()
+        with pytest.raises(InvalidGeometryError, match="not closed"):
+            Polyhedron3(box.vertices, box.tetrahedra, [box.faces[0]] + box.faces[2:])
+
+    def test_repeated_face_vertex_rejected(self):
+        box = unit_box_polyhedron()
+        with pytest.raises(InvalidGeometryError, match="repeats vertex 0"):
+            Polyhedron3(box.vertices, box.tetrahedra, [(0, 0, 3, 2, 1)] + box.faces[1:])
 
     def test_contains(self):
         box = unit_box_polyhedron()
@@ -276,32 +313,15 @@ class TestRegularityWitness:
         w = regularity_witness(unit_box_polyhedron())
         assert w.c_lower == pytest.approx(math.pi / 6.0, rel=0, abs=1e-12)
 
-    def test_incomplete_edges_rejected(self):
-        box = unit_box_polyhedron()
-        with pytest.raises(ValueError):
-            Polyhedron3(box.vertices, box.tetrahedra, box.faces, box.edges[:1])
-        # a side listed twice, or with the wrong face, is rejected too
-        twice = box.edges[:-1] + [box.edges[0]]
-        with pytest.raises(ValueError):
-            Polyhedron3(box.vertices, box.tetrahedra, box.faces, twice)
-        a, b, fi, _ = box.edges[0]
-        wrong_face = [(a, b, fi, 1)] + box.edges[1:]
-        with pytest.raises(ValueError):
-            Polyhedron3(box.vertices, box.tetrahedra, box.faces, wrong_face)
-
-    def test_complete_edges_accepted(self):
-        for poly in (unit_box_polyhedron(), equilateral_prism(), regular_tetrahedron()):
-            again = Polyhedron3(poly.vertices, poly.tetrahedra, poly.faces,
-                                list(reversed(poly.edges)))
-            assert regularity_witness(again) == regularity_witness(poly)
-
-    def test_edgeless_polyhedron_rejected(self):
-        box = unit_box_polyhedron()
-        edgeless = Polyhedron3(box.vertices, box.tetrahedra, box.faces, [])
-        with pytest.raises(ValueError):
-            regularity_witness(edgeless)
-        with pytest.raises(ValueError):
-            min_dihedral_angle(edgeless)
+    @pytest.mark.parametrize("make", [unit_box_polyhedron, equilateral_prism,
+                                      regular_tetrahedron], ids=lambda f: f.__name__)
+    def test_witness_ignores_face_order_and_rotation(self, make):
+        # the edges, and so the witness, come from the faces whatever their
+        # order or the vertex each face's list starts at
+        poly = make()
+        faces = [f[1:] + f[:1] for f in reversed(poly.faces)]
+        again = Polyhedron3(poly.vertices, poly.tetrahedra, faces)
+        assert regularity_witness(again) == regularity_witness(poly)
 
     def test_witness_invariants(self):
         for domain in (IntervalUniform(), ArcsineInterval(), Cube(2), Cube(3),
@@ -340,6 +360,14 @@ class TestSerialization:
         for domain in domains:
             again = domain_from_dict(json.loads(json.dumps(domain_to_dict(domain))))
             assert again == domain
+
+    def test_polyhedron_edges_field_is_ignored(self):
+        # documents written when the edges were an input still load
+        box = unit_box_polyhedron()
+        doc = domain_to_dict(box)
+        doc["params"]["edges"] = [[0, 1, 0, 2]]
+        assert "edges" not in domain_to_dict(box)["params"]
+        assert domain_from_dict(doc) == box
 
     def test_unknown_kind(self):
         with pytest.raises(UnsupportedDomainError):
