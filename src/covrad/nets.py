@@ -25,12 +25,11 @@ axes ("ij" order, last axis fastest), a map from grid coordinates to points
 and an optional keep-mask on grid coordinates; the net's points are the maps
 of the kept grid points, piece by piece. A cube is one identity piece; a
 sphere has one piece per cube face, the face grid with -1 or +1 inserted and
-projected radially; a ball has its interior grid kept where |x| <= 1, the same
-grid kept where 1 < |x| <= 1 + 3*delta/4 and clipped to the ball, and its
-boundary sphere's pieces; a polyhedron has its bounding-box grid kept by
-contains_many, the (i, j >= i) index lattice of each face triangle under an
-affine map, and its vertices on an index axis; a segment is its t-axis under
-an affine map; Cantor's sorted endpoints are one axis.
+projected radially; a ball has its interior grid kept where |x| <= 1 + 3*delta/4
+and clipped to the ball, and its boundary sphere's pieces; a polyhedron has its
+bounding-box grid kept by contains_many, the (i, j >= i) index lattice of each
+face triangle under an affine map, and its vertices on an index axis; a segment
+is its t-axis under an affine map; Cantor's sorted endpoints are one axis.
 
 Blocks. Each piece's grid is cut into finest blocks of about 8 certified
 meshes (sizing the grid step by the map's Lipschitz bound on the whole piece).
@@ -389,11 +388,11 @@ def _clip_to_ball(x):
 def _ball_pieces(d: int, mesh: float) -> list:
     interior_mesh = 0.75 * mesh
     axes = _cube_axes(d, interior_mesh, -1.0, 1.0)
-    inside = _Piece(axes, **_band(-math.inf, 1.0))
-    near = _Piece(axes, _clip_to_ball, **_band(1.0, 1.0 + interior_mesh))
+    # clipping moves no grid point inside the ball: x / max(|x|, 1) is x there
+    interior = _Piece(axes, _clip_to_ball, **_band(-math.inf, 1.0 + interior_mesh))
     boundary = (_sphere_pieces(d - 1, mesh / 4.0) if d >= 2
                 else [_Piece((np.array([-1.0, 1.0]),))])
-    return [inside, near, *boundary]
+    return [interior, *boundary]
 
 
 def _triangle(a, b, c, mesh: float) -> _Piece:
