@@ -52,9 +52,9 @@ NET_DIGESTS = {
     "Sphere(d=2, kind='Sphere')":
         ("beac798daf2e6a4e48a1dff3f2921c24c75ae87c236a6a9272e77545ac020a1f", 5400, 0.05),
     "Ball(d=2, kind='Ball')":
-        ("2a28288bceb3bbed8432c6bd0e1ffdfdf57398627d3a89b545c6a571bda69e93", 1541, 0.05),
+        ("25e20665093b863b95a03dba599bfe94af6e7c95afad31652f3839b13adefa46", 1541, 0.05),
     "Ball(d=3, kind='Ball')":
-        ("7d197918e23ef8722b0f6121b104beafa8f9f0a9aa738c0ff1d33b662f477eac", 29229, 0.1),
+        ("97aae56eabab15f58733a7fc5500899367b1258b34a8976e3a3f89b61139c676", 29229, 0.1),
     "Cantor(depth=20, kind='Cantor')":
         ("f49d1e46dca04ffcbc5a4d4ba2ac8979c4ab747ec76dda3c32eebc3f2da32d8c", 64,
          0.00411522633744856),
