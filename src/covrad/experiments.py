@@ -64,14 +64,20 @@ class StudyConfig:
 
     def __post_init__(self):
         _check_study(self.n_grid, self.trials, self.probe_eta)
+        if not (self.p >= 1 and math.isfinite(self.p)):
+            raise ValueError(f"moment order p must be finite and >= 1, got {self.p}")
+
+
+def _is_int(value) -> bool:
+    """An integer, not a bool (True would pass as 1)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _check_study(n_grid, trials: int, eta: float) -> None:
     """Every study needs a strictly increasing grid of integers N >= 2, at
     least two trials and a finite eta > 0."""
     grid = list(n_grid)
-    ints = all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
-               for v in (*grid, trials))
+    ints = all(_is_int(v) for v in (*grid, trials))
     if not (ints and grid and grid[0] >= 2 and all(a < b for a, b in zip(grid, grid[1:]))
             and trials >= 2 and eta > 0 and math.isfinite(eta)):
         raise ValueError("need a strictly increasing grid of integers N >= 2, at least two "
@@ -306,10 +312,11 @@ def run_tail_study(domain: Domain, n: int, trials: int, thresholds=None, master_
         base = math.log(n) / n
         thresholds = [k * base for k in (1, 2, 5, 10)]
     thresholds = list(thresholds)
-    if any(b <= a for a, b in zip(thresholds, thresholds[1:])) or any(
-        t < 0 for t in thresholds
+    if any(b <= a for a, b in zip(thresholds, thresholds[1:])) or not all(
+        math.isfinite(t) and t >= 0 for t in thresholds
     ):
-        raise ValueError("thresholds must be nonnegative and increasing")
+        raise ValueError("thresholds must be finite, nonnegative and increasing, "
+                         f"got {thresholds}")
 
     def reduce(n, bounds):
         for thr in thresholds:
@@ -329,8 +336,8 @@ def run_zn_study(d: int, n_grid, trials: int, master_seed: int = 0, probe_eta: f
                  out: str | None = None, force: bool = False) -> list[ZnRow]:
     """Distribution of the rescaled sphere covering radius Z_N, which
     converges in probability to 1."""
-    if d not in (1, 2):
-        raise ValueError("Z_N study supports d in {1, 2}")
+    if not _is_int(d) or d not in (1, 2):
+        raise ValueError(f"Z_N study supports the integers d in {{1, 2}}, got {d!r}")
     domain = Sphere(d)
     scale_const = unit_ball_volume(d) / ((d + 1) * unit_ball_volume(d + 1))
 
@@ -380,8 +387,9 @@ def run_random_vs_structured(d: int, n_grid, trials: int, master_seed: int = 0,
                              force: bool = False) -> list[dict]:
     """Mean random covering radius vs the centered regular grid configuration
     on the cube; the ratio grows like (log N)^(1/d)."""
-    if d not in (1, 2, 3):
-        raise ValueError("random-vs-structured study supports d in {1, 2, 3}")
+    if not _is_int(d) or d not in (1, 2, 3):
+        raise ValueError(f"random-vs-structured study supports the integers d in {{1, 2, 3}}, "
+                         f"got {d!r}")
     domain = IntervalUniform() if d == 1 else Cube(d)
 
     def reduce(n, bounds):

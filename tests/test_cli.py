@@ -146,3 +146,26 @@ def test_rejects_non_integer_domain_parameter(params, tmp_path, capsys):
     _exit_1(["study", "--domain", str(dom), "--n-grid", "50", "--trials", "2",
              "--out", str(out)], capsys)
     assert list(tmp_path.iterdir()) == [dom]
+
+
+@pytest.mark.parametrize("command", ["zn", "versus"])
+@pytest.mark.parametrize("d", [True, 1.0])
+def test_rejects_non_integer_d(command, d, tmp_path, capsys):
+    # True and 1.0 would pass as d = 1 and be echoed to the sidecar as given
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d": d, "n_grid": [50], "trials": 3}))
+    out = tmp_path / "s.csv"
+    _exit_1([command, "--config", str(cfg), "--out", str(out)], capsys)
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("argv", [
+    ["study", "--domain", "interval", "--n-grid", "50", "--p", "nan"],
+    ["study", "--domain", "interval", "--n-grid", "50", "--p", "inf"],
+    ["tail", "--domain", "interval", "--n", "50", "--thresholds", "0.1", "nan"],
+    ["tail", "--domain", "interval", "--n", "50", "--thresholds", "0.1", "inf"],
+], ids=["p-nan", "p-inf", "threshold-nan", "threshold-inf"])
+def test_rejects_non_finite_p_and_thresholds(argv, tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    _exit_1([*argv, "--trials", "3", "--out", str(out)], capsys)
+    assert not out.exists()
