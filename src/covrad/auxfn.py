@@ -124,8 +124,10 @@ def _f_dp_numpy(params: OccupancyParams) -> float:
 
 
 def _f_mpmath(params: OccupancyParams, log_expected_empty: float) -> float:
-    lam = math.exp(log_expected_empty) if log_expected_empty < 5 else math.inf
-    digits = 30 + int(0.5 * min(lam, 120.0))
+    # lam <= 45: f_dp returns 1.0 first where m log1p(-q) < -45, and
+    # m log1p(-q) <= -m q = -lam
+    lam = math.exp(log_expected_empty)
+    digits = 30 + int(0.5 * lam)
     with mpmath.workdps(digits):
         n = mpmath.mpf(params.cells_inv_measure)
         big_n = params.n_points
