@@ -17,11 +17,11 @@ from covrad.spaces import (
     Polyhedron3,
     Polyline,
     Sphere,
+    _dihedral_angles,
     domain_from_dict,
     domain_to_dict,
     hausdorff_mass,
     limit_constant,
-    _dihedral_angles,
     min_dihedral_angle,
     unit_ball_volume,
     unit_box_polyhedron,
