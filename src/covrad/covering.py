@@ -19,6 +19,7 @@ from .spaces import (
     IntervalUniform,
     Polyline,
     Sphere,
+    hausdorff_mass,
     unit_ball_volume,
 )
 
@@ -101,8 +102,10 @@ def _polyline_rho(domain: Polyline, points: np.ndarray) -> float:
     Per edge, each sample point x_j restricted to the edge line gives the
     distance function sqrt((t - t_j)^2 + h_j^2); the max of their lower
     envelope is attained at an edge endpoint or at a pairwise crossing.
-    O(N^2) candidates per edge, intended for desk-scale exact checks.
+    O(N^2) candidates per edge, each answered by one k-d tree query, in
+    O(N^2) memory; intended for desk-scale exact checks.
     """
+    index = build_index(points)
     best = 0.0
     for i in range(len(domain.vertices) - 1):
         a = domain.vertices[i]
@@ -113,18 +116,15 @@ def _polyline_rho(domain: Polyline, points: np.ndarray) -> float:
         perp = points - a - np.outer(t_j, u)
         h2_j = np.einsum("ij,ij->i", perp, perp)
 
-        candidates = [0.0, length]
-        # crossing of envelope branches j and k: linear equation in t
+        candidates = [np.array([0.0, length])]
+        # crossing of envelope branches j < k: linear equation in t
         c_j = t_j**2 + h2_j
         for j in range(len(t_j)):
-            denom = t_j - t_j[j]
             with np.errstate(divide="ignore", invalid="ignore"):
-                t_cross = (c_j - c_j[j]) / (2.0 * denom)
-            valid = np.isfinite(t_cross) & (t_cross > 0.0) & (t_cross < length)
-            candidates.extend(t_cross[valid].tolist())
-        t_cand = np.array(candidates)
-        d2 = (t_cand[:, None] - t_j[None, :]) ** 2 + h2_j[None, :]
-        best = max(best, float(np.sqrt(d2.min(axis=1)).max()))
+                t_cross = (c_j[j + 1:] - c_j[j]) / (2.0 * (t_j[j + 1:] - t_j[j]))
+            candidates.append(t_cross[np.isfinite(t_cross) & (t_cross > 0.0) & (t_cross < length)])
+        t_cand = np.concatenate(candidates)
+        best = max(best, float(index.nearest_distances(a + t_cand[:, None] * u).max()))
     return best
 
 
@@ -330,8 +330,6 @@ def rho_scale(domain: Domain, n: int) -> float:
         return (log_n / n) ** (math.log(3.0) / math.log(2.0))
     if isinstance(domain, ArcsineInterval):
         return log_n / n
-    from .spaces import hausdorff_mass
-
     s = domain.intrinsic_dim
     mass = hausdorff_mass(domain)
     return (mass / unit_ball_volume(int(s)) * log_n / n) ** (1.0 / s)

@@ -16,8 +16,9 @@ can then be sandwiched to within delta. Mesh proofs per kind:
   grid cell inside the ball; a point closer than that reaches a boundary net
   point through its radial projection (3*delta/4 + delta/4 = delta).
 * Polyhedron3: interior grid certifying delta/2 away from the boundary, plus
-  triangle lattices on (fan-triangulated) faces at mesh delta/2; points near
-  the boundary reach a face net through their boundary projection.
+  triangle lattices at mesh delta/2 on Polyhedron3.triangles, the face fans
+  that the polyhedron checked to cover each face once; points near the
+  boundary reach a face net through their boundary projection.
 * Cantor depth D: both endpoints of all depth-k cylinders with 3^-k <= delta.
 
 Pieces. A net is an ordered list of pieces, each the index grid of a few 1-D
@@ -28,7 +29,7 @@ sphere has one piece per cube face, the face grid with -1 or +1 inserted and
 projected radially; a ball has its interior grid kept where |x| <= 1 + 3*delta/4
 and clipped to the ball, and its boundary sphere's pieces; a polyhedron has its
 bounding-box grid kept by contains_many, the (i, j >= i) index lattice of each
-face triangle under an affine map, and its vertices on an index axis; a segment
+of its triangles under an affine map, and its vertices on an index axis; a segment
 is its t-axis under an affine map; Cantor's sorted endpoints are one axis.
 
 Blocks. Each piece's grid is cut into finest blocks of about 8 certified
@@ -36,8 +37,9 @@ meshes (sizing the grid step by the map's Lipschitz bound on the whole piece).
 Its top level has blocks 2^k finest sides wide, for the smallest k that leaves
 at most 64 of them, and each level below splits a block into the 2^dim blocks
 of half its side. Blocks that start past the grid, and blocks that cannot hold
-a kept point (a box outside the ball's band, beyond a face plane of every
-tetrahedron of a polyhedron, or below a triangle's diagonal), are left out.
+a kept point (a box outside the ball's band, one that contains_many's box
+form finds clear of every tetrahedron of a polyhedron, or one below a
+triangle's diagonal), are left out.
 Each block has a representative (the image of its middle grid point) and a
 reach r >= the distance from the representative to the image of any grid point
 of the block: the distance in the grid box from the middle point to the
@@ -145,7 +147,7 @@ class _Level(NamedTuple):
 
 
 class _Blocks(NamedTuple):
-    """A piece's finest block side, its levels below the top, and its top level."""
+    """A piece's finest block side, the number of levels below its top, and its top level."""
     side: np.ndarray
     depth: int
     top: _Level
@@ -368,15 +370,13 @@ def _sphere_pieces(d: int, mesh: float) -> list:
     return [_Piece(axes, face(ax, side), lip) for ax in range(d + 1) for side in (-1.0, 1.0)]
 
 
-def _band(low: float, high: float) -> dict:
-    """keep and holds for the grid points with low < |x| <= high."""
+def _band(high: float) -> dict:
+    """keep and holds for the grid points with |x| <= high."""
     def keep(x):
-        r = np.linalg.norm(x, axis=1)
-        return (r > low) & (r <= high)
+        return np.linalg.norm(x, axis=1) <= high
 
-    def holds(lo, hi):  # 1e-9: rounded norms; the largest |x| is at the farthest corner
-        return ((_row_norms(np.maximum(-lo, hi)) > low - 1e-9)
-                & (_min_norms(lo, hi) <= high + 1e-9))
+    def holds(lo, hi):  # 1e-9: rounded norms
+        return _min_norms(lo, hi) <= high + 1e-9
 
     return {"keep": keep, "holds": holds}
 
@@ -389,7 +389,7 @@ def _ball_pieces(d: int, mesh: float) -> list:
     interior_mesh = 0.75 * mesh
     axes = _cube_axes(d, interior_mesh, -1.0, 1.0)
     # clipping moves no grid point inside the ball: x / max(|x|, 1) is x there
-    interior = _Piece(axes, _clip_to_ball, **_band(-math.inf, 1.0 + interior_mesh))
+    interior = _Piece(axes, _clip_to_ball, **_band(1.0 + interior_mesh))
     boundary = (_sphere_pieces(d - 1, mesh / 4.0) if d >= 2
                 else [_Piece((np.array([-1.0, 1.0]),))])
     return [interior, *boundary]
@@ -410,45 +410,16 @@ def _triangle(a, b, c, mesh: float) -> _Piece:
                   keep=lambda x: x[:, 1] >= x[:, 0], holds=lambda lo, hi: hi[:, 1] >= lo[:, 0])
 
 
-def _tetrahedra_meet(domain: Polyhedron3) -> Callable:
-    """holds for contains_many: False where a box misses every tetrahedron."""
-    # rows 4t..4t+3: tetrahedron t's points are those with g p + h >= 0 on all
-    # four (as in contains_many), from its barycentric coordinates (p - a) @ w.T
-    g, h = [], []
-    for a, w in zip(domain.tet_origins, domain.tet_inverses):
-        total = w.sum(axis=0)
-        g.append(np.vstack([w, -total]))
-        h.append(np.append(-(w @ a), 1.0 + total @ a))
-    g, h = np.concatenate(g), np.concatenate(h)
-    abs_g = np.abs(g)
-
-    def holds(lo, hi):  # the largest g p + h over each box; 1e-9 >= contains_many's tolerance
-        mid, half, out = (lo + hi) / 2.0, (hi - lo) / 2.0, np.zeros(len(lo), dtype=bool)
-        rows = 4 * max(1, (1 << 14) // max(len(lo), 1))  # as many tetrahedra as contains_many
-        for r in range(0, len(h), rows):
-            top = mid @ g[r:r + rows].T + half @ abs_g[r:r + rows].T + h[r:r + rows]
-            out |= (top >= -1e-9).reshape(len(lo), -1, 4).all(axis=2).any(axis=1)
-        return out
-
-    return holds
-
-
 def _polyhedron_pieces(domain: Polyhedron3, mesh: float) -> list:
-    half = mesh / 2.0
-    lo = domain.vertices.min(axis=0)
-    hi = domain.vertices.max(axis=0)
+    half, v, diam = mesh / 2.0, domain.vertices, domain.diameter
     step = 2.0 * half / math.sqrt(3.0)
-    pieces = [_Piece(tuple(_axis_grid(lo[i], hi[i], step) for i in range(3)),
-                     keep=domain.contains_many, holds=_tetrahedra_meet(domain))]
-    for face in domain.faces:
-        verts = domain.vertices[list(face)]
-        # fan triangulation; assumes convex (or star-shaped) face polygons
-        for i in range(1, len(verts) - 1):
-            pieces.append(_triangle(verts[0], verts[i], verts[i + 1], half))
-    diam = domain.diameter
-    pieces.append(_Piece((np.arange(len(domain.vertices), dtype=float),),
-                         lambda x: domain.vertices[x[:, 0].astype(int)], lambda lo, hi: diam))
-    return pieces
+    axes = tuple(_axis_grid(lo, hi, step) for lo, hi in zip(v.min(axis=0), v.max(axis=0)))
+    # 1e-9 over keep's 1e-12: a block with a kept grid point is never left out
+    holds = lambda lo, hi: domain.contains_many((lo + hi) / 2.0, 1e-9, (hi - lo) / 2.0)
+    return [_Piece(axes, keep=domain.contains_many, holds=holds),
+            *(_triangle(v[a], v[b], v[c], half) for a, b, c in domain.triangles),
+            _Piece((np.arange(len(v), dtype=float),), lambda x: v[x[:, 0].astype(int)],
+                   lambda lo, hi: diam)]
 
 
 def _cantor_piece(domain: Cantor, mesh: float) -> tuple[_Piece, float]:

@@ -168,7 +168,10 @@ class Polyhedron3:
     wound consistently, all counterclockwise or all clockwise seen from
     outside: construction derives the edges from them, requiring each face
     side to be run once in each direction, and checks that the tetra volumes
-    sum to the face volume.
+    sum to the face volume. Each face must be star-shaped from its first
+    vertex: its fan from there, in `triangles` (vertex-index triples), must
+    have no triangle running against the face's area vector, so that the
+    windings add up to the face's and the fan covers it once.
     """
 
     kind = "Polyhedron3"
@@ -184,6 +187,11 @@ class Polyhedron3:
         self.vertices.setflags(write=False)
         self.tetrahedra = tets
         self.faces = [tuple(int(i) for i in f) for f in faces]
+        for what, polys, least in (("tetrahedron", tets, 4), ("face", self.faces, 3)):
+            for k, poly in enumerate(polys):
+                if len(poly) < least or not all(0 <= i < len(v) for i in poly):
+                    raise InvalidGeometryError(f"{what} {k} {list(poly)} needs at least "
+                                               f"{least} vertex indices in [0, {len(v)})")
         # each edge: (vertex_a, vertex_b, face_i, face_j), face_i running a -> b
         # and face_j running b -> a
         runs = {}
@@ -203,6 +211,16 @@ class Polyhedron3:
                     f"no face runs side ({a},{b}) of face {k} back: faces are not closed")
             if a < b:
                 self.edges.append((a, b, k, runs[b, a]))
+        self.triangles = []
+        for k, f in enumerate(self.faces):
+            area = self.face_normal(f)
+            for a, b, c in ((f[0], f[i], f[i + 1]) for i in range(1, len(f) - 1)):
+                # a zero-area fan triangle (rounded, so 1e-12 of the face's) is harmless
+                if np.cross(v[b] - v[a], v[c] - v[a]) @ area < -1e-12 * (area @ area):
+                    raise InvalidGeometryError(
+                        f"face {k} is not star-shaped from its first vertex {a}: "
+                        f"fan triangle {(a, b, c)} runs against it")
+                self.triangles.append((a, b, c))
 
         self.tet_volumes = np.array([self._tet_volume(t) for t in tets])
         if np.any(self.tet_volumes <= 0.0):
@@ -249,7 +267,11 @@ class Polyhedron3:
             total += float(np.dot(centroid, self.face_normal(face)))
         return total / 3.0
 
-    def contains_many(self, points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    def contains_many(self, points: np.ndarray, tol: float = 1e-12,
+                      half: np.ndarray | None = None) -> np.ndarray:
+        """Which points lie in some tetrahedron, to within tol in barycentric
+        coordinates; with half-widths half (m, 3), which boxes points +- half
+        may: False only where a box misses every tetrahedron."""
         pts = np.asarray(points, dtype=float)
         inside = np.zeros(len(pts), dtype=bool)
         # barycentric coordinates of k tetrahedra as one (k, m, 3) product, each
@@ -261,7 +283,11 @@ class Polyhedron3:
         wt = self.tet_inverses.transpose(0, 2, 1)
         for t in range(0, len(wt), k):
             lam = (pts - self.tet_origins[t:t + k, None, :]) @ wt[t:t + k]
-            inside |= ((lam >= -tol).all(axis=2) & (lam.sum(axis=2) <= 1.0 + tol)).any(axis=0)
+            total = lam.sum(axis=2)
+            if half is not None:  # each coordinate's largest value, the sum's smallest
+                lam += half @ np.abs(wt[t:t + k])
+                total -= np.abs(wt[t:t + k].sum(axis=2)) @ half.T
+            inside |= ((lam >= -tol).all(axis=2) & (total <= 1.0 + tol)).any(axis=0)
         return inside
 
     @property

@@ -169,3 +169,26 @@ def test_rejects_non_finite_p_and_thresholds(argv, tmp_path, capsys):
     out = tmp_path / "s.csv"
     _exit_1([*argv, "--trials", "3", "--out", str(out)], capsys)
     assert not out.exists()
+
+
+TETRAHEDRON = {"vertices": [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]],
+               "tetrahedra": [[0, 1, 2, 3]],
+               "faces": [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]]}
+
+
+@pytest.mark.parametrize("params", [
+    {**TETRAHEDRON, "tetrahedra": [[0, 1, 2, -1]]},
+    {**TETRAHEDRON, "faces": [[0, 2, 1], [0, 1, 9], [0, 9, 2], [1, 2, 9]]},
+    {**TETRAHEDRON, "vertices": TETRAHEDRON["vertices"] + [[0, 0, 0], [0.1, 0, 0]],
+     "faces": TETRAHEDRON["faces"] + [[4, 5]]},
+], ids=["negative-index", "index-past-the-end", "two-vertex-face"])
+def test_rejects_bad_polyhedron_indices(params, tmp_path, capsys):
+    # a negative index wrapped to the last vertex and one past the end raised
+    # IndexError; a two-vertex face passes the edge check, so it is refused
+    # on its own
+    dom = tmp_path / "domain.json"
+    dom.write_text(json.dumps({"kind": "Polyhedron3", "params": params}))
+    out = tmp_path / "s.csv"
+    _exit_1(["study", "--domain", str(dom), "--n-grid", "50", "--trials", "2",
+             "--out", str(out)], capsys)
+    assert list(tmp_path.iterdir()) == [dom]

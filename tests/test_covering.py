@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +71,48 @@ class TestCoveringRadius1D:
         probe = build_probe_net(domain, 1e-4).points
         brute = build_index(pts).nearest_distances(probe).max()
         assert brute <= exact <= brute + 2e-4
+
+    @pytest.mark.parametrize("vertices", [[[0, 0], [1, 0], [1, 2]],
+                                          [[0, 0, 0], [1, 0, 0.5], [1, 2, 0], [-1, 1, 1]]],
+                             ids=["2d", "3d"])
+    def test_polyline_matches_the_dense_envelope(self, vertices):
+        # reference: every crossing candidate against every sample in one dense
+        # (candidates, N) matrix. The maximum sits at a crossing, where two
+        # samples tie, so the k-d tree may take the other one: the values
+        # agree to rounding at the coordinates' unit scale
+        domain = Polyline(vertices)
+
+        def dense(points):
+            best = 0.0
+            for a, b in zip(domain.vertices[:-1], domain.vertices[1:]):
+                length = float(np.linalg.norm(b - a))
+                u = (b - a) / length
+                t_j = (points - a) @ u
+                perp = points - a - np.outer(t_j, u)
+                h2_j = np.einsum("ij,ij->i", perp, perp)
+                c_j = t_j**2 + h2_j
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    t = (c_j[None, :] - c_j[:, None]) / (2.0 * (t_j[None, :] - t_j[:, None]))
+                t = np.append(t[np.isfinite(t) & (t > 0.0) & (t < length)], [0.0, length])
+                d2 = (t[:, None] - t_j[None, :]) ** 2 + h2_j[None, :]
+                best = max(best, float(np.sqrt(d2.min(axis=1)).max()))
+            return best
+
+        for n, seed in [(1, 0), (2, 1), (20, 2), (60, 3), (150, 4)]:
+            pts = sample(domain, n, SeedSpec(seed, 0)).points
+            assert covering_radius_1d(domain, pts) == pytest.approx(dense(pts), rel=0, abs=1e-12)
+
+    def test_polyline_memory_is_quadratic(self):
+        # the dense envelope held N^2 candidates against N samples: 216 MB at N = 300
+        domain = Polyline([[0, 0], [1, 0], [1, 2]])
+        pts = sample(domain, 300, SeedSpec(8, 0)).points
+        tracemalloc.start()
+        try:
+            covering_radius_1d(domain, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
     def test_empty_samples(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -262,6 +263,66 @@ class TestPolyhedronValidation:
                 assert np.array_equal(domain.contains_many(pts[:m], tol), loop(pts[:m]))
         assert domain.contains_many(v, tol).all()
         assert domain.contains_many(np.concatenate(on_faces), tol).all()
+
+    @pytest.mark.parametrize("make", [unit_box_polyhedron, regular_tetrahedron,
+                                      equilateral_prism], ids=lambda f: f.__name__)
+    def test_box_form_is_conservative(self, make):
+        # a box with a point that passes the point test at 1e-12 passes the
+        # box test at 1e-9; a box far from the solid fails it
+        domain = make()
+        rng = np.random.default_rng(23)
+        v = domain.vertices
+        lo, hi = v.min(axis=0), v.max(axis=0)
+        mid = lo + (hi - lo) * rng.uniform(-0.3, 1.3, (400, 3))
+        half = (hi - lo) * rng.uniform(0.0, 0.2, (400, 3)) * rng.choice([0.0, 1.0], (400, 1))
+        offsets = np.concatenate([rng.uniform(-1.0, 1.0, (300, 3)),
+                                  np.array(list(itertools.product((-1.0, 1.0), repeat=3)))])
+        pts = (mid[:, None, :] + offsets * half[:, None, :]).reshape(-1, 3)
+        hit = domain.contains_many(pts).reshape(len(mid), -1).any(axis=1)
+        held = domain.contains_many(mid, 1e-9, half)
+        assert 50 < hit.sum() < 350 and held[hit].all()
+        # half-width 0: the point test at the same tolerance, bit for bit
+        assert np.array_equal(domain.contains_many(mid, 1e-9, 0.0 * half),
+                              domain.contains_many(mid, 1e-9))
+        # the box form tests each barycentric bound on its own, so a box near
+        # a face plane's extension may pass; three diameters out, none can
+        away = rng.normal(size=(400, 3))
+        away *= 3.0 * domain.diameter / np.linalg.norm(away, axis=1, keepdims=True)
+        assert not domain.contains_many((lo + hi) / 2.0 + away, 1e-9, half).any()
+
+    @pytest.mark.parametrize("make", [unit_box_polyhedron, regular_tetrahedron,
+                                      equilateral_prism], ids=lambda f: f.__name__)
+    def test_triangles_are_the_face_fans(self, make):
+        domain = make()
+        assert domain.triangles == [(f[0], f[i], f[i + 1]) for f in domain.faces
+                                    for i in range(1, len(f) - 1)]
+
+    def test_face_not_star_shaped_from_its_first_vertex_rejected(self):
+        # the L-prism's bottom face listed from the corner (3, 0): the fan
+        # triangle (3,0)-(1,3)-(1,1) runs against the face and would put
+        # probe points outside the solid
+        prism = l_prism(3)
+        bottom = prism.faces[0]
+        faces = [bottom[1:] + bottom[:1]] + prism.faces[1:]
+        with pytest.raises(InvalidGeometryError, match="not star-shaped"):
+            Polyhedron3(prism.vertices, prism.tetrahedra, faces)
+        # listed from (0, 0), every fan triangle runs with the face
+        assert len(prism.triangles) == 2 * 4 + 6 * 2
+
+    def test_vertex_index_out_of_range_rejected(self):
+        tet = regular_tetrahedron()
+        with pytest.raises(InvalidGeometryError, match="tetrahedron 0"):
+            Polyhedron3(tet.vertices, [(0, 1, 2, -1)], tet.faces)
+        with pytest.raises(InvalidGeometryError, match="face 1"):
+            Polyhedron3(tet.vertices, tet.tetrahedra, [(0, 2, 1), (0, 1, 9), (0, 9, 2),
+                                                       (1, 2, 9)])
+
+    def test_face_with_two_vertices_rejected(self):
+        # [4, 5] runs both of its own sides, so the edge check alone passes it
+        tet = regular_tetrahedron()
+        verts = np.vstack([tet.vertices, [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]]])
+        with pytest.raises(InvalidGeometryError, match=r"face 4 \[4, 5\] needs at least 3"):
+            Polyhedron3(verts, tet.tetrahedra, tet.faces + [(4, 5)])
 
 
 class TestDomainValidation:
