@@ -32,12 +32,9 @@ from .sampler import SampleSet, SeedSpec, sample
 from .nets import ProbeNet, SpatialIndex, build_index, build_probe_net
 from .covering import (
     CoveringRadiusInterval,
-    NetVerdict,
-    Verdict,
     WindowSpec,
     covering_radius_1d,
     covering_radius_bounds,
     covering_radius_window,
-    is_eps_net,
 )
 from .auxfn import OccupancyParams, RegimeSpec, f_dp, f_exact, f_lower_bound, regime_params

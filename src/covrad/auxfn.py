@@ -18,6 +18,7 @@ Three evaluators with different contracts:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,7 +38,9 @@ class OccupancyParams:
     n_cells: int  # m: number of disjoint cells
 
     def __post_init__(self):
-        if self.n_points < 1 or self.n_cells < 1:
+        # a float or bool would be taken as a count: 100.5 points, or True as 1
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
+                   for v in (self.n_points, self.n_cells)):
             raise ValueError("N and m must be positive integers")
         if not (self.n_cells <= self.cells_inv_measure <= self.n_points):
             raise ValueError("need m <= n <= N")

@@ -1,11 +1,10 @@
 """Covering radii: exact on the one-dimensional domains (the truncated Cantor
-set among them), certified sandwich elsewhere, plus epsilon-net verdicts."""
+set among them), certified sandwich elsewhere."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -36,18 +35,6 @@ class CoveringRadiusInterval:
     def __post_init__(self):
         if not (0 <= self.lower <= self.upper):
             raise ValueError("need 0 <= lower <= upper")
-
-
-class Verdict(Enum):
-    YES = "yes"
-    NO = "no"
-    UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class NetVerdict:
-    value: Verdict
-    margin: float
 
 
 @dataclass(frozen=True)
@@ -294,27 +281,6 @@ def covering_radius_bounds(
     return CoveringRadiusInterval(
         lower=lower, upper=lower + probe.certified_mesh, probe_mesh=probe.certified_mesh
     )
-
-
-# ---------------------------------------------------------------------------
-# Net verdicts
-# ---------------------------------------------------------------------------
-
-
-def is_eps_net(domain: Domain, a_points, eps: float, probe: ProbeNet | None) -> NetVerdict:
-    """Is `a_points` an eps-net of the domain (covering radius <= eps)?
-
-    From covering_radius_bounds(domain, a_points, probe): YES where U <= eps,
-    NO where L > eps, else UNKNOWN. With no probe net L = U, so the verdict
-    is exact and never UNKNOWN."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    bounds = covering_radius_bounds(domain, a_points, probe)
-    if bounds.upper <= eps:
-        return NetVerdict(Verdict.YES, eps - bounds.upper)
-    if bounds.lower > eps:
-        return NetVerdict(Verdict.NO, bounds.lower - eps)
-    return NetVerdict(Verdict.UNKNOWN, min(eps - bounds.lower, bounds.upper - eps))
 
 
 # ---------------------------------------------------------------------------

@@ -411,10 +411,12 @@ def run_epsnet_study(domain: Domain, n_grid, trials: int, c_mult: float, master_
     """Fraction of random configurations that form an eps-net at
     eps = c_mult * (mass/upsilon_s * log N / N)^(1/s).
 
-    Each trial's verdict reduces its covering_radius_bounds as is_eps_net
-    does: YES where U <= eps, YES or UNKNOWN where L <= eps. The probe net
-    has mesh probe_mesh_for(domain, N, c_mult/20) = eps/20 up to rounding.
-    On the exact paths L = U, so yes_fraction == yes_or_unknown_fraction."""
+    Each trial's verdict comes from its covering_radius_bounds [L, U]: YES
+    (the radius is at most eps) where U <= eps, NO where L > eps, UNKNOWN
+    otherwise. yes_fraction counts YES, yes_or_unknown_fraction counts
+    L <= eps. The probe net has mesh probe_mesh_for(domain, N, c_mult/20) =
+    eps/20 up to rounding. On the exact paths L = U, so yes_fraction ==
+    yes_or_unknown_fraction."""
     if c_mult <= 0:
         raise ValueError("c_mult must be positive")
 

@@ -14,7 +14,8 @@ can then be sandwiched to within delta. Mesh proofs per kind:
 * Ball d: interior axis grid certifying 3*delta/4 plus a boundary sphere net
   at delta/4. A point farther than 3*delta/4 from the boundary has its whole
   grid cell inside the ball; a point closer than that reaches a boundary net
-  point through its radial projection (3*delta/4 + delta/4 = delta).
+  point through its radial projection (3*delta/4 + delta/4 = delta). For
+  d = 1 the boundary {-1, +1} is the grid's two ends, so the grid is the net.
 * Polyhedron3: interior grid certifying delta/2 away from the boundary, plus
   triangle lattices at mesh delta/2 on Polyhedron3.triangles, the face fans
   that the polyhedron checked to cover each face once; points near the
@@ -27,10 +28,10 @@ and an optional keep-mask on grid coordinates; the net's points are the maps
 of the kept grid points, piece by piece. A cube is one identity piece; a
 sphere has one piece per cube face, the face grid with -1 or +1 inserted and
 projected radially; a ball has its interior grid kept where |x| <= 1 + 3*delta/4
-and clipped to the ball, and its boundary sphere's pieces; a polyhedron has its
-bounding-box grid kept by contains_many, the (i, j >= i) index lattice of each
-of its triangles under an affine map, and its vertices on an index axis; a segment
-is its t-axis under an affine map; Cantor's sorted endpoints are one axis.
+and clipped to the ball, and for d >= 2 its boundary sphere's pieces; a
+polyhedron has its bounding-box grid kept by contains_many and the (i, j >= i)
+index lattice of each of its triangles under an affine map; a segment is its
+t-axis under an affine map; Cantor's sorted endpoints are one axis.
 
 Blocks. Each piece's grid is cut into finest blocks of about 8 certified
 meshes (sizing the grid step by the map's Lipschitz bound on the whole piece).
@@ -47,9 +48,8 @@ farthest corner, times a Lipschitz bound of the map on the box, plus 1e-9 of
 the coordinate scale for rounding. The bounds: 1 for the identity and for
 clipping to the ball (a projection onto a convex set); 1/min|x| over the box
 for the radial projection of a cube face, since
-|x/|x| - y/|y|| <= |x - y|/sqrt(|x||y|) and |x| >= 1 there; the spectral norm
-for affine maps; and the image diameter on an index axis, whose distinct
-indices lie at least 1 apart. A net stores its pieces' top levels only, so
+|x/|x| - y/|y|| <= |x - y|/sqrt(|x||y|) and |x| >= 1 there; and the spectral
+norm for affine maps. A net stores its pieces' top levels only, so
 building it costs at most 64 blocks per piece however fine its grid.
 
 The walk. d(y) = dist(y, X) is 1-Lipschitz, so d <= d(p) + r on a block with
@@ -390,9 +390,8 @@ def _ball_pieces(d: int, mesh: float) -> list:
     axes = _cube_axes(d, interior_mesh, -1.0, 1.0)
     # clipping moves no grid point inside the ball: x / max(|x|, 1) is x there
     interior = _Piece(axes, _clip_to_ball, **_band(1.0 + interior_mesh))
-    boundary = (_sphere_pieces(d - 1, mesh / 4.0) if d >= 2
-                else [_Piece((np.array([-1.0, 1.0]),))])
-    return [interior, *boundary]
+    # for d = 1 the boundary {-1, +1} is the grid's linspace ends, kept and unclipped
+    return [interior, *(_sphere_pieces(d - 1, mesh / 4.0) if d >= 2 else [])]
 
 
 def _triangle(a, b, c, mesh: float) -> _Piece:
@@ -411,15 +410,13 @@ def _triangle(a, b, c, mesh: float) -> _Piece:
 
 
 def _polyhedron_pieces(domain: Polyhedron3, mesh: float) -> list:
-    half, v, diam = mesh / 2.0, domain.vertices, domain.diameter
+    half, v = mesh / 2.0, domain.vertices
     step = 2.0 * half / math.sqrt(3.0)
     axes = tuple(_axis_grid(lo, hi, step) for lo, hi in zip(v.min(axis=0), v.max(axis=0)))
     # 1e-9 over keep's 1e-12: a block with a kept grid point is never left out
     holds = lambda lo, hi: domain.contains_many((lo + hi) / 2.0, 1e-9, (hi - lo) / 2.0)
     return [_Piece(axes, keep=domain.contains_many, holds=holds),
-            *(_triangle(v[a], v[b], v[c], half) for a, b, c in domain.triangles),
-            _Piece((np.arange(len(v), dtype=float),), lambda x: v[x[:, 0].astype(int)],
-                   lambda lo, hi: diam)]
+            *(_triangle(v[a], v[b], v[c], half) for a, b, c in domain.triangles)]
 
 
 def _cantor_piece(domain: Cantor, mesh: float) -> tuple[_Piece, float]:

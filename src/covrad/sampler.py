@@ -44,8 +44,9 @@ class SeedSpec:
     stream_id: int = 0
 
     def __post_init__(self):
-        # a float would be truncated to another seed's stream without a word
-        if not all(isinstance(s, numbers.Integral) and 0 <= s < 2**64
+        # a float would be truncated to another seed's stream without a word,
+        # and a bool taken as 0 or 1
+        if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) and 0 <= s < 2**64
                    for s in (self.master_seed, self.stream_id)):
             raise ValueError("seeds must be unsigned 64-bit integers")
 

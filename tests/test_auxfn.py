@@ -29,6 +29,14 @@ class TestOccupancyParams:
         with pytest.raises(ValueError):
             OccupancyParams(0, 1.0, 1)
 
+    @pytest.mark.parametrize("n_points, n_cells", [(100.5, 2), (100.0, 2), (100, 2.5),
+                                                   (100, 2.0), (True, 1), (100, True)])
+    def test_integers_only(self, n_points, n_cells):
+        # 100.5 points once gave f_lower_bound 5.04e-5, and m = 2.5 an IndexError in f_dp
+        with pytest.raises(ValueError, match="positive integers"):
+            OccupancyParams(n_points, 1.0 if n_cells is True else 2.0, n_cells)
+        OccupancyParams(np.int64(100), 10.0, np.int64(2))
+
 
 class TestFExact:
     def test_two_two_two(self):

@@ -136,6 +136,26 @@ def test_fgrid_rejects_unknown_config_key(tmp_path, capsys):
     _exit_1(["fgrid", "--config", str(cfg)], capsys)
 
 
+@pytest.mark.parametrize("cfg", [{"m_values": [2.5]}, {"m_values": [True]},
+                                 {"n_values": [100.5]}], ids=["m-float", "m-bool", "N-float"])
+def test_fgrid_rejects_non_integer_n_and_m(cfg, tmp_path, capsys):
+    # m = 2.5 ended in an IndexError traceback; the others failed inside f_dp
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "f.csv"
+    _exit_1(["fgrid", "--config", str(path), "--out", str(out)], capsys)
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_rejects_bool_seed(tmp_path, capsys):
+    # true would run stream (1, t) and be echoed to the sidecar as true
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"master_seed": True, "n_grid": [50], "trials": 2}))
+    out = tmp_path / "s.csv"
+    _exit_1(["study", "--domain", "interval", "--config", str(cfg), "--out", str(out)], capsys)
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 @pytest.mark.parametrize("params", [{"kind": "Sphere", "params": {"d": 1.9}},
                                     {"kind": "Cube", "params": {"d": True}},
                                     {"kind": "Cantor", "params": {"depth": 12.9}}])

@@ -13,13 +13,11 @@ from test_spaces import equilateral_prism, regular_tetrahedron
 from covrad import nets
 from covrad.covering import (
     CoveringRadiusInterval,
-    Verdict,
     WindowSpec,
     _cantor_gap_values,
     covering_radius_1d,
     covering_radius_bounds,
     covering_radius_window,
-    is_eps_net,
     probe_mesh_for,
     rho_scale,
 )
@@ -477,15 +475,11 @@ class TestLazyNet:
         net = build_probe_net(domain, mesh)
         large = (domain, mesh) in LARGE_NETS
         x = sample(domain, 10**5 if large else 200, SeedSpec(3, 0)).points
-        b = covering_radius_bounds(domain, x, net)
+        covering_radius_bounds(domain, x, net)
         assert 0 < len(rows) <= levels(net) + 1
         if large:
             total, last = LARGE_NET_ROWS[repr(domain)]
             assert sum(rows) <= total and rows[-1] <= last
-        rows.clear()
-        eps = (b.lower + b.upper) / 2.0
-        assert is_eps_net(domain, x, eps, net).value is Verdict.UNKNOWN
-        assert 0 < len(rows) <= levels(net) + 1
 
 
 class TestSphereHullOracle:
@@ -552,48 +546,12 @@ class TestBallMeasure:
             ball_measure(Cube(2), [0.0, 0.0], 0.1, mc_budget=10)
 
 
-class TestEpsNetVerdicts:
-    def test_interval_yes(self):
-        net = build_probe_net(IntervalUniform(), 1e-4)
-        v = is_eps_net(IntervalUniform(), [0.0, 0.5, 1.0], 0.25 + 1e-3, net)
-        assert v.value is Verdict.YES
-
-    def test_interval_no(self):
-        net = build_probe_net(IntervalUniform(), 1e-4)
-        v = is_eps_net(IntervalUniform(), [0.0], 0.5, net)
-        assert v.value is Verdict.NO
-        assert v.margin == pytest.approx(0.5, abs=1e-3)
-
-    def test_circle_equispaced_yes(self):
-        pts = circle_points(np.arange(6) * math.pi / 3.0)
-        eps = 2.0 * math.sin(math.pi / 12.0) + 1e-3
-        net = build_probe_net(Sphere(1), 1e-4)
-        assert is_eps_net(Sphere(1), pts, eps, net).value is Verdict.YES
-
-    def test_consistency_with_bounds(self):
-        net = build_probe_net(IntervalUniform(), 1e-3)
-        pts = sample(IntervalUniform(), 20, SeedSpec(2, 0)).points
-        b = covering_radius_bounds(IntervalUniform(), pts, net)
-        assert is_eps_net(IntervalUniform(), pts, b.upper + 1e-9, net).value is Verdict.YES
-        assert is_eps_net(IntervalUniform(), pts, b.lower - 1e-9, net).value is Verdict.NO
-
-    def test_unknown_band(self):
-        net = build_probe_net(IntervalUniform(), 1.0 / 8.0)
-        v = is_eps_net(IntervalUniform(), [0.0, 1.0], 0.55, net)
-        assert v.value is Verdict.UNKNOWN
-
-    def test_eps_validation(self):
-        net = build_probe_net(IntervalUniform(), 0.1)
-        with pytest.raises(ValueError):
-            is_eps_net(IntervalUniform(), [0.5], 0.0, net)
-
-
 EXACT_DOMAINS = [IntervalUniform(), ArcsineInterval(), Sphere(1), Cantor(40),
                  Polyline([[0.0, 0.0], [1.0, 0.0], [1.0, 2.0]])]
 
 
 class TestExactBounds:
-    """With no probe net, covering_radius_bounds and is_eps_net are exact."""
+    """With no probe net, covering_radius_bounds is exact."""
 
     @pytest.mark.parametrize("domain", EXACT_DOMAINS, ids=repr)
     def test_bounds_are_the_exact_radius(self, domain):
@@ -608,23 +566,11 @@ class TestExactBounds:
         sset = sample(domain, 50, SeedSpec(21, 0))
         with pytest.raises(UnsupportedDomainError):
             covering_radius_bounds(domain, sset, None)
-        with pytest.raises(UnsupportedDomainError):
-            is_eps_net(domain, sset, 0.5, None)
-
-    @pytest.mark.parametrize("domain", EXACT_DOMAINS, ids=repr)
-    def test_eps_net_verdicts_are_exact(self, domain):
-        for t in range(3):
-            sset = sample(domain, 150, SeedSpec(22, t))
-            rho = covering_radius_1d(domain, sset)
-            for eps in (rho / 2.0, np.nextafter(rho, 0.0), rho, np.nextafter(rho, 2.0),
-                        2.0 * rho):
-                v = is_eps_net(domain, sset, float(eps), None).value
-                assert v is (Verdict.YES if rho <= eps else Verdict.NO)
 
     def test_samples_of_another_domain_are_refused(self):
         sset = sample(Cantor(20), 50, SeedSpec(22, 0))
         with pytest.raises(ValueError, match="samples drawn on"):
-            is_eps_net(Cantor(40), sset, 0.5, None)
+            covering_radius_bounds(Cantor(40), sset, None)
 
 
 class TestProbeMeshScale:

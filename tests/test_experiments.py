@@ -9,7 +9,8 @@ from test_acceptance import circle_chord_expectation
 
 from covrad.cli import BUILTIN_DOMAINS
 from covrad.cli import main as cli_main
-from covrad.covering import Verdict, covering_radius_1d, is_eps_net, probe_mesh_for, rho_scale
+from covrad.covering import (covering_radius_1d, covering_radius_bounds, probe_mesh_for,
+                             rho_scale)
 from covrad.errors import BudgetExceededError
 from covrad.experiments import (
     StudyConfig,
@@ -207,7 +208,7 @@ class TestEpsNetExactPath:
         ssets = [sample(dom, self.N, s) for s in seeds]
         rhos = np.array([covering_radius_1d(dom, x) for x in ssets])
         probe = build_probe_net(dom, eps / 20.0)
-        net = [is_eps_net(dom, x.points, eps, probe).value for x in ssets]
+        net = [covering_radius_bounds(dom, x.points, probe) for x in ssets]
 
         def no_net(*args):
             raise AssertionError("an eps-net study on a 1-D domain built a probe net")
@@ -219,8 +220,9 @@ class TestEpsNetExactPath:
         exact = float((rhos <= eps).mean())
         assert row["eps"] == eps
         assert row["yes_fraction"] == row["yes_or_unknown_fraction"] == exact
-        yes = float(np.mean([v is Verdict.YES for v in net]))
-        yes_or_unknown = float(np.mean([v is not Verdict.NO for v in net]))
+        # the net's bracket: YES where U <= eps, YES or UNKNOWN where L <= eps
+        yes = float(np.mean([b.upper <= eps for b in net]))
+        yes_or_unknown = float(np.mean([b.lower <= eps for b in net]))
         assert yes <= exact <= yes_or_unknown
         # the budget model counts T * N, the work this study now does
         assert estimate_cost(dom, self.N, self.T, self.C_MULT / 20.0) == self.T * self.N
@@ -392,8 +394,9 @@ class TestEpsNetStudy:
 
 
 class TestEpsNetNetDomains:
-    """On the net domains a row's fractions are is_eps_net's verdicts on the
-    study's own streams, against the net the budget gate estimates."""
+    """On the net domains a row's fractions count the study's own streams'
+    covering_radius_bounds [L, U] against eps (YES where U <= eps, YES or
+    UNKNOWN where L <= eps), on the net the budget gate estimates."""
 
     N_GRID, T, SEED = [100, 300], 10, 6
 
@@ -405,12 +408,11 @@ class TestEpsNetNetDomains:
         for n, row in zip(self.N_GRID, rows, strict=True):
             eps = c_mult * rho_scale(dom, n)
             net = build_probe_net(dom, probe_mesh_for(dom, n, c_mult / 20.0))
-            verdicts = [is_eps_net(dom, sample(dom, n, SeedSpec(self.SEED, t)), eps, net).value
-                        for t in range(self.T)]
+            bounds = [covering_radius_bounds(dom, sample(dom, n, SeedSpec(self.SEED, t)), net)
+                      for t in range(self.T)]
             assert row["eps"] == eps
-            assert row["yes_fraction"] == sum(v is Verdict.YES for v in verdicts) / self.T
-            assert row["yes_or_unknown_fraction"] == sum(
-                v is not Verdict.NO for v in verdicts) / self.T
+            assert row["yes_fraction"] == sum(b.upper <= eps for b in bounds) / self.T
+            assert row["yes_or_unknown_fraction"] == sum(b.lower <= eps for b in bounds) / self.T
 
 
 class TestGateMatchesRunner:

@@ -16,6 +16,7 @@ from covrad.spaces import (
     Cantor,
     Cube,
     IntervalUniform,
+    Polyhedron3,
     Polyline,
     Sphere,
     unit_box_polyhedron,
@@ -64,6 +65,11 @@ NET_DIGESTS = {
         ("03b3a4d2de72058f8285025a039f46f6526444d5332d20d1f8c5351b97e69fc6", 12447, 0.1),
 }
 
+# the polyhedra leave most of their bounding-box grid out; Ball(1) is its
+# interior grid alone
+BLOCK_DOMAINS = CERT_DOMAINS + [(regular_tetrahedron(), 0.1), (equilateral_prism(), 0.05),
+                                (Ball(1), 0.05)]
+
 
 def refine(piece, cells):
     """A piece's levels of blocks, top first, each block split into all its
@@ -110,7 +116,7 @@ class TestBuildProbeNet:
         step = float(np.diff(xs).max())
         assert step <= 0.1 * math.sqrt(2.0) + 1e-12
 
-    @pytest.mark.parametrize("domain,mesh", CERT_DOMAINS, ids=lambda v: repr(v))
+    @pytest.mark.parametrize("domain,mesh", BLOCK_DOMAINS, ids=lambda v: repr(v))
     def test_certified_mesh_spot_check(self, domain, mesh):
         net = build_probe_net(domain, mesh)
         assert net.certified_mesh <= mesh
@@ -121,6 +127,15 @@ class TestBuildProbeNet:
         net = build_probe_net(domain, mesh)
         digest = hashlib.sha256(net.points.tobytes()).hexdigest()
         assert (digest, len(net.points), net.certified_mesh) == NET_DIGESTS[repr(domain)]
+
+    @pytest.mark.parametrize("domain,mesh", [c for c in BLOCK_DOMAINS
+                                             if isinstance(c[0], Polyhedron3)],
+                             ids=lambda v: repr(v)[:24])
+    def test_vertices_are_probe_points(self, domain, mesh):
+        # the face lattices hold every vertex bit for bit, so the walk's L is
+        # the same as with a piece of the vertices alone
+        points = {p.tobytes() for p in build_probe_net(domain, mesh).points}
+        assert all(v.tobytes() in points for v in domain.vertices)
 
     def test_cantor_mesh_snaps_to_power_of_three(self):
         net = build_probe_net(Cantor(20), 0.01)
@@ -136,10 +151,6 @@ class TestBuildProbeNet:
     def test_probe_net_validation(self):
         with pytest.raises(ValueError):
             ProbeNet(IntervalUniform(), build_probe_net(IntervalUniform(), 0.1).pieces, 0.0)
-
-
-# the polyhedra leave most of their bounding-box grid out
-BLOCK_DOMAINS = CERT_DOMAINS + [(regular_tetrahedron(), 0.1), (equilateral_prism(), 0.05)]
 
 
 class TestBlocks:

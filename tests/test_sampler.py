@@ -49,6 +49,11 @@ class TestSeedSpec:
             SeedSpec(1.5, 0)
         with pytest.raises(ValueError):
             SeedSpec(0, 2.0)
+        # True and False once ran stream (1, 0)
+        with pytest.raises(ValueError):
+            SeedSpec(True, False)
+        with pytest.raises(ValueError):
+            SeedSpec(0, True)
         SeedSpec(np.uint64(2**64 - 1), np.int64(3))
 
 
