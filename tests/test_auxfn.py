@@ -34,7 +34,7 @@ class TestOccupancyParams:
     def test_integers_only(self, n_points, n_cells):
         # 100.5 points once gave f_lower_bound 5.04e-5, and m = 2.5 an IndexError in f_dp
         with pytest.raises(ValueError, match="positive integers"):
-            OccupancyParams(n_points, 1.0 if n_cells is True else 2.0, n_cells)
+            OccupancyParams(n_points, 1.0, n_cells)
         OccupancyParams(np.int64(100), 10.0, np.int64(2))
 
 

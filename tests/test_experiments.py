@@ -208,7 +208,7 @@ class TestEpsNetExactPath:
         ssets = [sample(dom, self.N, s) for s in seeds]
         rhos = np.array([covering_radius_1d(dom, x) for x in ssets])
         probe = build_probe_net(dom, eps / 20.0)
-        net = [covering_radius_bounds(dom, x.points, probe) for x in ssets]
+        net_bounds = [covering_radius_bounds(dom, x.points, probe) for x in ssets]
 
         def no_net(*args):
             raise AssertionError("an eps-net study on a 1-D domain built a probe net")
@@ -221,8 +221,8 @@ class TestEpsNetExactPath:
         assert row["eps"] == eps
         assert row["yes_fraction"] == row["yes_or_unknown_fraction"] == exact
         # the net's bracket: YES where U <= eps, YES or UNKNOWN where L <= eps
-        yes = float(np.mean([b.upper <= eps for b in net]))
-        yes_or_unknown = float(np.mean([b.lower <= eps for b in net]))
+        yes = float(np.mean([b.upper <= eps for b in net_bounds]))
+        yes_or_unknown = float(np.mean([b.lower <= eps for b in net_bounds]))
         assert yes <= exact <= yes_or_unknown
         # the budget model counts T * N, the work this study now does
         assert estimate_cost(dom, self.N, self.T, self.C_MULT / 20.0) == self.T * self.N
