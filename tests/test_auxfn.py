@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from covrad import auxfn
 from covrad.auxfn import (
     OccupancyParams,
     RegimeSpec,
@@ -14,6 +15,16 @@ from covrad.auxfn import (
     regime_params,
 )
 from covrad.errors import ResourceLimitError
+
+# every triple within f_exact's budget (N <= 200, m <= 30) on a coarse grid
+EXACT_GRID = [OccupancyParams(big_n, n, m)
+              for big_n in (2, 3, 5, 10, 20, 50, 100, 150, 200)
+              for n in (2.0, 2.5, 3.0, 5.0, 7.5, 10.0, 20.0, 30.0, 50.0, 100.0, 200.0)
+              for m in (1, 2, 3, 5, 8, 13, 20, 30) if m <= n <= big_n]
+
+
+def _relative_error(got: float, want: float) -> float:
+    return abs(got - want) / abs(want) if want else abs(got)
 
 
 class TestOccupancyParams:
@@ -187,3 +198,53 @@ class TestRegimeParams:
             RegimeSpec("II", d=1)
         with pytest.raises(ValueError):
             RegimeSpec("I", kappa=0.0)
+
+
+class TestHighPrecisionSums:
+    """The two high-precision alternating sums, called directly so that the
+    check does not depend on the branch f_dp picks."""
+
+    # repr of each value, recorded before the sums took exact integer binomials
+    COMPLEMENT_LOG_REGIME_III = {
+        10**8: "-71.51675801783168",
+        10**9: "-74.41605307115762",
+        10**10: "-78.8649417107155",
+        10**11: "-84.34863166594337",
+    }
+    # (N, n, m) -> repr of f_dp; lam = m (1 - 1/n)^N runs from 0.3 to 20
+    HIGH_PRECISION_F_DP = {
+        (30000, 3947.4, 600): "0.2593015936287421",
+        (100000, 14701.2, 900): "0.6324093186645509",
+        (300000, 50071.7, 1200): "0.9504258768419284",
+        (1000000, 175323.0, 1800): "0.9975475303611414",
+        (3000000, 566218.0, 2400): "0.999994042031353",
+        (10000000, 1995760.0, 3000): "0.9999999980737777",
+    }
+
+    @pytest.mark.parametrize("big_n", sorted(COMPLEMENT_LOG_REGIME_III))
+    def test_complement_log_pinned(self, big_n):
+        params = regime_params(RegimeSpec("III", 1.0, 1.5, 3), big_n)
+        assert repr(f_complement_log(params)) == self.COMPLEMENT_LOG_REGIME_III[big_n]
+
+    @pytest.mark.parametrize("triple", sorted(HIGH_PRECISION_F_DP))
+    def test_high_precision_f_dp_pinned(self, triple):
+        big_n, n, m = triple
+        # beyond the chain's budget, so f_dp takes the alternating sum
+        assert (m + 1) ** 3 * math.log2(big_n) > auxfn._DP_BUDGET
+        assert repr(f_dp(OccupancyParams(big_n, n, m))) == self.HIGH_PRECISION_F_DP[triple]
+
+    def test_sums_match_exact(self):
+        worst_f = worst_log = 0.0
+        for params in EXACT_GRID:
+            exact = f_exact(params)
+            log_expected_empty = math.log(params.n_cells) + auxfn._log_empty_one_cell(params)
+            got = auxfn._f_mpmath(params, log_expected_empty)
+            worst_f = max(worst_f, _relative_error(got, float(exact)))
+            # log(1 - f) to a relative 1e-12, and to 1e-12 absolute below |1|:
+            # that is 1 - f to a relative 1e-12 (the sum keeps a fixed number of
+            # digits of 1 - f, so log(1 - f) = -1e-60 has no relative precision)
+            want = math.log1p(-float(exact)) if exact < 0.5 else math.log(float(1 - exact))
+            got_log = f_complement_log(params)
+            worst_log = max(worst_log, abs(got_log - want) / max(1.0, abs(want)))
+        assert len(EXACT_GRID) == 271
+        assert worst_f <= 1e-12 and worst_log <= 1e-12
