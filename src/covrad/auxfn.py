@@ -1,7 +1,7 @@
 """Occupancy probability f(N, n, m): the chance that at least one of m
 disjoint cells of measure 1/n receives none of N i.i.d. points.
 
-Three evaluators with different contracts:
+Four evaluators with different contracts:
 
 * f_exact: the alternating inclusion-exclusion sum in exact rational
   arithmetic. Reference-grade, small instances only.
@@ -12,7 +12,13 @@ Three evaluators with different contracts:
   to absorb the cancellation, or short-circuits to 1.0 when the expected
   number of empty cells makes the all-occupied probability underflow double
   precision.
+* f_complement_log: log(1 - f) from the same alternating sum, for f too
+  close to 1 for double precision.
 * f_lower_bound: the closed-form lower bound, evaluated in log space.
+
+Both high-precision sums take their terms C(m, k) (1 - k/n)^N from one
+kernel, _terms: the binomial is an exact Python integer and the power
+exp(N log1p(-k/n)), at the working precision each sum sets.
 """
 
 from __future__ import annotations
@@ -126,20 +132,27 @@ def _f_dp_numpy(params: OccupancyParams) -> float:
     return float(min(1.0, max(0.0, 1.0 - v[m])))
 
 
+def _terms(params: OccupancyParams, start: int):
+    """Yield (k, C(m, k) (1 - k/n)^N) for k = start..m at the caller's mpmath
+    precision. The binomial is carried as an exact Python integer, so only the
+    power and the product round."""
+    n = mpmath.mpf(params.cells_inv_measure)
+    big_n, m = params.n_points, params.n_cells
+    comb = math.comb(m, start)
+    for k in range(start, m + 1):
+        yield k, comb * mpmath.exp(big_n * mpmath.log1p(-k / n))
+        comb = comb * (m - k) // (k + 1)
+
+
 def _f_mpmath(params: OccupancyParams, log_expected_empty: float) -> float:
     # lam <= 45: f_dp returns 1.0 first where m log1p(-q) < -45, and
     # m log1p(-q) <= -m q = -lam
     lam = math.exp(log_expected_empty)
     digits = 30 + int(0.5 * lam)
     with mpmath.workdps(digits):
-        n = mpmath.mpf(params.cells_inv_measure)
-        big_n = params.n_points
-        m = params.n_cells
         total = mpmath.mpf(0)
         tiny = mpmath.mpf(10) ** (-digits - 10)
-        for k in range(1, m + 1):
-            log_term = mpmath.log(mpmath.binomial(m, k)) + big_n * mpmath.log1p(-k / n)
-            term = mpmath.e**log_term
+        for k, term in _terms(params, 1):
             total += term if k % 2 == 1 else -term
             if k > 2.0 * lam + 20 and term < tiny:
                 break
@@ -168,13 +181,9 @@ def f_complement_log(params: OccupancyParams) -> float:
     lam = params.n_cells * math.exp(log_q)  # expected number of empty cells
     digits = 40 + int(lam)
     with mpmath.workdps(digits):
-        n = mpmath.mpf(params.cells_inv_measure)
-        big_n = params.n_points
-        m = params.n_cells
         total = mpmath.mpf(0)
         tiny = mpmath.mpf(10) ** (-digits)
-        for k in range(0, m + 1):
-            term = mpmath.binomial(m, k) * mpmath.e ** (big_n * mpmath.log1p(-k / n))
+        for k, term in _terms(params, 0):
             total += term if k % 2 == 0 else -term
             if k > 3.0 * lam + 20 and abs(term) < tiny:
                 break
