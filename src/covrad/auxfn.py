@@ -6,8 +6,9 @@ Four evaluators with different contracts:
 * f_exact: the alternating inclusion-exclusion sum in exact rational
   arithmetic. Reference-grade, small instances only.
 * f_dp: production evaluator. Uses the complementary occupancy chain (the
-  N-th power of the constant bidiagonal transition matrix, no cancellation)
-  when the cell count is moderate; on instances where that is infeasible it
+  N-th power of the constant bidiagonal transition matrix; f sums the
+  states with fewer than m cells occupied, so nothing cancels and tiny f
+  keeps its relative precision) when the cell count is moderate; on instances where that is infeasible it
   switches to the same alternating sum in high-precision floating point sized
   to absorb the cancellation, or short-circuits to 1.0 when the expected
   number of empty cells makes the all-occupied probability underflow double
@@ -123,13 +124,15 @@ def _log_empty_one_cell(params: OccupancyParams) -> float:
 def _f_dp_numpy(params: OccupancyParams) -> float:
     # state j = number of occupied target cells; one throw is the constant
     # bidiagonal transition M, so N throws are M^N (squaring, O(m^3 log N)).
-    # All entries stay nonnegative, so the power is cancellation-free.
+    # All entries stay nonnegative, and f = P(fewer than m cells occupied) is
+    # the sum of the states below m, not 1 - v[m], so nothing cancels and f
+    # keeps its relative precision far below the double epsilon.
     n, m, big_n = params.cells_inv_measure, params.n_cells, params.n_points
     j = np.arange(m + 1)
     mat = np.diag(1.0 - (m - j) / n)
     mat[j[1:], j[:-1]] = (m - j[:-1]) / n
     v = np.linalg.matrix_power(mat, big_n)[:, 0]
-    return float(min(1.0, max(0.0, 1.0 - v[m])))
+    return float(min(1.0, v[:m].sum()))
 
 
 def _terms(params: OccupancyParams, start: int):
