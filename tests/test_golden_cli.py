@@ -77,7 +77,7 @@ CASES = {
     ),
     "fgrid": (
         ["fgrid", "--N", "100", "1000", "--n", "10", "50", "--m", "2", "5", "10"],
-        "8188926c95dc599b526a2b209e11b45ebe361aadc24b959dfffaa85ce4267bb5",
+        "8e05c1cb202df18ebf33f6c2374a78d8a0eb4ac290d14d722cca7ad7de1ba6fe",
     ),
     "versus_d1": (
         ["versus", "--d", "1", "--n-grid", "100", "1000", "--trials", "10", "--seed", "3"],
