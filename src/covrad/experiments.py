@@ -433,8 +433,19 @@ def run_epsnet_study(domain: Domain, n_grid, trials: int, c_mult: float, master_
 
 
 def dump_f_grid(n_values, n_cell_measures, m_values, out: str | None = None) -> list[dict]:
-    """Evaluate f and its lower bound over a parameter grid, as CSV rows."""
+    """Evaluate f and its lower bound over a parameter grid, as CSV rows.
+
+    Every N and m must be a positive integer and every n a finite positive
+    number, checked before the first row; the triples without m <= n <= N
+    are then skipped."""
     from .auxfn import OccupancyParams, f_dp, f_lower_bound
+
+    if not all(_is_int(v) and v >= 1 for v in (*n_values, *m_values)):
+        raise ValueError(f"N and m must be positive integers; got N {list(n_values)}, "
+                         f"m {list(m_values)}")
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+               and v > 0 for v in n_cell_measures):
+        raise ValueError(f"n must be finite and positive; got {list(n_cell_measures)}")
 
     def rows():
         for big_n in n_values:

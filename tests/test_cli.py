@@ -147,6 +147,22 @@ def test_fgrid_rejects_non_integer_n_and_m(cfg, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("cfg", [
+    {"m_values": [2, 2.5], "n_cell_measures": [2.0], "n_values": [100]},
+    {"m_values": [2], "n_cell_measures": [2.0], "n_values": [100, 0]},
+    {"n_cell_measures": [10.0, float("nan")]},
+    {"n_cell_measures": [10.0, -5.0]},
+    {"n_cell_measures": [True]},
+], ids=["m-outside-filter", "N-zero", "n-nan", "n-negative", "n-bool"])
+def test_fgrid_checks_every_value_before_the_first_row(cfg, tmp_path, capsys):
+    # m = 2.5 fails m <= n, so it was once skipped and the m = 2 row written
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "f.csv"
+    _exit_1(["fgrid", "--config", str(path), "--out", str(out)], capsys)
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_rejects_bool_seed(tmp_path, capsys):
     # true would run stream (1, t) and be echoed to the sidecar as true
     cfg = tmp_path / "cfg.json"
