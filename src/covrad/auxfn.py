@@ -8,11 +8,11 @@ Four evaluators with different contracts:
 * f_dp: production evaluator. Uses the complementary occupancy chain (the
   N-th power of the constant bidiagonal transition matrix; f sums the
   states with fewer than m cells occupied, so nothing cancels and tiny f
-  keeps its relative precision) when the cell count is moderate; on instances where that is infeasible it
-  switches to the same alternating sum in high-precision floating point sized
-  to absorb the cancellation, or short-circuits to 1.0 when the expected
-  number of empty cells makes the all-occupied probability underflow double
-  precision.
+  keeps its relative precision) when the cell count is moderate; on
+  instances where that is infeasible it switches to the same alternating
+  sum in high-precision floating point sized to absorb the cancellation, or
+  short-circuits to 1.0 when the expected number of empty cells makes the
+  all-occupied probability underflow double precision.
 * f_complement_log: log(1 - f) from the same alternating sum, for f too
   close to 1 for double precision.
 * f_lower_bound: the closed-form lower bound, evaluated in log space.

@@ -69,13 +69,9 @@ class TestFDp:
     def test_matches_exact_small(self):
         assert f_dp(OccupancyParams(2, 2.0, 2)) == pytest.approx(0.5, abs=1e-15)
 
-    def test_chain_keeps_tiny_f(self):
-        # f = 2 * 2^-100 - 0; 1 - v[m] once cancelled this to 0.0
-        assert f_dp(OccupancyParams(100, 2.0, 2)) == pytest.approx(2.0**-99, rel=1e-12)
-
     def test_relative_error_on_exact_grid(self):
-        # the chain branch (and 1.0 where saturated) to a relative 1e-12,
-        # down to f = 6e-61
+        # the chain branch (and 1.0 where saturated) to a relative 1e-12, down
+        # to f = 6e-61; 1 - v[m] gave 0.0 for (100, 2.0, 2), where f = 2^-99
         worst = max(_relative_error(f_dp(p), float(f_exact(p))) for p in EXACT_GRID)
         assert worst <= 1e-12
 
