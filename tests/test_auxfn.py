@@ -105,8 +105,6 @@ class TestFDp:
 
     def test_high_precision_branch_matches_dp(self):
         # force the alternating-sum branch by dropping the DP budget
-        from covrad import auxfn
-
         params = OccupancyParams(5000, 700.0, 300)
         expected = auxfn._f_dp_numpy(params)
         old = auxfn._DP_BUDGET
@@ -246,7 +244,7 @@ class TestHighPrecisionSums:
             log_expected_empty = math.log(params.n_cells) + auxfn._log_empty_one_cell(params)
             got = auxfn._f_mpmath(params, log_expected_empty)
             worst_f = max(worst_f, _relative_error(got, float(exact)))
-            # log(1 - f) to a relative 1e-12, and to 1e-12 absolute below |1|:
+            # log(1 - f) to a relative 1e-12, and to 1e-12 absolute below 1 in size:
             # that is 1 - f to a relative 1e-12 (the sum keeps a fixed number of
             # digits of 1 - f, so log(1 - f) = -1e-60 has no relative precision)
             want = math.log1p(-float(exact)) if exact < 0.5 else math.log(float(1 - exact))
