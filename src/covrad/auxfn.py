@@ -38,6 +38,12 @@ from .errors import ResourceLimitError
 _DP_BUDGET = 2 * 10**8
 
 
+def is_count(value) -> bool:
+    """A positive integer, not a bool: a float or bool would be taken as a
+    count (100.5 points, or True as 1)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass(frozen=True)
 class OccupancyParams:
     n_points: int  # N: number of thrown points
@@ -45,9 +51,7 @@ class OccupancyParams:
     n_cells: int  # m: number of disjoint cells
 
     def __post_init__(self):
-        # a float or bool would be taken as a count: 100.5 points, or True as 1
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
-                   for v in (self.n_points, self.n_cells)):
+        if not (is_count(self.n_points) and is_count(self.n_cells)):
             raise ValueError("N and m must be positive integers")
         if not (self.n_cells <= self.cells_inv_measure <= self.n_points):
             raise ValueError("need m <= n <= N")

@@ -438,9 +438,9 @@ def dump_f_grid(n_values, n_cell_measures, m_values, out: str | None = None) -> 
     Every N and m must be a positive integer and every n a finite positive
     number, checked before the first row; the triples without m <= n <= N
     are then skipped."""
-    from .auxfn import OccupancyParams, f_dp, f_lower_bound
+    from .auxfn import OccupancyParams, f_dp, f_lower_bound, is_count
 
-    if not all(_is_int(v) and v >= 1 for v in (*n_values, *m_values)):
+    if not all(is_count(v) for v in (*n_values, *m_values)):
         raise ValueError(f"N and m must be positive integers; got N {list(n_values)}, "
                          f"m {list(m_values)}")
     if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)

@@ -10,18 +10,18 @@ either), plus "complement": f_complement_log on the variant III regime.
 covrad is imported from the path, so the same script times another checkout:
 
     PYTHONPATH=src python tools/occupancy_stages.py
-    PYTHONPATH=../other/src python tools/occupancy_stages.py --branches complement
+    PYTHONPATH=../other/src python tools/occupancy_stages.py
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import time
 
 from covrad.auxfn import OccupancyParams, RegimeSpec, f_complement_log, f_dp, regime_params
 
-# branch -> (evaluator, triples)
+# branch -> (evaluator, triples); the high_precision and complement triples are
+# those pinned in tests/test_auxfn.py, and tests/test_tools.py checks the values
 BRANCHES = {
     # f from 1.6e-30 (two cells of measure 1/2, 100 points) to 0.63
     "chain": (f_dp, [(100, 2.0, 2), (1000, 10.0, 10), (10**5, 1.5e4, 120),
@@ -38,16 +38,11 @@ BRANCHES = {
 }
 
 
-def main(argv=None) -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--branches", nargs="+", default=list(BRANCHES), choices=list(BRANCHES))
-    args = ap.parse_args(argv)
-
+def main() -> None:
     # first calls pay one-off costs: numpy's first matrix power, mpmath's caches
     f_dp(OccupancyParams(*BRANCHES["chain"][1][2]))
     f_complement_log(OccupancyParams(*BRANCHES["complement"][1][0]))
-    for branch in args.branches:
-        fn, triples = BRANCHES[branch]
+    for branch, (fn, triples) in BRANCHES.items():
         for big_n, n, m in triples:
             params = OccupancyParams(big_n, n, m)
             start = time.perf_counter()
