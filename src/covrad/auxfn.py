@@ -5,14 +5,10 @@ Four evaluators with different contracts:
 
 * f_exact: the alternating inclusion-exclusion sum in exact rational
   arithmetic. Reference-grade, small instances only.
-* f_dp: production evaluator. Uses the complementary occupancy chain (the
-  N-th power of the constant bidiagonal transition matrix; f sums the
-  states with fewer than m cells occupied, so nothing cancels and tiny f
-  keeps its relative precision) when the cell count is moderate; on
-  instances where that is infeasible it switches to the same alternating
-  sum in high-precision floating point sized to absorb the cancellation, or
-  short-circuits to 1.0 when the expected number of empty cells makes the
-  all-occupied probability underflow double precision.
+* f_dp: production evaluator. The same alternating sum in high-precision
+  floating point, with enough digits to absorb its cancellation, so tiny f
+  keeps its relative precision; or 1.0 when the expected number of empty
+  cells makes the all-occupied probability underflow double precision.
 * f_complement_log: log(1 - f) from the same alternating sum, for f too
   close to 1 for double precision.
 * f_lower_bound: the closed-form lower bound, evaluated in log space.
@@ -30,13 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 
 from .errors import ResourceLimitError
-
-# flop budget for the O(m^3 log N) occupancy-chain power before switching
-_DP_BUDGET = 2 * 10**8
-
 
 def is_count(value) -> bool:
     """A positive integer, not a bool: a float or bool would be taken as a
@@ -121,22 +112,10 @@ def f_exact(params: OccupancyParams) -> Fraction:
 
 
 def _log_empty_one_cell(params: OccupancyParams) -> float:
-    """log of q = (1 - 1/n)^N, the probability a fixed cell stays empty."""
-    return params.n_points * math.log1p(-1.0 / params.cells_inv_measure)
-
-
-def _f_dp_numpy(params: OccupancyParams) -> float:
-    # state j = number of occupied target cells; one throw is the constant
-    # bidiagonal transition M, so N throws are M^N (squaring, O(m^3 log N)).
-    # All entries stay nonnegative, and f = P(fewer than m cells occupied) is
-    # the sum of the states below m, not 1 - v[m], so nothing cancels and f
-    # keeps its relative precision far below the double epsilon.
-    n, m, big_n = params.cells_inv_measure, params.n_cells, params.n_points
-    j = np.arange(m + 1)
-    mat = np.diag(1.0 - (m - j) / n)
-    mat[j[1:], j[:-1]] = (m - j[:-1]) / n
-    v = np.linalg.matrix_power(mat, big_n)[:, 0]
-    return float(min(1.0, v[:m].sum()))
+    """log of q = (1 - 1/n)^N, the probability a fixed cell stays empty;
+    -inf at n = 1, where the one cell is the whole space."""
+    n = params.cells_inv_measure
+    return params.n_points * math.log1p(-1.0 / n) if n != 1 else -math.inf
 
 
 def _terms(params: OccupancyParams, start: int):
@@ -151,10 +130,15 @@ def _terms(params: OccupancyParams, start: int):
         comb = comb * (m - k) // (k + 1)
 
 
-def _f_mpmath(params: OccupancyParams, log_expected_empty: float) -> float:
-    # lam <= 45: f_dp returns 1.0 first where m log1p(-q) < -45, and
-    # m log1p(-q) <= -m q = -lam
-    lam = math.exp(log_expected_empty)
+def f_dp(params: OccupancyParams) -> float:
+    """Probability that at least one of the m cells is empty, in [0, 1]."""
+    log_q = _log_empty_one_cell(params)
+    # expected empty cells m*q; all-occupied probability <= (1-q)^m
+    log_all_occupied_bound = params.n_cells * math.log1p(-math.exp(log_q)) if log_q < 0 else 0.0
+    if log_all_occupied_bound < -45.0:
+        return 1.0
+    # lam <= 45 here, since m log1p(-q) <= -m q = -lam
+    lam = math.exp(math.log(params.n_cells) + log_q)
     digits = 30 + int(0.5 * lam)
     with mpmath.workdps(digits):
         total = mpmath.mpf(0)
@@ -164,18 +148,6 @@ def _f_mpmath(params: OccupancyParams, log_expected_empty: float) -> float:
             if k > 2.0 * lam + 20 and term < tiny:
                 break
         return float(min(1.0, max(0.0, total)))
-
-
-def f_dp(params: OccupancyParams) -> float:
-    """Probability that at least one of the m cells is empty, in [0, 1]."""
-    log_q = _log_empty_one_cell(params)
-    # expected empty cells m*q; all-occupied probability <= (1-q)^m
-    log_all_occupied_bound = params.n_cells * math.log1p(-math.exp(log_q)) if log_q < 0 else 0.0
-    if log_all_occupied_bound < -45.0:
-        return 1.0
-    if (params.n_cells + 1) ** 3 * math.log2(max(2, params.n_points)) <= _DP_BUDGET:
-        return _f_dp_numpy(params)
-    return _f_mpmath(params, math.log(params.n_cells) + log_q)
 
 
 def f_complement_log(params: OccupancyParams) -> float:

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .auxfn import OccupancyParams, f_dp, f_lower_bound, is_count
 from .covering import (
     WindowSpec,
     covering_radius_bounds,
@@ -68,16 +69,11 @@ class StudyConfig:
             raise ValueError(f"moment order p must be finite and >= 1, got {self.p}")
 
 
-def _is_int(value) -> bool:
-    """An integer, not a bool (True would pass as 1)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _check_study(n_grid, trials: int, eta: float) -> None:
     """Every study needs a strictly increasing grid of integers N >= 2, at
     least two trials and a finite eta > 0."""
     grid = list(n_grid)
-    ints = all(_is_int(v) for v in (*grid, trials))
+    ints = all(is_count(v) for v in (*grid, trials))
     if not (ints and grid and grid[0] >= 2 and all(a < b for a, b in zip(grid, grid[1:]))
             and trials >= 2 and eta > 0 and math.isfinite(eta)):
         raise ValueError("need a strictly increasing grid of integers N >= 2, at least two "
@@ -336,7 +332,7 @@ def run_zn_study(d: int, n_grid, trials: int, master_seed: int = 0, probe_eta: f
                  out: str | None = None, force: bool = False) -> list[ZnRow]:
     """Distribution of the rescaled sphere covering radius Z_N, which
     converges in probability to 1."""
-    if not _is_int(d) or d not in (1, 2):
+    if not is_count(d) or d not in (1, 2):
         raise ValueError(f"Z_N study supports the integers d in {{1, 2}}, got {d!r}")
     domain = Sphere(d)
     scale_const = unit_ball_volume(d) / ((d + 1) * unit_ball_volume(d + 1))
@@ -387,7 +383,7 @@ def run_random_vs_structured(d: int, n_grid, trials: int, master_seed: int = 0,
                              force: bool = False) -> list[dict]:
     """Mean random covering radius vs the centered regular grid configuration
     on the cube; the ratio grows like (log N)^(1/d)."""
-    if not _is_int(d) or d not in (1, 2, 3):
+    if not is_count(d) or d not in (1, 2, 3):
         raise ValueError(f"random-vs-structured study supports the integers d in {{1, 2, 3}}, "
                          f"got {d!r}")
     domain = IntervalUniform() if d == 1 else Cube(d)
@@ -438,8 +434,6 @@ def dump_f_grid(n_values, n_cell_measures, m_values, out: str | None = None) -> 
     Every N and m must be a positive integer and every n a finite positive
     number, checked before the first row; the triples without m <= n <= N
     are then skipped."""
-    from .auxfn import OccupancyParams, f_dp, f_lower_bound, is_count
-
     if not all(is_count(v) for v in (*n_values, *m_values)):
         raise ValueError(f"N and m must be positive integers; got N {list(n_values)}, "
                          f"m {list(m_values)}")

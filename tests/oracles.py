@@ -1,5 +1,6 @@
 """Reference values that only the tests use: regularity witnesses of the catalog
-domains, ball measures, and the exact expected covering radius on the circle.
+domains, ball measures, the exact expected covering radius on the circle, and
+the occupancy probability at high precision.
 
 No study, CLI command or tool computes from these; the tests check the library
 against them, and the witness spot-check checks them against measured ball
@@ -11,8 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
+from covrad.auxfn import OccupancyParams
 from covrad.errors import UnsupportedDomainError
 from covrad.sampler import SeedSpec, sample
 from covrad.spaces import (
@@ -190,3 +193,21 @@ def circle_expectation_oracle(n: int, circumference: float = 2.0 * math.pi) -> f
         raise ValueError("need at least one point")
     harmonic = sum(1.0 / k for k in range(1, n + 1))
     return circumference * harmonic / (2.0 * n)
+
+
+# ---------------------------------------------------------------------------
+# Occupancy probability
+# ---------------------------------------------------------------------------
+
+
+def occupancy_reference(params: OccupancyParams, digits: int = 120) -> float:
+    """f(N, n, m) from the whole alternating sum at `digits` significant digits,
+    rounded once to the nearest double. Each term C(m, k) (1 - k/n)^N comes from
+    mpmath.binomial and mpmath.power, not from auxfn's exact-integer kernel.
+    The sum cancels about lam / ln 10 digits for lam expected empty cells, far
+    fewer than `digits` wherever f_dp does not saturate (lam <= 45)."""
+    with mpmath.workdps(digits):
+        n = mpmath.mpf(params.cells_inv_measure)
+        m, big_n = params.n_cells, params.n_points
+        return float(mpmath.fsum((-1) ** (k + 1) * mpmath.binomial(m, k)
+                                 * mpmath.power(1 - k / n, big_n) for k in range(1, m + 1)))

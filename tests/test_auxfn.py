@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import occupancy_reference
 
-from covrad import auxfn
 from covrad.auxfn import (
     OccupancyParams,
     RegimeSpec,
@@ -70,8 +70,8 @@ class TestFDp:
         assert f_dp(OccupancyParams(2, 2.0, 2)) == pytest.approx(0.5, abs=1e-15)
 
     def test_relative_error_on_exact_grid(self):
-        # the chain branch (and 1.0 where saturated) to a relative 1e-12, down
-        # to f = 6e-61; 1 - v[m] gave 0.0 for (100, 2.0, 2), where f = 2^-99
+        # to a relative 1e-12, down to f = 6e-61; a matrix-power chain that took
+        # f as 1 - v[m] once gave 0.0 for (100, 2.0, 2), where f = 2^-99
         worst = max(_relative_error(f_dp(p), float(f_exact(p))) for p in EXACT_GRID)
         assert worst <= 1e-12
 
@@ -103,17 +103,27 @@ class TestFDp:
             values = [f_dp(OccupancyParams(big_n, 8.0, m)) for m in range(1, 9)]
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
-    def test_high_precision_branch_matches_dp(self):
-        # force the alternating-sum branch by dropping the DP budget
-        params = OccupancyParams(5000, 700.0, 300)
-        expected = auxfn._f_dp_numpy(params)
-        old = auxfn._DP_BUDGET
-        auxfn._DP_BUDGET = 0
-        try:
-            got = f_dp(params)
-        finally:
-            auxfn._DP_BUDGET = old
-        assert got == pytest.approx(expected, abs=1e-12)
+    # small m, where an occupancy-chain matrix power once served f_dp: it gave
+    # 3.4957425034454726e-46 for (1000, 10.0, 2) and was 2.7e-11 off on
+    # (766271, 132692.83646344743, 38)
+    @pytest.mark.parametrize("triple", [(100, 2.0, 2), (1000, 10.0, 2), (1000, 10.0, 10),
+                                        (10**5, 1.5e4, 120), (10**6, 2e5, 150),
+                                        (766271, 132692.83646344743, 38)])
+    def test_equals_high_digit_reference(self, triple):
+        params = OccupancyParams(*triple)
+        assert f_dp(params) == occupancy_reference(params)
+
+    def test_equals_high_digit_reference_on_exact_grid(self):
+        assert [f_dp(p) for p in EXACT_GRID] == [occupancy_reference(p) for p in EXACT_GRID]
+
+    @pytest.mark.parametrize("big_n", [1, 5, 200])
+    def test_one_cell_of_full_measure(self, big_n):
+        # n = 1: the one cell is the whole space, so it is never empty
+        params = OccupancyParams(big_n, 1.0, 1)
+        assert f_exact(params) == 0
+        assert f_dp(params) == 0.0
+        assert f_lower_bound(params) == 0.0
+        assert f_complement_log(params) == 0.0
 
     def test_multinomial_monte_carlo_oracle(self):
         big_n, n, m = 10**5, 10**4, 10**3
@@ -205,8 +215,7 @@ class TestRegimeParams:
 
 
 class TestHighPrecisionSums:
-    """The two high-precision alternating sums, called directly so that the
-    check does not depend on the branch f_dp picks."""
+    """The two high-precision alternating sums, f_dp and f_complement_log."""
 
     # repr of each value, recorded before the sums took exact integer binomials
     COMPLEMENT_LOG_REGIME_III = {
@@ -224,6 +233,13 @@ class TestHighPrecisionSums:
         (3000000, 566218.0, 2400): "0.999994042031353",
         (10000000, 1995760.0, 3000): "0.9999999980737777",
     }
+    # (N, n, m) -> repr of f_dp at small m, each the correctly rounded value
+    SMALL_M_F_DP = {
+        (100, 2.0, 2): "1.5777218104420236e-30",
+        (1000, 10.0, 10): "1.7478712517226516e-45",
+        (100000, 15000.0, 120): "0.14168531998020703",
+        (1000000, 200000.0, 150): "0.6372758149424707",
+    }
 
     @pytest.mark.parametrize("big_n", sorted(COMPLEMENT_LOG_REGIME_III))
     def test_complement_log_pinned(self, big_n):
@@ -232,17 +248,17 @@ class TestHighPrecisionSums:
 
     @pytest.mark.parametrize("triple", sorted(HIGH_PRECISION_F_DP))
     def test_high_precision_f_dp_pinned(self, triple):
-        big_n, n, m = triple
-        # beyond the chain's budget, so f_dp takes the alternating sum
-        assert (m + 1) ** 3 * math.log2(big_n) > auxfn._DP_BUDGET
-        assert repr(f_dp(OccupancyParams(big_n, n, m))) == self.HIGH_PRECISION_F_DP[triple]
+        assert repr(f_dp(OccupancyParams(*triple))) == self.HIGH_PRECISION_F_DP[triple]
+
+    @pytest.mark.parametrize("triple", sorted(SMALL_M_F_DP))
+    def test_small_m_f_dp_pinned(self, triple):
+        assert repr(f_dp(OccupancyParams(*triple))) == self.SMALL_M_F_DP[triple]
 
     def test_sums_match_exact(self):
         worst_f = worst_log = 0.0
         for params in EXACT_GRID:
             exact = f_exact(params)
-            log_expected_empty = math.log(params.n_cells) + auxfn._log_empty_one_cell(params)
-            got = auxfn._f_mpmath(params, log_expected_empty)
+            got = f_dp(params)
             worst_f = max(worst_f, _relative_error(got, float(exact)))
             # log(1 - f) to a relative 1e-12, and to 1e-12 absolute below 1 in size:
             # that is 1 - f to a relative 1e-12 (the sum keeps a fixed number of

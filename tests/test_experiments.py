@@ -493,6 +493,11 @@ class TestCli:
         assert cli_main(["fgrid", "--N", "100", "--n", "10", "--m", "2", "5"]) == 0
         assert "f=" in capsys.readouterr().out
 
+    def test_fgrid_one_cell_of_full_measure(self, capsys):
+        # n = 1 once raised a math domain error and exited 1
+        assert cli_main(["fgrid", "--N", "5", "--n", "1", "--m", "1"]) == 0
+        assert "f=0 lower=0" in capsys.readouterr().out
+
     @pytest.mark.parametrize("flag", [["--trials", "3"], ["--seed", "1"], ["--force"]])
     def test_fgrid_rejects_study_flags(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -40,16 +40,17 @@ def test_occupancy_stages_runs():
         capture_output=True, text=True, env=_env_with_covrad(), timeout=120)
     assert run.returncode == 0, run.stderr
     rows = [json.loads(line) for line in run.stdout.splitlines()]
-    assert [r["branch"] for r in rows] == (["chain"] * 4 + ["high_precision"] * 6
-                                           + ["saturated"] * 2 + ["complement"] * 4)
+    assert [r["branch"] for r in rows] == (["high_precision"] * 10 + ["saturated"] * 2
+                                           + ["complement"] * 4)
     assert all(r["ms"] >= 0.0 for r in rows)
     values = [float(r["value"]) for r in rows]
-    # the first chain triple is f = 2 * 2^-100; f_dp returns 1.0 when saturated;
+    # the first triple is f = 2 * 2^-100; f_dp returns 1.0 when saturated;
     # log(1 - f) falls along the regime
     assert values[0] == pytest.approx(2.0**-99, rel=1e-12)
     assert all(0.0 < v < 1.0 for v in values[:10]) and values[10:12] == [1.0, 1.0]
     assert all(b < a < 0.0 for a, b in zip(values[12:], values[13:]))
     # the high-precision and complement triples are the pinned ones, bit for bit
     pinned = TestHighPrecisionSums
-    assert {(r["N"], r["n"], r["m"]): r["value"] for r in rows[4:10]} == pinned.HIGH_PRECISION_F_DP
+    assert ({(r["N"], r["n"], r["m"]): r["value"] for r in rows[:10]}
+            == {**pinned.SMALL_M_F_DP, **pinned.HIGH_PRECISION_F_DP})
     assert {r["N"]: r["value"] for r in rows[12:]} == pinned.COMPLEMENT_LOG_REGIME_III

@@ -2,10 +2,9 @@
 
 Each triple is evaluated once, after a warm-up, and one JSON line is printed
 per call with the branch, the triple, the time in ms and the value (as repr,
-to compare runs bit for bit). The branches are those of f_dp: "chain" (the
-occupancy chain, (m + 1)^3 log2 N within its budget), "high_precision" (the
-alternating sum past that budget) and "saturated" (f_dp returns 1.0 before
-either), plus "complement": f_complement_log on the variant III regime.
+to compare runs bit for bit). The branches are those of f_dp:
+"high_precision" (the alternating sum) and "saturated" (f_dp returns 1.0
+before summing), plus "complement": f_complement_log on the variant III regime.
 
 covrad is imported from the path, so the same script times another checkout:
 
@@ -23,11 +22,11 @@ from covrad.auxfn import OccupancyParams, RegimeSpec, f_complement_log, f_dp, re
 # branch -> (evaluator, triples); the high_precision and complement triples are
 # those pinned in tests/test_auxfn.py, and tests/test_tools.py checks the values
 BRANCHES = {
-    # f from 1.6e-30 (two cells of measure 1/2, 100 points) to 0.63
-    "chain": (f_dp, [(100, 2.0, 2), (1000, 10.0, 10), (10**5, 1.5e4, 120),
-                     (10**6, 2e5, 150)]),
-    # m from 600 to 3000, m (1 - 1/n)^N from 0.3 to 20 expected empty cells
-    "high_precision": (f_dp, [(30000, 3947.4, 600), (100000, 14701.2, 900),
+    # m from 2 to 3000: f from 1.6e-30 (two cells of measure 1/2, 100 points),
+    # and m (1 - 1/n)^N up to 20 expected empty cells
+    "high_precision": (f_dp, [(100, 2.0, 2), (1000, 10.0, 10), (10**5, 1.5e4, 120),
+                              (10**6, 2e5, 150),
+                              (30000, 3947.4, 600), (100000, 14701.2, 900),
                               (300000, 50071.7, 1200), (1000000, 175323.0, 1800),
                               (3000000, 566218.0, 2400), (10000000, 1995760.0, 3000)]),
     # about 67 and 770 expected empty cells
@@ -39,8 +38,8 @@ BRANCHES = {
 
 
 def main() -> None:
-    # first calls pay one-off costs: numpy's first matrix power, mpmath's caches
-    f_dp(OccupancyParams(*BRANCHES["chain"][1][2]))
+    # first calls pay one-off costs: mpmath's caches
+    f_dp(OccupancyParams(*BRANCHES["high_precision"][1][2]))
     f_complement_log(OccupancyParams(*BRANCHES["complement"][1][0]))
     for branch, (fn, triples) in BRANCHES.items():
         for big_n, n, m in triples:
