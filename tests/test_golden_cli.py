@@ -77,7 +77,7 @@ CASES = {
     ),
     "fgrid": (
         ["fgrid", "--N", "100", "1000", "--n", "10", "50", "--m", "2", "5", "10"],
-        "8e05c1cb202df18ebf33f6c2374a78d8a0eb4ac290d14d722cca7ad7de1ba6fe",
+        "e3758ef9f440f0ccb36479f6daa6ca191e61b9a8f23adcb04fffc6135c541bbe",
     ),
     "versus_d1": (
         ["versus", "--d", "1", "--n-grid", "100", "1000", "--trials", "10", "--seed", "3"],
