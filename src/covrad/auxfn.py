@@ -29,6 +29,7 @@ import mpmath
 
 from .errors import ResourceLimitError
 
+
 def is_count(value) -> bool:
     """A positive integer, not a bool: a float or bool would be taken as a
     count (100.5 points, or True as 1)."""

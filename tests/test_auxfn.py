@@ -70,8 +70,7 @@ class TestFDp:
         assert f_dp(OccupancyParams(2, 2.0, 2)) == pytest.approx(0.5, abs=1e-15)
 
     def test_relative_error_on_exact_grid(self):
-        # to a relative 1e-12, down to f = 6e-61; a matrix-power chain that took
-        # f as 1 - v[m] once gave 0.0 for (100, 2.0, 2), where f = 2^-99
+        # to a relative 1e-12, down to f = 2^-199 = 6e-61
         worst = max(_relative_error(f_dp(p), float(f_exact(p))) for p in EXACT_GRID)
         assert worst <= 1e-12
 
@@ -102,16 +101,6 @@ class TestFDp:
         for big_n in (10, 50, 200):
             values = [f_dp(OccupancyParams(big_n, 8.0, m)) for m in range(1, 9)]
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-
-    # small m, where an occupancy-chain matrix power once served f_dp: it gave
-    # 3.4957425034454726e-46 for (1000, 10.0, 2) and was 2.7e-11 off on
-    # (766271, 132692.83646344743, 38)
-    @pytest.mark.parametrize("triple", [(100, 2.0, 2), (1000, 10.0, 2), (1000, 10.0, 10),
-                                        (10**5, 1.5e4, 120), (10**6, 2e5, 150),
-                                        (766271, 132692.83646344743, 38)])
-    def test_equals_high_digit_reference(self, triple):
-        params = OccupancyParams(*triple)
-        assert f_dp(params) == occupancy_reference(params)
 
     def test_equals_high_digit_reference_on_exact_grid(self):
         assert [f_dp(p) for p in EXACT_GRID] == [occupancy_reference(p) for p in EXACT_GRID]
@@ -224,8 +213,13 @@ class TestHighPrecisionSums:
         10**10: "-78.8649417107155",
         10**11: "-84.34863166594337",
     }
-    # (N, n, m) -> repr of f_dp; lam = m (1 - 1/n)^N runs from 0.3 to 20
+    # (N, n, m) -> repr of f_dp, the correctly rounded value; m from 2 to 3000,
+    # f from 1.6e-30 up, lam = m (1 - 1/n)^N up to 20
     HIGH_PRECISION_F_DP = {
+        (100, 2.0, 2): "1.5777218104420236e-30",
+        (1000, 10.0, 10): "1.7478712517226516e-45",
+        (100000, 15000.0, 120): "0.14168531998020703",
+        (1000000, 200000.0, 150): "0.6372758149424707",
         (30000, 3947.4, 600): "0.2593015936287421",
         (100000, 14701.2, 900): "0.6324093186645509",
         (300000, 50071.7, 1200): "0.9504258768419284",
@@ -233,13 +227,11 @@ class TestHighPrecisionSums:
         (3000000, 566218.0, 2400): "0.999994042031353",
         (10000000, 1995760.0, 3000): "0.9999999980737777",
     }
-    # (N, n, m) -> repr of f_dp at small m, each the correctly rounded value
-    SMALL_M_F_DP = {
-        (100, 2.0, 2): "1.5777218104420236e-30",
-        (1000, 10.0, 10): "1.7478712517226516e-45",
-        (100000, 15000.0, 120): "0.14168531998020703",
-        (1000000, 200000.0, 150): "0.6372758149424707",
-    }
+    # small m, checked against the 120-digit reference (about a second per triple
+    # at m = 3000); a double-precision matrix power of the occupancy chain is off
+    # on the last two by 4.9e-14 and 2.7e-11 relative
+    SMALL_M = sorted(t for t in HIGH_PRECISION_F_DP if t[2] <= 150) + [
+        (1000, 10.0, 2), (766271, 132692.83646344743, 38)]
 
     @pytest.mark.parametrize("big_n", sorted(COMPLEMENT_LOG_REGIME_III))
     def test_complement_log_pinned(self, big_n):
@@ -250,9 +242,10 @@ class TestHighPrecisionSums:
     def test_high_precision_f_dp_pinned(self, triple):
         assert repr(f_dp(OccupancyParams(*triple))) == self.HIGH_PRECISION_F_DP[triple]
 
-    @pytest.mark.parametrize("triple", sorted(SMALL_M_F_DP))
-    def test_small_m_f_dp_pinned(self, triple):
-        assert repr(f_dp(OccupancyParams(*triple))) == self.SMALL_M_F_DP[triple]
+    @pytest.mark.parametrize("triple", SMALL_M)
+    def test_f_dp_equals_high_digit_reference(self, triple):
+        params = OccupancyParams(*triple)
+        assert f_dp(params) == occupancy_reference(params)
 
     def test_sums_match_exact(self):
         worst_f = worst_log = 0.0

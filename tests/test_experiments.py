@@ -494,7 +494,6 @@ class TestCli:
         assert "f=" in capsys.readouterr().out
 
     def test_fgrid_one_cell_of_full_measure(self, capsys):
-        # n = 1 once raised a math domain error and exited 1
         assert cli_main(["fgrid", "--N", "5", "--n", "1", "--m", "1"]) == 0
         assert "f=0 lower=0" in capsys.readouterr().out
 
