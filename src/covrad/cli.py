@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import spaces
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, UnsupportedDomainError
 from .experiments import (
     StudyConfig,
     dump_f_grid,
@@ -25,16 +25,16 @@ from .experiments import (
 )
 
 BUILTIN_DOMAINS = {
-    "interval": {"kind": "IntervalUniform", "params": {}},
-    "arcsine": {"kind": "ArcsineInterval", "params": {}},
-    "circle": {"kind": "Sphere", "params": {"d": 1}},
-    "sphere2": {"kind": "Sphere", "params": {"d": 2}},
-    "ball2": {"kind": "Ball", "params": {"d": 2}},
-    "ball3": {"kind": "Ball", "params": {"d": 3}},
-    "cube2": {"kind": "Cube", "params": {"d": 2}},
-    "cube3": {"kind": "Cube", "params": {"d": 3}},
-    "cantor": {"kind": "Cantor", "params": {"depth": 40}},
-    "unit_box": spaces.domain_to_dict(spaces.unit_box_polyhedron()),
+    "interval": spaces.IntervalUniform(),
+    "arcsine": spaces.ArcsineInterval(),
+    "circle": spaces.Sphere(1),
+    "sphere2": spaces.Sphere(2),
+    "ball2": spaces.Ball(2),
+    "ball3": spaces.Ball(3),
+    "cube2": spaces.Cube(2),
+    "cube3": spaces.Cube(3),
+    "cantor": spaces.Cantor(40),
+    "unit_box": spaces.unit_box_polyhedron(),
 }
 
 
@@ -42,111 +42,93 @@ def _resolve_domain(spec: str | dict) -> spaces.Domain:
     if isinstance(spec, dict):
         return spaces.domain_from_dict(spec)
     if spec in BUILTIN_DOMAINS:
-        return spaces.domain_from_dict(BUILTIN_DOMAINS[spec])
+        return BUILTIN_DOMAINS[spec]
     # otherwise treat as a path to a domain JSON document
     with open(spec) as fh:
         return spaces.domain_from_dict(json.load(fh))
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its fields")
-    p.add_argument("--seed", dest="master_seed", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--out", help="CSV output path")
-    p.add_argument("--force", action="store_true", default=None,
-                   help="run even if the cost estimate exceeds the budget")
+_STUDY = {"master_seed": 0, "out": None, "force": False}
+
+# subcommand: (runner, defaults, row format, help); the runner is called with
+# the merged config as keywords, and each row prints through the format
+TABLE = {
+    "study": (lambda **cfg: run_expectation_study(StudyConfig(**cfg)),
+              {"domain": "interval", "n_grid": [100, 1000], "trials": 100, "p": 1.0,
+               "probe_eta": 0.05, **_STUDY},
+              "N={n} rescaled={rescaled:.6g} ci={ci_half_width:.3g} target={target}",
+              "expectation study against the limit constant"),
+    "tail": (run_tail_study, {"domain": "interval", "n": 1000, "trials": 200,
+                              "thresholds": None, "probe_eta": 0.05, **_STUDY},
+             "t={threshold:.6g} P(L>=t)={prob_lower_exceeds:.4f} "
+             "P(U>=t)={prob_upper_exceeds:.4f}",
+             "tail probabilities of the covering radius"),
+    "zn": (run_zn_study, {"d": 1, "n_grid": [100, 1000, 10000], "trials": 100,
+                          "probe_eta": 0.05, **_STUDY},
+           "N={n} mean={mean:.4f} stdev={stdev:.4f} frac|Z-1|<=0.2={frac_within_02:.3f}",
+           "rescaled sphere covering radius Z_N"),
+    "arcsine": (run_arcsine_study, {"a_exponent": 2.0, "side": "right_edge",
+                                    "n_grid": [1000, 10000], "trials": 200, **_STUDY},
+                "N={n} rescaled={rescaled:.6g} ci={ci_half_width:.3g}",
+                "windowed covering radii on the arcsine interval"),
+    "epsnet": (run_epsnet_study, {"domain": "circle", "n_grid": [1000], "trials": 200,
+                                  "c_mult": 3.0, **_STUDY},
+               "N={N} eps={eps:.6g} yes={yes_fraction:.3f} "
+               "yes_or_unknown={yes_or_unknown_fraction:.3f}",
+               "eps-net success fractions"),
+    "fgrid": (dump_f_grid, {"n_values": [100, 1000], "n_cell_measures": [10.0, 50.0],
+                            "m_values": [2, 5, 10], "out": None},
+              "N={N} n={n} m={m} f={f_dp:.6g} lower={f_lower_bound:.6g}",
+              "dump the occupancy function over a grid"),
+    "versus": (run_random_vs_structured, {"d": 2, "n_grid": [100, 10000], "trials": 50,
+                                          "probe_eta": 0.05, **_STUDY},
+               "N={N} random={random_mean_rho:.6g} grid={grid_rho:.6g} ratio={ratio:.3f}",
+               "random vs structured grid configurations"),
+}
+
+
+# config key -> its flag and the flag's argparse keywords; each subcommand
+# takes --config and the flags of its TABLE defaults
+FLAGS = {
+    "domain": ("--domain", {"help": f"one of {sorted(BUILTIN_DOMAINS)} or a JSON file"}),
+    "n_grid": ("--n-grid", {"type": int, "nargs": "+"}),
+    "n": ("--n", {"type": int}),
+    "d": ("--d", {"type": int}),
+    "p": ("--p", {"type": float}),
+    "probe_eta": ("--eta", {"type": float}),
+    "thresholds": ("--thresholds", {"type": float, "nargs": "+"}),
+    "a_exponent": ("--a", {"type": float}),
+    "side": ("--side", {"choices": ["right_edge", "interior"]}),
+    "c_mult": ("--c-mult", {"type": float}),
+    "n_values": ("--N", {"type": int, "nargs": "+"}),
+    "n_cell_measures": ("--n", {"type": float, "nargs": "+"}),
+    "m_values": ("--m", {"type": int, "nargs": "+"}),
+    "master_seed": ("--seed", {"type": int}),
+    "trials": ("--trials", {"type": int}),
+    "out": ("--out", {"help": "CSV output path"}),
+    "force": ("--force", {"action": "store_true", "default": None,
+                          "help": "run even if the cost estimate exceeds the budget"}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="covrad",
                                      description="covering-radius studies of random points")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("study", help="expectation study against the limit constant")
-    p.add_argument("--domain", help=f"one of {sorted(BUILTIN_DOMAINS)} or a JSON file")
-    p.add_argument("--n-grid", dest="n_grid", type=int, nargs="+")
-    p.add_argument("--p", dest="p", type=float)
-    p.add_argument("--eta", dest="probe_eta", type=float)
-    _add_common(p)
-
-    p = sub.add_parser("tail", help="tail probabilities of the covering radius")
-    p.add_argument("--domain")
-    p.add_argument("--n", dest="n", type=int)
-    p.add_argument("--thresholds", type=float, nargs="+")
-    p.add_argument("--eta", dest="probe_eta", type=float)
-    _add_common(p)
-
-    p = sub.add_parser("zn", help="rescaled sphere covering radius Z_N")
-    p.add_argument("--d", type=int)
-    p.add_argument("--n-grid", dest="n_grid", type=int, nargs="+")
-    p.add_argument("--eta", dest="probe_eta", type=float)
-    _add_common(p)
-
-    p = sub.add_parser("arcsine", help="windowed covering radii on the arcsine interval")
-    p.add_argument("--a", dest="a_exponent", type=float)
-    p.add_argument("--side", choices=["right_edge", "interior"])
-    p.add_argument("--n-grid", dest="n_grid", type=int, nargs="+")
-    _add_common(p)
-
-    p = sub.add_parser("epsnet", help="eps-net success fractions")
-    p.add_argument("--domain")
-    p.add_argument("--n-grid", dest="n_grid", type=int, nargs="+")
-    p.add_argument("--c-mult", dest="c_mult", type=float)
-    _add_common(p)
-
-    p = sub.add_parser("fgrid", help="dump the occupancy function over a grid")
-    p.add_argument("--N", dest="n_values", type=int, nargs="+")
-    p.add_argument("--n", dest="n_cell_measures", type=float, nargs="+")
-    p.add_argument("--m", dest="m_values", type=int, nargs="+")
-    p.add_argument("--config", help="JSON config file; flags override its fields")
-    p.add_argument("--out", help="CSV output path")
-
-    p = sub.add_parser("versus", help="random vs structured grid configurations")
-    p.add_argument("--d", type=int)
-    p.add_argument("--n-grid", dest="n_grid", type=int, nargs="+")
-    p.add_argument("--eta", dest="probe_eta", type=float)
-    _add_common(p)
-
-    p = sub.add_parser("constants", help="print the limit-constant table")
+    for command, (_, defaults, _, help_text) in TABLE.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="JSON config file; flags override its fields")
+        for key in defaults:
+            flag, kwargs = FLAGS[key]
+            p.add_argument(flag, dest=key, **kwargs)
+    sub.add_parser("constants", help="print the limit constants of the built-in domains")
     return parser
-
-
-_STUDY = {"master_seed": 0, "out": None, "force": False}
-
-# subcommand: (runner, defaults, row format); the runner is called with the
-# merged config as keywords, and each row prints through the format
-TABLE = {
-    "study": (lambda **cfg: run_expectation_study(StudyConfig(**cfg)),
-              {"domain": "interval", "n_grid": [100, 1000], "trials": 100, "p": 1.0,
-               "probe_eta": 0.05, **_STUDY},
-              "N={n} rescaled={rescaled:.6g} ci={ci_half_width:.3g} target={target}"),
-    "tail": (run_tail_study, {"domain": "interval", "n": 1000, "trials": 200,
-                              "thresholds": None, "probe_eta": 0.05, **_STUDY},
-             "t={threshold:.6g} P(L>=t)={prob_lower_exceeds:.4f} "
-             "P(U>=t)={prob_upper_exceeds:.4f}"),
-    "zn": (run_zn_study, {"d": 1, "n_grid": [100, 1000, 10000], "trials": 100,
-                          "probe_eta": 0.05, **_STUDY},
-           "N={n} mean={mean:.4f} stdev={stdev:.4f} frac|Z-1|<=0.2={frac_within_02:.3f}"),
-    "arcsine": (run_arcsine_study, {"a_exponent": 2.0, "side": "right_edge",
-                                    "n_grid": [1000, 10000], "trials": 200, **_STUDY},
-                "N={n} rescaled={rescaled:.6g} ci={ci_half_width:.3g}"),
-    "epsnet": (run_epsnet_study, {"domain": "circle", "n_grid": [1000], "trials": 200,
-                                  "c_mult": 3.0, **_STUDY},
-               "N={N} eps={eps:.6g} yes={yes_fraction:.3f} "
-               "yes_or_unknown={yes_or_unknown_fraction:.3f}"),
-    "fgrid": (dump_f_grid, {"n_values": [100, 1000], "n_cell_measures": [10.0, 50.0],
-                            "m_values": [2, 5, 10], "out": None},
-              "N={N} n={n} m={m} f={f_dp:.6g} lower={f_lower_bound:.6g}"),
-    "versus": (run_random_vs_structured, {"d": 2, "n_grid": [100, 10000], "trials": 50,
-                                          "probe_eta": 0.05, **_STUDY},
-               "N={N} random={random_mean_rho:.6g} grid={grid_rho:.6g} ratio={ratio:.3f}"),
-}
 
 
 def _run(command: str, args: argparse.Namespace) -> int:
     """Run one subcommand of TABLE on its defaults, updated by the --config
     file, then by the flags given."""
-    runner, defaults, row_format = TABLE[command]
+    runner, defaults, row_format, _ = TABLE[command]
     cfg = dict(defaults)
     if args.config:
         with open(args.config) as fh:
@@ -167,23 +149,14 @@ def _run(command: str, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_constants(args) -> int:
-    from .spaces import (Ball, Cube, IntervalUniform, Sphere, limit_constant,
-                         unit_box_polyhedron)
-
-    table = [
-        ("circle (S^1)", Sphere(1)),
-        ("sphere (S^2)", Sphere(2)),
-        ("interval [0,1]", IntervalUniform()),
-        ("ball d=2", Ball(2)),
-        ("ball d=3", Ball(3)),
-        ("cube d=2", Cube(2)),
-        ("cube d=3", Cube(3)),
-        ("unit box (polyhedron)", unit_box_polyhedron()),
-    ]
+def _cmd_constants() -> int:
     print(f"{'domain':<24}{'limit constant (p=1)':>22}")
-    for name, dom in table:
-        print(f"{name:<24}{limit_constant(dom, 1.0):>22.12f}")
+    for name, domain in BUILTIN_DOMAINS.items():
+        try:
+            constant = spaces.limit_constant(domain, 1.0)
+        except UnsupportedDomainError:
+            continue  # bounds only, no sharp constant
+        print(f"{name:<24}{constant:>22.12f}")
     return 0
 
 
@@ -191,7 +164,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "constants":
-            return _cmd_constants(args)
+            return _cmd_constants()
         return _run(args.command, args)
     except BudgetExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)

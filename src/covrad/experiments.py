@@ -138,21 +138,22 @@ class StudyWriter:
 
     def close(self, config_echo: dict) -> None:
         if self._fh:
-            self._fh.close()
-            self._tmp.replace(self.path)
-            meta = {
+            # serialised first: a config JSON cannot hold raises before the
+            # CSV moves, leaving `path` as it was
+            meta = json.dumps({
                 "config": config_echo,
                 "generator": GENERATOR_NAME,
                 "version": __version__,
                 "wall_time_s": round(time.time() - self.t0, 3),
-            }
-            with open(self.meta_path, "w") as fh:
-                fh.write(json.dumps(meta) + "\n")
+            })
+            self._fh.close()
+            self._tmp.replace(self.path)
+            self.meta_path.write_text(meta + "\n")
 
     def discard(self) -> None:
         if self._fh:
             self._fh.close()
-            self._tmp.unlink()
+            self._tmp.unlink(missing_ok=True)
 
 
 def _fmt(v) -> str:
@@ -253,10 +254,10 @@ def _write_rows(rows, header: list[str], config: dict, out: str | None) -> list:
         for row in rows:
             writer.write(row.values() if isinstance(row, dict) else astuple(row))
             done.append(row)
+        writer.close(config)
     except BaseException:
         writer.discard()
         raise
-    writer.close(config)
     return done
 
 

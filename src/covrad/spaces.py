@@ -8,11 +8,11 @@ implemented per kind, and users cannot register new kinds.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
+from .auxfn import is_count
 from .errors import InvalidGeometryError, UnsupportedDomainError
 
 LOG2_OVER_LOG3 = math.log(2.0) / math.log(3.0)
@@ -20,8 +20,8 @@ LOG2_OVER_LOG3 = math.log(2.0) / math.log(3.0)
 
 def unit_ball_volume(s: int) -> float:
     """Volume of the unit ball in s dimensions, pi^(s/2) / Gamma(1 + s/2)."""
-    if not isinstance(s, (int, np.integer)) or s < 1:
-        raise ValueError(f"dimension must be a positive integer, got {s!r}")
+    if not is_count(s):
+        raise ValueError(f"dimension must be an integer >= 1, got {s!r}")
     return math.pi ** (s / 2.0) / math.gamma(1.0 + s / 2.0)
 
 
@@ -31,59 +31,43 @@ def unit_ball_volume(s: int) -> float:
 
 
 @dataclass(frozen=True)
-class Sphere:
+class _Dimensional:
+    """A catalog domain of integer dimension d >= 1 (not a bool); d is stored
+    as a Python int, so a NumPy integer serialises."""
+
+    d: int
+
+    def __post_init__(self):
+        if not is_count(self.d):
+            raise ValueError(f"{self.kind} dimension d must be an integer >= 1, got {self.d!r}")
+        object.__setattr__(self, "d", int(self.d))
+
+    @property
+    def intrinsic_dim(self) -> float:
+        return self.d
+
+
+@dataclass(frozen=True)
+class Sphere(_Dimensional):
     """Unit sphere of intrinsic dimension d embedded in R^(d+1)."""
 
-    d: int
     kind: str = field(default="Sphere", init=False)
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("sphere dimension must be >= 1")
-
-    @property
-    def intrinsic_dim(self) -> float:
-        return self.d
-
-    @property
-    def diameter(self) -> float:
-        return 2.0
+    diameter = 2.0
 
 
 @dataclass(frozen=True)
-class Ball:
+class Ball(_Dimensional):
     """Closed unit ball in R^d."""
 
-    d: int
     kind: str = field(default="Ball", init=False)
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("ball dimension must be >= 1")
-
-    @property
-    def intrinsic_dim(self) -> float:
-        return self.d
-
-    @property
-    def diameter(self) -> float:
-        return 2.0
+    diameter = 2.0
 
 
 @dataclass(frozen=True)
-class Cube:
+class Cube(_Dimensional):
     """Unit cube [0,1]^d."""
 
-    d: int
     kind: str = field(default="Cube", init=False)
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("cube dimension must be >= 1")
-
-    @property
-    def intrinsic_dim(self) -> float:
-        return self.d
 
     @property
     def diameter(self) -> float:
@@ -95,14 +79,8 @@ class IntervalUniform:
     """The interval [0,1] with Lebesgue measure."""
 
     kind: str = field(default="IntervalUniform", init=False)
-
-    @property
-    def intrinsic_dim(self) -> float:
-        return 1
-
-    @property
-    def diameter(self) -> float:
-        return 1.0
+    intrinsic_dim = 1
+    diameter = 1.0
 
 
 @dataclass(frozen=True)
@@ -110,20 +88,15 @@ class ArcsineInterval:
     """The interval [-1,1] with measure dx / (pi sqrt(1-x^2))."""
 
     kind: str = field(default="ArcsineInterval", init=False)
-
-    @property
-    def intrinsic_dim(self) -> float:
-        return 1
-
-    @property
-    def diameter(self) -> float:
-        return 2.0
+    intrinsic_dim = 1
+    diameter = 2.0
 
 
 class Polyline:
     """Chain of straight segments in R^D with normalized arclength measure."""
 
     kind = "Polyline"
+    intrinsic_dim = 1
 
     def __init__(self, vertices):
         v = np.asarray(vertices, dtype=float)
@@ -140,10 +113,6 @@ class Polyline:
         self.edge_lengths = lengths
         self.edge_lengths.setflags(write=False)
         self.total_length = float(lengths.sum())
-
-    @property
-    def intrinsic_dim(self) -> float:
-        return 1
 
     @property
     def diameter(self) -> float:
@@ -175,6 +144,7 @@ class Polyhedron3:
     """
 
     kind = "Polyhedron3"
+    intrinsic_dim = 3
 
     def __init__(self, vertices, tetrahedra, faces):
         v = np.asarray(vertices, dtype=float)
@@ -291,10 +261,6 @@ class Polyhedron3:
         return inside
 
     @property
-    def intrinsic_dim(self) -> float:
-        return 3
-
-    @property
     def diameter(self) -> float:
         lo = self.vertices.min(axis=0)
         hi = self.vertices.max(axis=0)
@@ -325,18 +291,13 @@ class Cantor:
 
     depth: int = 40
     kind: str = field(default="Cantor", init=False)
+    intrinsic_dim = LOG2_OVER_LOG3
+    diameter = 1.0
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("Cantor depth must be >= 1")
-
-    @property
-    def intrinsic_dim(self) -> float:
-        return LOG2_OVER_LOG3
-
-    @property
-    def diameter(self) -> float:
-        return 1.0
+        if not is_count(self.depth):
+            raise ValueError(f"Cantor depth must be an integer >= 1, got {self.depth!r}")
+        object.__setattr__(self, "depth", int(self.depth))
 
 
 Domain = Sphere | Ball | Cube | IntervalUniform | ArcsineInterval | Polyline | Polyhedron3 | Cantor
@@ -409,16 +370,13 @@ def limit_constant(domain: Domain, p: float = 1.0) -> float:
         return 0.5**p
     if isinstance(domain, Polyline):
         return (domain.total_length / 2.0) ** p
+    if isinstance(domain, (Ball, Cube)) and domain.d < 2:
+        raise UnsupportedDomainError(
+            f"{domain.kind} limit constant needs d >= 2; model a segment as a Polyline")
     if isinstance(domain, Ball):
-        if domain.d < 2:
-            raise UnsupportedDomainError(
-                "ball limit constant needs d >= 2; model [-1,1] as a Polyline"
-            )
         d = domain.d
         return (2.0 * (d - 1) / d) ** (p / d)
     if isinstance(domain, Cube):
-        if domain.d < 2:
-            raise UnsupportedDomainError("cube limit constant needs d >= 2")
         d = domain.d
         return (2.0 ** (d - 1) / (d * unit_ball_volume(d))) ** (p / d)
     if isinstance(domain, Polyhedron3):
@@ -435,11 +393,14 @@ def limit_constant(domain: Domain, p: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 
 
+# the dataclass kinds, whose documents' params are their init fields
+_KINDS = {cls.kind: cls for cls in (Sphere, Ball, Cube, IntervalUniform, ArcsineInterval, Cantor)}
+
+
 def domain_to_dict(domain: Domain) -> dict:
-    if isinstance(domain, (Sphere, Ball, Cube)):
-        return {"kind": domain.kind, "params": {"d": domain.d}}
-    if isinstance(domain, (IntervalUniform, ArcsineInterval)):
-        return {"kind": domain.kind, "params": {}}
+    if isinstance(domain, tuple(_KINDS.values())):
+        return {"kind": domain.kind,
+                "params": {f.name: getattr(domain, f.name) for f in fields(domain) if f.init}}
     if isinstance(domain, Polyline):
         return {"kind": "Polyline", "params": {"vertices": domain.vertices.tolist()}}
     if isinstance(domain, Polyhedron3):
@@ -451,39 +412,22 @@ def domain_to_dict(domain: Domain) -> dict:
                 "faces": [list(f) for f in domain.faces],
             },
         }
-    if isinstance(domain, Cantor):
-        return {"kind": "Cantor", "params": {"depth": domain.depth}}
     raise UnsupportedDomainError(f"cannot serialize {domain!r}")
 
 
-def _int_param(params: dict, key: str, default=None) -> int:
-    """An integer parameter of a domain document; any other value, a bool
-    included, raises ValueError rather than being truncated."""
-    value = params.get(key, default)
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ValueError(f"domain parameter {key!r} must be an integer, got {value!r}")
-    return int(value)
-
-
 def domain_from_dict(doc: dict) -> Domain:
+    """The domain a document describes. Its constructor checks the values; a
+    missing parameter with no default reaches it as None and is rejected."""
     kind = doc["kind"]
     params = doc.get("params", {})
-    if kind == "Sphere":
-        return Sphere(_int_param(params, "d"))
-    if kind == "Ball":
-        return Ball(_int_param(params, "d"))
-    if kind == "Cube":
-        return Cube(_int_param(params, "d"))
-    if kind == "IntervalUniform":
-        return IntervalUniform()
-    if kind == "ArcsineInterval":
-        return ArcsineInterval()
+    if kind in _KINDS:
+        cls = _KINDS[kind]
+        return cls(**{f.name: params.get(f.name, None if f.default is MISSING else f.default)
+                      for f in fields(cls) if f.init})
     if kind == "Polyline":
         return Polyline(params["vertices"])
     if kind == "Polyhedron3":
         return Polyhedron3(params["vertices"], params["tetrahedra"], params["faces"])
-    if kind == "Cantor":
-        return Cantor(_int_param(params, "depth", 40))
     raise UnsupportedDomainError(f"unknown domain kind {kind!r}")
 
 

@@ -5,10 +5,14 @@ estimated cost above the budget exits 2 before any sample is drawn."""
 import argparse
 import json
 
+import numpy as np
 import pytest
 
 from covrad.cli import TABLE, build_parser
 from covrad.cli import main as cli_main
+from covrad.covering import covering_radius_1d
+from covrad.sampler import SeedSpec, sample
+from covrad.spaces import Polyline
 
 COMMON = {"--config": "config", "--seed": "master_seed", "--trials": "trials",
           "--out": "out", "--force": "force"}
@@ -228,3 +232,19 @@ def test_rejects_bad_polyhedron_indices(params, tmp_path, capsys):
     _exit_1(["study", "--domain", str(dom), "--n-grid", "50", "--trials", "2",
              "--out", str(out)], capsys)
     assert list(tmp_path.iterdir()) == [dom]
+
+
+def test_polyline_study_from_an_inline_document(tmp_path, capsys):
+    # the config carries the domain document itself, not a name or a path
+    vertices = [[0, 0], [1, 0], [1, 2]]
+    out = tmp_path / "s.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"domain": {"kind": "Polyline", "params": {"vertices": vertices}},
+                               "n_grid": [100], "trials": 5, "probe_eta": 0.2,
+                               "out": str(out)}))
+    assert cli_main(["study", "--config", str(cfg)]) == 0
+    row = dict(zip(*(line.split(",") for line in out.read_text().splitlines())))
+    domain = Polyline(vertices)
+    exact = np.mean([covering_radius_1d(domain, sample(domain, 100, SeedSpec(0, t)))
+                     for t in range(5)])
+    assert float(row["mean_rho_p_lower"]) <= exact <= float(row["mean_rho_p_upper"])

@@ -31,7 +31,7 @@ from covrad.experiments import (
 from covrad.nets import build_probe_net
 from covrad.sampler import SeedSpec, sample
 from covrad.spaces import (ArcsineInterval, Ball, Cantor, Cube, IntervalUniform, Sphere,
-                           domain_from_dict, unit_box_polyhedron)
+                           unit_box_polyhedron)
 
 
 class TestStudyConfig:
@@ -262,6 +262,20 @@ class TestWriter:
         self._failing_study(tmp_path / "s.csv")
         assert list(tmp_path.iterdir()) == []
 
+    def test_unserialisable_config_leaves_no_file(self, tmp_path):
+        out = tmp_path / "w.csv"
+        writer = StudyWriter(str(out), ["x"])
+        writer.write([1])
+        with pytest.raises(TypeError):
+            writer.close({"x": object()})
+        assert not out.exists() and not writer.meta_path.exists()
+
+    def test_unserialisable_echo_in_a_study_leaves_no_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            _run_study(IntervalUniform(), [20], 2, 0, reduce=lambda n, v: [{"N": n}],
+                       header=["N"], echo={"x": object()}, out=str(tmp_path / "s.csv"))
+        assert list(tmp_path.iterdir()) == []
+
     def test_path_names_the_final_file(self, tmp_path):
         out = tmp_path / "w.csv"
         writer = StudyWriter(str(out), ["x"])
@@ -294,6 +308,13 @@ class TestSidecar:
                                            "probe_eta")} == {
             "n_grid": [50], "trials": 3, "master_seed": 5, "thresholds": [0.2, 0.4],
             "probe_eta": 0.3}
+
+    def test_numpy_integer_dimension(self, tmp_path):
+        out = tmp_path / "s.csv"
+        run_expectation_study(StudyConfig(domain=Sphere(np.int64(1)), n_grid=[20], trials=3,
+                                          out=str(out)))
+        meta = json.loads((tmp_path / "s.csv.meta.jsonl").read_text())
+        assert meta["config"]["domain"] == {"kind": "Sphere", "params": {"d": 1}}
 
     @pytest.mark.parametrize("run,keys", [
         (lambda out: run_zn_study(1, [50], 3, 2, out=out), {"d", "probe_eta"}),
@@ -429,7 +450,7 @@ class TestGateMatchesRunner:
             return build_probe_net(domain, mesh)
 
         monkeypatch.setattr("covrad.experiments.build_probe_net", counted)
-        domain = domain_from_dict(BUILTIN_DOMAINS[name])
+        domain = BUILTIN_DOMAINS[name]
         if command == "study":
             eta = 0.5 if name == "unit_box" else 0.05
             flag = ["--eta", repr(eta)]

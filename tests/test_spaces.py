@@ -54,6 +54,16 @@ def regular_tetrahedron():
     return Polyhedron3(verts, tets, faces)
 
 
+def regular_octahedron():
+    """Regular octahedron with vertices +-x, +-y, +-z; every dihedral angle
+    arccos(-1/3) is obtuse."""
+    verts = [[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+    tets = [(0, 1, 4, 5), (1, 2, 4, 5), (2, 3, 4, 5), (3, 0, 4, 5)]
+    faces = [(0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4),
+             (1, 0, 5), (2, 1, 5), (3, 2, 5), (0, 3, 5)]
+    return Polyhedron3(verts, tets, faces)
+
+
 def l_prism(arm):
     """Prism of height 1 over the L-shaped ([0,arm]x[0,1] u [0,1]x[0,arm]),
     arm > 1: one reflex edge, over the corner (1, 1), and 17 right angles."""
@@ -130,6 +140,17 @@ class TestLimitConstant:
             base = limit_constant(domain, 1.0)
             for p in (1.0, 2.0, 3.5):
                 assert limit_constant(domain, p) == pytest.approx(base**p, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_obtuse_polyhedron(self, p):
+        octahedron = regular_octahedron()
+        assert min_dihedral_angle(octahedron) == pytest.approx(math.acos(-1.0 / 3.0),
+                                                               abs=1e-12)
+        assert limit_constant(octahedron, p) == pytest.approx(
+            ((4.0 / 3.0) / math.pi) ** (p / 3.0), rel=1e-12)
+        if p == 1.0:
+            assert limit_constant(octahedron, p) == pytest.approx(0.7515011011912177,
+                                                                  rel=1e-12)
 
     def test_box_polyhedron_matches_cube3(self):
         assert limit_constant(unit_box_polyhedron(), 1.0) == pytest.approx(
@@ -344,6 +365,27 @@ class TestDomainValidation:
             Cantor(0)
         assert Cantor().depth == 40
         assert Cantor().intrinsic_dim == pytest.approx(LOG2_OVER_LOG3)
+
+
+class TestCatalogParameters:
+    """The constructors take a dimension or depth only as an integer >= 1:
+    a float, string or bool would stand for another domain."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: Sphere(2.5), lambda: Sphere(True), lambda: Ball(2.0), lambda: Cube("2"),
+        lambda: Cube(0), lambda: Cantor(2.5), lambda: Cantor(False),
+        lambda: unit_ball_volume(True),
+    ], ids=["sphere-float", "sphere-bool", "ball-float", "cube-str", "cube-0", "cantor-float",
+            "cantor-bool", "unit-ball-volume-bool"])
+    def test_rejected(self, make):
+        with pytest.raises(ValueError, match="must be an integer"):
+            make()
+
+    def test_numpy_integers_are_stored_as_int(self):
+        sphere = Sphere(np.int64(2))
+        assert type(sphere.d) is int and sphere == Sphere(2)
+        assert type(Cantor(np.int32(12)).depth) is int
+        assert json.dumps(domain_to_dict(sphere)) == json.dumps(domain_to_dict(Sphere(2)))
 
 
 class TestRegularityWitness:
