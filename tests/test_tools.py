@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-import test_auxfn
+from test_auxfn import TestHighPrecisionSums
 
 import covrad
 
@@ -50,6 +50,6 @@ def test_occupancy_stages_runs():
     assert all(0.0 < v < 1.0 for v in values[:10]) and values[10:12] == [1.0, 1.0]
     assert all(b < a < 0.0 for a, b in zip(values[12:], values[13:]))
     # the high-precision and complement triples are the pinned ones, bit for bit
-    pinned = test_auxfn.TestHighPrecisionSums
+    pinned = TestHighPrecisionSums
     assert {(r["N"], r["n"], r["m"]): r["value"] for r in rows[:10]} == pinned.HIGH_PRECISION_F_DP
     assert {r["N"]: r["value"] for r in rows[12:]} == pinned.COMPLEMENT_LOG_REGIME_III
