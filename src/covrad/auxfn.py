@@ -15,7 +15,9 @@ Four evaluators with different contracts:
 
 Both high-precision sums take their terms C(m, k) (1 - k/n)^N from one
 kernel, _terms: the binomial is an exact Python integer and the power
-exp(N log1p(-k/n)), at the working precision each sum sets.
+exp(N log1p(-k/n)). They run on mpmath.libmp tuples at each sum's precision,
+rounded to nearest, with the calls that mpmath's mpf formulation makes: the
+values are bit-identical to it, and no global mpmath state is read or written.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
+from mpmath.libmp import (dps_to_prec, fhalf, fone, fzero, from_float, from_int, mpf_add,
+                          mpf_exp, mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_mul_int, mpf_pos,
+                          mpf_pow_int, mpf_rdiv_int, mpf_sub, to_float)
 
 from .errors import ResourceLimitError
 
@@ -45,6 +49,8 @@ class OccupancyParams:
     def __post_init__(self):
         if not (is_count(self.n_points) and is_count(self.n_cells)):
             raise ValueError("N and m must be positive integers")
+        for name in ("n_points", "n_cells"):  # Python ints: NumPy's would wrap the binomials
+            object.__setattr__(self, name, int(getattr(self, name)))
         if not (self.n_cells <= self.cells_inv_measure <= self.n_points):
             raise ValueError("need m <= n <= N")
 
@@ -119,15 +125,23 @@ def _log_empty_one_cell(params: OccupancyParams) -> float:
     return params.n_points * math.log1p(-1.0 / n) if n != 1 else -math.inf
 
 
-def _terms(params: OccupancyParams, start: int):
-    """Yield (k, C(m, k) (1 - k/n)^N) for k = start..m at the caller's mpmath
-    precision. The binomial is carried as an exact Python integer, so only the
-    power and the product round."""
-    n = mpmath.mpf(params.cells_inv_measure)
-    big_n, m = params.n_points, params.n_cells
+def _terms(params: OccupancyParams, start: int, prec: int):
+    """Yield (k, C(m, k) (1 - k/n)^N) for k = start..m as raw mpf tuples at prec
+    bits. The binomial is carried as an exact Python integer, so only the power
+    and the product round. Each step is the libmp call that the mpf operators
+    make in comb * mpmath.exp(N * mpmath.log1p(-k / n)), log1p's own included."""
+    v = params.cells_inv_measure
+    n = from_int(v, prec, "n") if isinstance(v, int) else from_float(v)  # as mpmath.mpf(v)
+    big_n, m, wp = params.n_points, params.n_cells, prec + 10  # log1p's guard bits
     comb = math.comb(m, start)
     for k in range(start, m + 1):
-        yield k, comb * mpmath.exp(big_n * mpmath.log1p(-k / n))
+        x = mpf_rdiv_int(-k, n, prec, "n")
+        if x[2] + x[3] < -wp:  # log1p's x - x^2/2, where 1 + x would lose x
+            log1p = mpf_sub(x, mpf_mul(mpf_pow_int(x, 2, wp, "n"), fhalf, wp, "n"), wp, "n")
+        else:  # log(1 + x), the sum at twice the guarded precision; log(1) is 0
+            log1p = mpf_log(mpf_add(fone, x, 2 * wp, "n"), wp, "n")
+        power = mpf_exp(mpf_mul_int(mpf_pos(log1p, prec, "n"), big_n, prec, "n"), prec, "n")
+        yield k, mpf_mul_int(power, comb, prec, "n")
         comb = comb * (m - k) // (k + 1)
 
 
@@ -141,14 +155,13 @@ def f_dp(params: OccupancyParams) -> float:
     # lam <= 45 here, since m log1p(-q) <= -m q = -lam
     lam = math.exp(math.log(params.n_cells) + log_q)
     digits = 30 + int(0.5 * lam)
-    with mpmath.workdps(digits):
-        total = mpmath.mpf(0)
-        tiny = mpmath.mpf(10) ** (-digits - 10)
-        for k, term in _terms(params, 1):
-            total += term if k % 2 == 1 else -term
-            if k > 2.0 * lam + 20 and term < tiny:
-                break
-        return float(min(1.0, max(0.0, total)))
+    prec = dps_to_prec(digits)
+    total, tiny = fzero, mpf_pow_int(from_int(10), -digits - 10, prec, "n")
+    for k, term in _terms(params, 1, prec):
+        total = (mpf_add if k % 2 == 1 else mpf_sub)(total, term, prec, "n")
+        if k > 2.0 * lam + 20 and mpf_lt(term, tiny):
+            break
+    return min(1.0, max(0.0, to_float(total, rnd="n")))
 
 
 def f_complement_log(params: OccupancyParams) -> float:
@@ -160,16 +173,15 @@ def f_complement_log(params: OccupancyParams) -> float:
     log_q = _log_empty_one_cell(params)
     lam = params.n_cells * math.exp(log_q)  # expected number of empty cells
     digits = 40 + int(lam)
-    with mpmath.workdps(digits):
-        total = mpmath.mpf(0)
-        tiny = mpmath.mpf(10) ** (-digits)
-        for k, term in _terms(params, 0):
-            total += term if k % 2 == 0 else -term
-            if k > 3.0 * lam + 20 and abs(term) < tiny:
-                break
-        if total <= 0:
-            raise ResourceLimitError("complement underflowed the working precision")
-        return float(mpmath.log(total))
+    prec = dps_to_prec(digits)
+    total, tiny = fzero, mpf_pow_int(from_int(10), -digits, prec, "n")
+    for k, term in _terms(params, 0, prec):  # every term is positive
+        total = (mpf_add if k % 2 == 0 else mpf_sub)(total, term, prec, "n")
+        if k > 3.0 * lam + 20 and mpf_lt(term, tiny):
+            break
+    if mpf_le(total, fzero):
+        raise ResourceLimitError("complement underflowed the working precision")
+    return to_float(mpf_log(total, prec, "n"), rnd="n")
 
 
 def f_lower_bound(params: OccupancyParams) -> float:

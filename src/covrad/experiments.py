@@ -221,17 +221,20 @@ def _run_study(domain: Domain, n_grid, trials: int, master_seed: int, *, reduce,
                force: bool = False, kernel=_trial_bounds) -> list:
     """The trial loop behind every study.
 
-    The grid, trials and eta are checked and the cost estimated at eta
+    The grid, trials, seed and eta are checked and the cost estimated at eta
     (check_budget) before the first sample. Per N: net = _net(domain,
     probe_mesh_for(domain, n, eta)), once, the net check_budget counted;
     then kernel(domain, n, SeedSpec(master_seed, t), net) for t in
     range(trials), by default the trial's (L, U) from covering_radius_bounds,
     stacked in stream order into an array with one row per trial; then
     reduce(n, values) yields the output rows. The sidecar echoes the domain,
-    grid, trials and seed plus `echo`, the study's own parameters.
+    grid, trials and seed, as Python ints, plus `echo`, the study's own parameters.
     """
     n_grid = list(n_grid)
     _check_study(n_grid, trials, eta)
+    # Python ints, so that NumPy counts echo into the sidecar; SeedSpec checks the seed
+    n_grid, trials = [int(n) for n in n_grid], int(trials)
+    master_seed = int(SeedSpec(master_seed).master_seed)
     check_budget(domain, n_grid, trials, eta, force)
     config = {"domain": domain_to_dict(domain), "n_grid": n_grid, "trials": trials,
               "master_seed": master_seed, **echo}

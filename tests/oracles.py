@@ -1,6 +1,7 @@
 """Reference values that only the tests use: regularity witnesses of the catalog
-domains, ball measures, the exact expected covering radius on the circle, and
-the occupancy probability at high precision.
+domains, ball measures, the exact expected covering radius on the circle, the
+occupancy probability at high precision, and auxfn's occupancy sums as written
+on mpmath's mpf objects.
 
 No study, CLI command or tool computes from these; the tests check the library
 against them, and the witness spot-check checks them against measured ball
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from covrad.auxfn import OccupancyParams
-from covrad.errors import UnsupportedDomainError
+from covrad.auxfn import OccupancyParams, _log_empty_one_cell
+from covrad.errors import ResourceLimitError, UnsupportedDomainError
 from covrad.sampler import SeedSpec, sample
 from covrad.spaces import (
     LOG2_OVER_LOG3,
@@ -211,3 +212,57 @@ def occupancy_reference(params: OccupancyParams, digits: int = 120) -> float:
         m, big_n = params.n_cells, params.n_points
         return float(mpmath.fsum((-1) ** (k + 1) * mpmath.binomial(m, k)
                                  * mpmath.power(1 - k / n, big_n) for k in range(1, m + 1)))
+
+
+# The high-precision sums of auxfn as written on mpmath's mpf objects, under
+# mpmath.workdps. auxfn runs the same steps on raw mpmath.libmp tuples without
+# the global context; its values must equal these bit for bit.
+
+
+def mpf_terms(params: OccupancyParams, start: int):
+    """Yield (k, C(m, k) (1 - k/n)^N) for k = start..m at the caller's mpmath
+    precision. The binomial is carried as an exact Python integer, so only the
+    power and the product round."""
+    n = mpmath.mpf(params.cells_inv_measure)
+    big_n, m = params.n_points, params.n_cells
+    comb = math.comb(m, start)
+    for k in range(start, m + 1):
+        yield k, comb * mpmath.exp(big_n * mpmath.log1p(-k / n))
+        comb = comb * (m - k) // (k + 1)
+
+
+def f_dp_mpf(params: OccupancyParams) -> float:
+    """auxfn.f_dp on mpf objects."""
+    log_q = _log_empty_one_cell(params)
+    # expected empty cells m*q; all-occupied probability <= (1-q)^m
+    log_all_occupied_bound = params.n_cells * math.log1p(-math.exp(log_q)) if log_q < 0 else 0.0
+    if log_all_occupied_bound < -45.0:
+        return 1.0
+    # lam <= 45 here, since m log1p(-q) <= -m q = -lam
+    lam = math.exp(math.log(params.n_cells) + log_q)
+    digits = 30 + int(0.5 * lam)
+    with mpmath.workdps(digits):
+        total = mpmath.mpf(0)
+        tiny = mpmath.mpf(10) ** (-digits - 10)
+        for k, term in mpf_terms(params, 1):
+            total += term if k % 2 == 1 else -term
+            if k > 2.0 * lam + 20 and term < tiny:
+                break
+        return float(min(1.0, max(0.0, total)))
+
+
+def f_complement_log_mpf(params: OccupancyParams) -> float:
+    """auxfn.f_complement_log on mpf objects."""
+    log_q = _log_empty_one_cell(params)
+    lam = params.n_cells * math.exp(log_q)  # expected number of empty cells
+    digits = 40 + int(lam)
+    with mpmath.workdps(digits):
+        total = mpmath.mpf(0)
+        tiny = mpmath.mpf(10) ** (-digits)
+        for k, term in mpf_terms(params, 0):
+            total += term if k % 2 == 0 else -term
+            if k > 3.0 * lam + 20 and abs(term) < tiny:
+                break
+        if total <= 0:
+            raise ResourceLimitError("complement underflowed the working precision")
+        return float(mpmath.log(total))

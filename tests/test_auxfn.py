@@ -1,13 +1,17 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from oracles import occupancy_reference
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import f_complement_log_mpf, f_dp_mpf, mpf_terms, occupancy_reference
 
 from covrad.auxfn import (
     OccupancyParams,
     RegimeSpec,
+    _terms,
     f_complement_log,
     f_dp,
     f_exact,
@@ -46,7 +50,8 @@ class TestOccupancyParams:
         # 100.5 points once gave f_lower_bound 5.04e-5, and m = 2.5 an IndexError in f_dp
         with pytest.raises(ValueError, match="positive integers"):
             OccupancyParams(n_points, 1.0, n_cells)
-        OccupancyParams(np.int64(100), 10.0, np.int64(2))
+        p = OccupancyParams(np.int64(100), 10.0, np.int64(2))
+        assert type(p.n_points) is int and type(p.n_cells) is int
 
 
 class TestFExact:
@@ -261,3 +266,84 @@ class TestHighPrecisionSums:
             worst_log = max(worst_log, abs(got_log - want) / max(1.0, abs(want)))
         assert len(EXACT_GRID) == 271
         assert worst_f <= 1e-12 and worst_log <= 1e-12
+
+
+def _regime3(big_n: int) -> OccupancyParams:
+    return regime_params(RegimeSpec("III", 1.0, 1.5, 3), big_n)
+
+
+@st.composite
+def _triples(draw, lam_max: float, int_n: bool) -> OccupancyParams:
+    """(N, n, m) with n set so that about lam = m (1 - 1/n)^N cells stay empty,
+    clamped into [m, N]; n is a float, or an int if int_n."""
+    m = draw(st.integers(1, 300))
+    big_n = draw(st.integers(m, 10**9))
+    lam = draw(st.floats(1e-3, lam_max)) * min(1.0, 0.999 * m / lam_max)
+    n = min(max(1.0 / -math.expm1(math.log(lam / m) / big_n), m), big_n)
+    return OccupancyParams(big_n, round(n) if int_n else n, m)
+
+
+class TestLibmpKernel:
+    """The sums on raw mpmath.libmp tuples against their mpf formulation
+    (oracles.f_dp_mpf, f_complement_log_mpf), bit for bit."""
+
+    PINNED = TestHighPrecisionSums
+    # N = 1e40, n = 1e39: k/n is below 2^-(prec + 10), so log1p takes x - x^2/2;
+    # n = 10^20 + 1 is an int above 2^53, converted at the working precision
+    EDGE = [(10**40, 1e39, 2), (10**21, 10**20 + 1, 2), (10**21, 10**20 + 1, 40)]
+
+    @pytest.mark.parametrize("triple", sorted(PINNED.HIGH_PRECISION_F_DP))
+    def test_numpy_counts_f_dp(self, triple):
+        big_n, n, m = triple
+        params = OccupancyParams(np.int64(big_n), n, np.int64(m))
+        assert repr(f_dp(params)) == self.PINNED.HIGH_PRECISION_F_DP[triple]
+
+    @pytest.mark.parametrize("big_n", sorted(PINNED.COMPLEMENT_LOG_REGIME_III))
+    def test_numpy_counts_complement_log(self, big_n):
+        p = _regime3(big_n)
+        params = OccupancyParams(np.int64(p.n_points), p.cells_inv_measure, np.int64(p.n_cells))
+        assert repr(f_complement_log(params)) == self.PINNED.COMPLEMENT_LOG_REGIME_III[big_n]
+
+    @pytest.mark.parametrize("triple", EDGE)
+    def test_edge_cases(self, triple):
+        params = OccupancyParams(*triple)
+        assert repr(f_dp(params)) == repr(f_dp_mpf(params))
+        assert repr(f_complement_log(params)) == repr(f_complement_log_mpf(params))
+        for digits in (30, 45, 130):
+            with mpmath.workdps(digits):
+                want = [(k, term._mpf_) for k, term in mpf_terms(params, 0)]
+            assert list(_terms(params, 0, mpmath.libmp.dps_to_prec(digits))) == want
+
+    def test_small_x_branch_value(self):
+        assert repr(f_dp(OccupancyParams(10**40, 1e39, 2))) == "9.079779837134721e-05"
+
+    @settings(max_examples=40, deadline=None)
+    @given(params=st.booleans().flatmap(lambda int_n: _triples(45.0, int_n)))
+    @example(params=OccupancyParams(1, 1.0, 1))
+    def test_f_dp_matches_mpf(self, params):
+        assert repr(f_dp(params)) == repr(f_dp_mpf(params))
+
+    @settings(max_examples=25, deadline=None)
+    @given(params=st.booleans().flatmap(lambda int_n: _triples(90.0, int_n)))
+    def test_f_complement_log_matches_mpf(self, params):
+        assert repr(f_complement_log(params)) == repr(f_complement_log_mpf(params))
+
+    @settings(max_examples=25, deadline=None)
+    @given(params=st.booleans().flatmap(lambda int_n: _triples(90.0, int_n)),
+           digits=st.integers(30, 130))
+    def test_terms_match_mpf(self, params, digits):
+        # every term's tuple, not only the sum rounded to a double
+        with mpmath.workdps(digits):
+            want = [(k, term._mpf_) for k, term in mpf_terms(params, 0)]
+        assert list(_terms(params, 0, mpmath.libmp.dps_to_prec(digits))) == want
+
+    @pytest.mark.parametrize("dps", [5, 500])
+    def test_global_precision_neither_read_nor_written(self, dps):
+        cases = [OccupancyParams(*t) for t in self.EDGE[:2]] + [
+            OccupancyParams(*t) for t in sorted(self.PINNED.HIGH_PRECISION_F_DP)[:6]]
+        want = [(repr(f_dp(p)), repr(f_complement_log(p))) for p in cases]
+        with mpmath.workdps(dps):
+            prec = mpmath.mp.prec
+            got = [(repr(f_dp(p)), repr(f_complement_log(p))) for p in cases]
+            assert mpmath.mp.prec == prec
+        assert got == want

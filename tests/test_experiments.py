@@ -316,6 +316,25 @@ class TestSidecar:
         meta = json.loads((tmp_path / "s.csv.meta.jsonl").read_text())
         assert meta["config"]["domain"] == {"kind": "Sphere", "params": {"d": 1}}
 
+    def test_numpy_counts(self, tmp_path):
+        # a NumPy grid, trial count and seed echo as Python ints, and the rows
+        # are the list input's byte for byte
+        configs = []
+        for name, grid, trials, seed in (("np", np.array([50, 100]), np.int64(3), np.uint64(4)),
+                                         ("list", [50, 100], 3, 4)):
+            run_expectation_study(StudyConfig(domain=IntervalUniform(), n_grid=grid, trials=trials,
+                                              master_seed=seed, out=str(tmp_path / f"{name}.csv")))
+            configs.append(json.loads((tmp_path / f"{name}.csv.meta.jsonl").read_text())["config"])
+        assert configs[0] == configs[1]
+        assert (tmp_path / "np.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
+
+    @pytest.mark.parametrize("seed", [1.5, True, -1])
+    def test_bad_seed_fails_before_the_first_trial(self, seed, monkeypatch):
+        monkeypatch.setattr("covrad.experiments.check_budget",
+                            lambda *a: pytest.fail("budget estimated for a bad seed"))
+        with pytest.raises(ValueError, match="seeds must be"):
+            run_tail_study(Cube(2), 50, 3, [0.2], master_seed=seed)
+
     @pytest.mark.parametrize("run,keys", [
         (lambda out: run_zn_study(1, [50], 3, 2, out=out), {"d", "probe_eta"}),
         (lambda out: run_arcsine_study(1.0, "interior", [50], 3, 2, out=out),
