@@ -131,7 +131,7 @@ def _terms(params: OccupancyParams, start: int, prec: int):
     and the product round. Each step is the libmp call that the mpf operators
     make in comb * mpmath.exp(N * mpmath.log1p(-k / n)), log1p's own included."""
     v = params.cells_inv_measure
-    n = from_int(v, prec, "n") if isinstance(v, int) else from_float(v)  # as mpmath.mpf(v)
+    n = from_int(int(v), prec, "n") if isinstance(v, numbers.Integral) else from_float(v)
     big_n, m, wp = params.n_points, params.n_cells, prec + 10  # log1p's guard bits
     comb = math.comb(m, start)
     for k in range(start, m + 1):

@@ -351,7 +351,7 @@ def run_zn_study(d: int, n_grid, trials: int, master_seed: int = 0, probe_eta: f
     return _run_study(
         domain, n_grid, trials, master_seed, reduce=reduce,
         header=["N", "T", "mean", "stdev", "frac_within_01", "frac_within_02"],
-        echo={"study": "zn", "d": d, "probe_eta": probe_eta}, out=out, eta=probe_eta,
+        echo={"study": "zn", "d": int(d), "probe_eta": probe_eta}, out=out, eta=probe_eta,
         force=force)
 
 
@@ -402,7 +402,7 @@ def run_random_vs_structured(d: int, n_grid, trials: int, master_seed: int = 0,
     return _run_study(
         domain, n_grid, trials, master_seed, reduce=reduce,
         header=["N", "T", "random_mean_rho", "grid_rho", "ratio"],
-        echo={"study": "versus", "d": d, "probe_eta": probe_eta}, out=out, eta=probe_eta,
+        echo={"study": "versus", "d": int(d), "probe_eta": probe_eta}, out=out, eta=probe_eta,
         force=force)
 
 

@@ -268,10 +268,6 @@ class TestHighPrecisionSums:
         assert worst_f <= 1e-12 and worst_log <= 1e-12
 
 
-def _regime3(big_n: int) -> OccupancyParams:
-    return regime_params(RegimeSpec("III", 1.0, 1.5, 3), big_n)
-
-
 @st.composite
 def _triples(draw, lam_max: float, int_n: bool) -> OccupancyParams:
     """(N, n, m) with n set so that about lam = m (1 - 1/n)^N cells stay empty,
@@ -300,7 +296,7 @@ class TestLibmpKernel:
 
     @pytest.mark.parametrize("big_n", sorted(PINNED.COMPLEMENT_LOG_REGIME_III))
     def test_numpy_counts_complement_log(self, big_n):
-        p = _regime3(big_n)
+        p = regime_params(RegimeSpec("III", 1.0, 1.5, 3), big_n)
         params = OccupancyParams(np.int64(p.n_points), p.cells_inv_measure, np.int64(p.n_cells))
         assert repr(f_complement_log(params)) == self.PINNED.COMPLEMENT_LOG_REGIME_III[big_n]
 
@@ -309,10 +305,12 @@ class TestLibmpKernel:
         params = OccupancyParams(*triple)
         assert repr(f_dp(params)) == repr(f_dp_mpf(params))
         assert repr(f_complement_log(params)) == repr(f_complement_log_mpf(params))
-        for digits in (30, 45, 130):
-            with mpmath.workdps(digits):
-                want = [(k, term._mpf_) for k, term in mpf_terms(params, 0)]
-            assert list(_terms(params, 0, mpmath.libmp.dps_to_prec(digits))) == want
+
+    def test_numpy_integer_n_is_an_int(self):
+        # converted at the working precision, not rounded to a double first
+        prec = mpmath.libmp.dps_to_prec(30)
+        as_int = list(_terms(OccupancyParams(10**19, 2**62 + 1, 2), 0, prec))
+        assert list(_terms(OccupancyParams(10**19, np.int64(2**62 + 1), 2), 0, prec)) == as_int
 
     def test_small_x_branch_value(self):
         assert repr(f_dp(OccupancyParams(10**40, 1e39, 2))) == "9.079779837134721e-05"
@@ -331,6 +329,9 @@ class TestLibmpKernel:
     @settings(max_examples=25, deadline=None)
     @given(params=st.booleans().flatmap(lambda int_n: _triples(90.0, int_n)),
            digits=st.integers(30, 130))
+    @example(params=OccupancyParams(*EDGE[0]), digits=30)
+    @example(params=OccupancyParams(*EDGE[1]), digits=30)
+    @example(params=OccupancyParams(*EDGE[2]), digits=130)
     def test_terms_match_mpf(self, params, digits):
         # every term's tuple, not only the sum rounded to a double
         with mpmath.workdps(digits):

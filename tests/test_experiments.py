@@ -328,6 +328,13 @@ class TestSidecar:
         assert configs[0] == configs[1]
         assert (tmp_path / "np.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
 
+    @pytest.mark.parametrize("run", [run_zn_study, run_random_vs_structured], ids=["zn", "versus"])
+    def test_numpy_dimension_echo(self, tmp_path, run):
+        run(np.int64(1), np.array([50]), np.int64(3), np.int64(2), out=str(tmp_path / "s.csv"))
+        config = json.loads((tmp_path / "s.csv.meta.jsonl").read_text())["config"]
+        assert (config["d"], config["n_grid"], config["trials"], config["master_seed"]) == (
+            1, [50], 3, 2)
+
     @pytest.mark.parametrize("seed", [1.5, True, -1])
     def test_bad_seed_fails_before_the_first_trial(self, seed, monkeypatch):
         monkeypatch.setattr("covrad.experiments.check_budget",
