@@ -169,13 +169,17 @@ def _cantor_rho(domain: Cantor, xs: np.ndarray) -> float:
 
 
 def _points(domain: Domain, x: SampleSet | np.ndarray) -> np.ndarray:
-    """Sample points as an (N, k) array; a SampleSet must be of `domain`."""
+    """Sample points as a non-empty (N, k) array; a SampleSet must be of `domain`."""
     if isinstance(x, SampleSet):
         if x.domain != domain:
             raise ValueError(f"samples drawn on {x.domain!r}, not on {domain!r}")
-        return x.points
-    points = np.asarray(x, dtype=float)
-    return points.reshape(-1, 1) if points.ndim == 1 else points
+        points = x.points
+    else:
+        points = np.asarray(x, dtype=float)
+        points = points.reshape(-1, 1) if points.ndim <= 1 else points
+    if points.shape[0] == 0:
+        raise ValueError("need at least one sample point")
+    return points
 
 
 def _line_range(domain: Domain) -> tuple[float, float] | None:
@@ -187,6 +191,20 @@ def _line_range(domain: Domain) -> tuple[float, float] | None:
     if isinstance(domain, Cantor):
         return 0.0, 1.0 - 3.0**-domain.depth
     return None
+
+
+def _line_samples(domain: Domain, x: SampleSet | np.ndarray) -> np.ndarray:
+    """The sorted samples of a domain on a line; raw samples must be one column
+    in its range."""
+    points = _points(domain, x)
+    raw = not isinstance(x, SampleSet)
+    if raw and points.shape[1:] != (1,):
+        raise ValueError(f"samples on {domain!r} must be one column, not of shape {points.shape}")
+    xs = np.sort(points[:, 0])
+    lo, hi = _line_range(domain)
+    if raw and not lo <= xs[0] <= xs[-1] <= hi:
+        raise ValueError(f"samples leave {domain!r}: range [{xs[0]}, {xs[-1]}]")
+    return xs
 
 
 def has_exact_path(domain: Domain) -> bool:
@@ -208,21 +226,17 @@ def covering_radius_1d(domain: Domain, x: SampleSet | np.ndarray) -> float:
     are points of the Cantor set, which the prune relies on, is not checked:
     a vectorised digit check took about 20 ms at N = 1e5 on a 2-CPU host,
     five times the radius's 4 ms."""
-    points = _points(domain, x)
-    if points.shape[0] == 0:
-        raise ValueError("need at least one sample point")
-    raw = not isinstance(x, SampleSet)
     span = _line_range(domain)
     if span is not None:
-        xs = np.sort(points[:, 0])
-        if raw and (points.shape[1] != 1 or not span[0] <= xs[0] <= xs[-1] <= span[1]):
-            raise ValueError(f"samples leave {domain!r}: range [{xs[0]}, {xs[-1]}]")
+        xs = _line_samples(domain, x)
         if isinstance(domain, Cantor):
             return _cantor_rho(domain, xs)
         return _interval_rho(xs, *span)
+    points = _points(domain, x)
     if isinstance(domain, Sphere) and domain.d == 1:
-        if raw and (points.shape[1] != 2
-                    or not np.all(np.abs(np.linalg.norm(points, axis=1) - 1.0) <= 1e-9)):
+        if not isinstance(x, SampleSet) and (
+                points.shape[1] != 2
+                or not np.all(np.abs(np.linalg.norm(points, axis=1) - 1.0) <= 1e-9)):
             raise ValueError("samples leave the unit circle")
         return _circle_rho(points)
     if isinstance(domain, Polyline):
@@ -240,11 +254,7 @@ def covering_radius_window(
     still count as centers. Raw samples outside [-1, 1] raise ValueError."""
     if not isinstance(domain, ArcsineInterval):
         raise UnsupportedDomainError("windowed covering radius is an arcsine-interval operation")
-    xs = np.sort(np.ravel(_points(domain, x)))
-    if xs.size == 0:
-        raise ValueError("need at least one sample point")
-    if not isinstance(x, SampleSet) and not -1.0 <= xs[0] <= xs[-1] <= 1.0:
-        raise ValueError(f"samples leave {domain!r}: range [{xs[0]}, {xs[-1]}]")
+    xs = _line_samples(domain, x)
     w0, w1 = window.bounds(n_for_window)
     # peaks of y -> min_j |y - x_j| lie at midpoints of consecutive samples
     mids = (xs[:-1] + xs[1:]) / 2.0

@@ -27,27 +27,26 @@ axes ("ij" order, last axis fastest), a map from grid coordinates to points
 and an optional keep-mask on grid coordinates; the net's points are the maps
 of the kept grid points, piece by piece. A cube is one identity piece; a
 sphere has one piece per cube face, the face grid with -1 or +1 inserted and
-projected radially; a ball has its interior grid kept where |x| <= 1 + 3*delta/4
-and clipped to the ball, and for d >= 2 its boundary sphere's pieces; a
-polyhedron has its bounding-box grid kept by contains_many and the (i, j >= i)
-index lattice of each of its triangles under an affine map; a segment is its
-t-axis under an affine map; Cantor's sorted endpoints are one axis.
+projected radially; a ball has its interior grid kept where |x| <= 1 and, for
+d >= 2, its boundary sphere's pieces; a polyhedron has its bounding-box grid
+kept by contains_many and the (i, j >= i) index lattice of each of its
+triangles under an affine map; a segment is its t-axis under an affine map;
+Cantor's sorted endpoints are one axis.
 
 Blocks. Each piece's grid is cut into finest blocks of about 8 certified
 meshes (sizing the grid step by the map's Lipschitz bound on the whole piece).
 Its top level has blocks 2^k finest sides wide, for the smallest k that leaves
 at most 64 of them, and each level below splits a block into the 2^dim blocks
 of half its side. Blocks that start past the grid, and blocks that cannot hold
-a kept point (a box outside the ball's band, one that contains_many's box
-form finds clear of every tetrahedron of a polyhedron, or one below a
-triangle's diagonal), are left out.
+a kept point (a box clear of the ball, one that contains_many's box form finds
+clear of every tetrahedron of a polyhedron, or one below a triangle's
+diagonal), are left out.
 Each block has a representative (the image of its middle grid point) and a
 reach r >= the distance from the representative to the image of any grid point
 of the block: the distance in the grid box from the middle point to the
 farthest corner, times a Lipschitz bound of the map on the box, plus 1e-9 of
-the coordinate scale for rounding. The bounds: 1 for the identity and for
-clipping to the ball (a projection onto a convex set); 1/min|x| over the box
-for the radial projection of a cube face, since
+the coordinate scale for rounding. The bounds: 1 for the identity; 1/min|x|
+over the box for the radial projection of a cube face, since
 |x/|x| - y/|y|| <= |x - y|/sqrt(|x||y|) and |x| >= 1 there; and the spectral
 norm for affine maps. A net stores its pieces' top levels only, so
 building it costs at most 64 blocks per piece however fine its grid.
@@ -370,27 +369,11 @@ def _sphere_pieces(d: int, mesh: float) -> list:
     return [_Piece(axes, face(ax, side), lip) for ax in range(d + 1) for side in (-1.0, 1.0)]
 
 
-def _band(high: float) -> dict:
-    """keep and holds for the grid points with |x| <= high."""
-    def keep(x):
-        return np.linalg.norm(x, axis=1) <= high
-
-    def holds(lo, hi):  # 1e-9: rounded norms
-        return _min_norms(lo, hi) <= high + 1e-9
-
-    return {"keep": keep, "holds": holds}
-
-
-def _clip_to_ball(x):
-    return x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1.0)
-
-
 def _ball_pieces(d: int, mesh: float) -> list:
-    interior_mesh = 0.75 * mesh
-    axes = _cube_axes(d, interior_mesh, -1.0, 1.0)
-    # clipping moves no grid point inside the ball: x / max(|x|, 1) is x there
-    interior = _Piece(axes, _clip_to_ball, **_band(1.0 + interior_mesh))
-    # for d = 1 the boundary {-1, +1} is the grid's linspace ends, kept and unclipped
+    axes = _cube_axes(d, 0.75 * mesh, -1.0, 1.0)
+    interior = _Piece(axes, keep=lambda x: np.linalg.norm(x, axis=1) <= 1.0,
+                      holds=lambda lo, hi: _min_norms(lo, hi) <= 1.0 + 1e-9)  # rounded norms
+    # for d = 1 the boundary {-1, +1} is the grid's linspace ends
     return [interior, *(_sphere_pieces(d - 1, mesh / 4.0) if d >= 2 else [])]
 
 

@@ -205,9 +205,10 @@ class Polyhedron3:
         self.tet_inverses = np.stack([np.linalg.inv(np.column_stack([b - a, c - a, d - a]))
                                       for a, b, c, d in corners])
 
-        # the signed face volume is negative when the faces wind clockwise
-        # seen from outside, so their area vectors point inward
-        vol_faces = self._volume_from_faces()
+        # the signed volume the fan triangles enclose, sum det(a, b, c) / 6, is
+        # negative when the faces wind clockwise seen from outside
+        a, b, c = v[np.array(self.triangles, dtype=int).reshape(-1, 3).T]
+        vol_faces = float(np.einsum("ij,ij->", a, np.cross(b, c))) / 6.0
         self.winding = math.copysign(1.0, vol_faces)
         if not math.isclose(self.volume, abs(vol_faces), rel_tol=1e-9):
             raise InvalidGeometryError(
@@ -226,16 +227,6 @@ class Polyhedron3:
             p, q = pts[i], pts[(i + 1) % len(pts)]
             n += np.cross(p, q)
         return n / 2.0
-
-    def _volume_from_faces(self) -> float:
-        # Divergence theorem: V = (1/3) sum_faces centroid . area_vector, with
-        # area vectors oriented by the face winding; the sign is the winding's.
-        total = 0.0
-        for face in self.faces:
-            pts = self.vertices[list(face)]
-            centroid = pts.mean(axis=0)
-            total += float(np.dot(centroid, self.face_normal(face)))
-        return total / 3.0
 
     def contains_many(self, points: np.ndarray, tol: float = 1e-12,
                       half: np.ndarray | None = None) -> np.ndarray:

@@ -265,6 +265,14 @@ class TestWindowedCoveringRadius:
             covering_radius_window(ArcsineInterval(), np.array([0.98, 1.5]),
                                    WindowSpec(2.0, "right_edge"), 10)
 
+    def test_two_column_samples_raise(self):
+        # as covering_radius_1d: an (N, 2) array is not 2N samples
+        x = np.array([[0.1, 0.9], [0.5, -0.3]])
+        with pytest.raises(ValueError):
+            covering_radius_window(ArcsineInterval(), x, WindowSpec(1.0, "interior"), 10)
+        with pytest.raises(ValueError):
+            covering_radius_1d(ArcsineInterval(), x)
+
     def test_window_with_interior_points(self):
         u = 0.01
         w = WindowSpec(2.0, "right_edge")
@@ -409,8 +417,8 @@ class TestPrunedMaximum:
     @given(n=st.sampled_from([1, 10, 1000]), seed=st.integers(0, 2**32),
            scale=st.sampled_from([0.0, 1e-3, 0.1, 0.5]))
     def test_maximum_on_the_ball_boundary(self, n, seed, scale):
-        # samples near the centre: the farthest probe points are the projected
-        # boundary sphere's and the clipped near piece's, on |y| = 1
+        # samples near the centre: the farthest probe points are the boundary
+        # sphere net's and the interior grid's, on |y| = 1
         domain = Ball(2)
         x = scale * sample(domain, n, SeedSpec(seed, 0)).points
         at = self.check_at(domain, _net(domain, 0.003), x)

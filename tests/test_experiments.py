@@ -91,12 +91,12 @@ class TestCircleOracle:
         # acceptance 04's chord-metric oracle E[2 sin(pi S / 2)] against a
         # quadrature of the maximal-spacing law
         # P(S <= x) = sum_k (-1)^k C(n, k) (1 - kx)_+^(n-1), integrated by parts
-        mpmath.mp.dps = 30
         cdf = lambda x: sum((-1) ** k * mpmath.binomial(n, k) * max(1 - k * x, 0) ** (n - 1)
                             for k in range(n + 1))
-        kinks = sorted({mpmath.mpf(0)} | {mpmath.mpf(1) / k for k in range(1, n + 1)})
-        exact = mpmath.quad(lambda x: mpmath.pi * mpmath.cos(mpmath.pi * x / 2) * (1 - cdf(x)),
-                            kinks)
+        with mpmath.workdps(30):
+            kinks = sorted({mpmath.mpf(0)} | {mpmath.mpf(1) / k for k in range(1, n + 1)})
+            exact = mpmath.quad(
+                lambda x: mpmath.pi * mpmath.cos(mpmath.pi * x / 2) * (1 - cdf(x)), kinks)
         assert abs(circle_chord_expectation(n) - exact) <= 1e-15
 
 

@@ -8,7 +8,7 @@ import pytest
 from test_spaces import equilateral_prism, regular_tetrahedron
 
 from covrad.covering import probe_mesh_for
-from covrad.nets import ProbeNet, _level, build_index, build_probe_net
+from covrad.nets import ProbeNet, _cube_axes, _level, build_index, build_probe_net
 from covrad.sampler import SeedSpec, sample
 from covrad.spaces import (
     ArcsineInterval,
@@ -127,6 +127,18 @@ class TestBuildProbeNet:
         net = build_probe_net(domain, mesh)
         digest = hashlib.sha256(net.points.tobytes()).hexdigest()
         assert (digest, len(net.points), net.certified_mesh) == NET_DIGESTS[repr(domain)]
+
+    @pytest.mark.parametrize("d,mesh", [(1, 0.05), (2, 0.05), (3, 0.1)])
+    def test_ball_net_is_its_proofs_union(self, d, mesh):
+        # the interior grid certifying 3*mesh/4, kept where |x| <= 1, then the
+        # boundary sphere's net at mesh/4 (Ball(1): the grid alone), bit for bit
+        axes = _cube_axes(d, 0.75 * mesh, -1.0, 1.0)
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+        parts = [grid[np.linalg.norm(grid, axis=1) <= 1.0]]
+        if d >= 2:
+            parts.append(build_probe_net(Sphere(d - 1), mesh / 4.0).points)
+        points = build_probe_net(Ball(d), mesh).points
+        assert points.tobytes() == np.concatenate(parts).tobytes()
 
     @pytest.mark.parametrize("domain,mesh", [c for c in BLOCK_DOMAINS
                                              if isinstance(c[0], Polyhedron3)],
