@@ -53,9 +53,9 @@ NET_DIGESTS = {
     "Sphere(d=2, kind='Sphere')":
         ("beac798daf2e6a4e48a1dff3f2921c24c75ae87c236a6a9272e77545ac020a1f", 5400, 0.05),
     "Ball(d=2, kind='Ball')":
-        ("25e20665093b863b95a03dba599bfe94af6e7c95afad31652f3839b13adefa46", 1541, 0.05),
+        ("4cc2db1eb3ca931b87297ecd43cbee3c90cb63e438893cc74671008eabf13939", 1453, 0.05),
     "Ball(d=3, kind='Ball')":
-        ("97aae56eabab15f58733a7fc5500899367b1258b34a8976e3a3f89b61139c676", 29229, 0.1),
+        ("21c301234633e743a30334b020808fb313a68ed2a7648c67c410e01b58659f58", 27337, 0.1),
     "Cantor(depth=20, kind='Cantor')":
         ("f49d1e46dca04ffcbc5a4d4ba2ac8979c4ab747ec76dda3c32eebc3f2da32d8c", 64,
          0.00411522633744856),
