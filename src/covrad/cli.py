@@ -2,7 +2,8 @@
 
 Each subcommand reads an optional JSON config file (--config); explicit flags
 override config fields, and a key the subcommand does not take is invalid.
-Exit codes: 0 success, 1 invalid configuration, 2 budget refusal.
+Exit codes: 0 success, 1 invalid configuration, 2 a usage error (stderr starts
+with "usage:") or a budget refusal (its last stderr line starts with "refused:").
 """
 
 from __future__ import annotations

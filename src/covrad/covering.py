@@ -170,13 +170,10 @@ def _cantor_rho(domain: Cantor, xs: np.ndarray) -> float:
 
 def _points(domain: Domain, x: SampleSet | np.ndarray) -> np.ndarray:
     """Sample points as a non-empty (N, k) array; a SampleSet must be of `domain`."""
-    if isinstance(x, SampleSet):
-        if x.domain != domain:
-            raise ValueError(f"samples drawn on {x.domain!r}, not on {domain!r}")
-        points = x.points
-    else:
-        points = np.asarray(x, dtype=float)
-        points = points.reshape(-1, 1) if points.ndim <= 1 else points
+    if isinstance(x, SampleSet) and x.domain != domain:
+        raise ValueError(f"samples drawn on {x.domain!r}, not on {domain!r}")
+    points = x.points if isinstance(x, SampleSet) else np.asarray(x, dtype=float)
+    points = points.reshape(-1, 1) if points.ndim <= 1 else points
     if points.shape[0] == 0:
         raise ValueError("need at least one sample point")
     return points
@@ -233,10 +230,10 @@ def covering_radius_1d(domain: Domain, x: SampleSet | np.ndarray) -> float:
             return _cantor_rho(domain, xs)
         return _interval_rho(xs, *span)
     points = _points(domain, x)
+    raw = not isinstance(x, SampleSet)
     if isinstance(domain, Sphere) and domain.d == 1:
-        if not isinstance(x, SampleSet) and (
-                points.shape[1] != 2
-                or not np.all(np.abs(np.linalg.norm(points, axis=1) - 1.0) <= 1e-9)):
+        if raw and (points.shape[1] != 2
+                    or not np.all(np.abs(np.linalg.norm(points, axis=1) - 1.0) <= 1e-9)):
             raise ValueError("samples leave the unit circle")
         return _circle_rho(points)
     if isinstance(domain, Polyline):
