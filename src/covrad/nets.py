@@ -23,21 +23,25 @@ can then be sandwiched to within delta. Mesh proofs per kind:
 * Cantor depth D: both endpoints of all depth-k cylinders with 3^-k <= delta.
 
 Pieces. A net is an ordered list of pieces, each the index grid of a few 1-D
-axes ("ij" order, last axis fastest), a map from grid coordinates to points
-and an optional keep-mask on grid coordinates; the net's points are the maps
-of the kept grid points, piece by piece. A cube is one identity piece; a
-sphere has one piece per cube face, the face grid with -1 or +1 inserted and
-projected radially; a ball has its interior grid kept where |x| <= 1 and, for
-d >= 2, its boundary sphere's pieces; a polyhedron has its bounding-box grid
-kept by contains_many and the (i, j >= i) index lattice of each of its
-triangles under an affine map; a segment is its t-axis under an affine map;
-Cantor's sorted endpoints are one axis.
+axes ("ij" order, last axis fastest) in one or more copies, a map from grid
+coordinates and copy to points and an optional keep-mask on grid coordinates;
+the net's points are the maps of the kept grid points, piece by piece and copy
+by copy. A cube is one identity piece; a sphere is one piece with a copy per
+cube face, the face grid with -1 or +1 inserted and projected radially; a ball
+has its interior grid kept where |x| <= 1 and, for d >= 2, its boundary
+sphere's piece; a polyhedron has its bounding-box grid kept by contains_many
+and the (i, j >= i) index lattice of each of its triangles (each its own
+piece, with its own k) under an affine map; a segment is its t-axis under an
+affine map; Cantor's sorted endpoints are one axis.
 
 Blocks. Each piece's grid is cut into finest blocks of about 8 certified
 meshes (sizing the grid step by the map's Lipschitz bound on the whole piece).
 Its top level has blocks 2^k finest sides wide, for the smallest k that leaves
-at most 64 of them, and each level below splits a block into the 2^dim blocks
-of half its side. Blocks that start past the grid, and blocks that cannot hold
+at most 64 of them per copy, and each level below splits a block into the
+2^dim blocks of half its side in its copy, so no block spans two copies. Rows
+stay in copy order (the top level lists copy by copy, children follow their
+parent, dropped rows keep the order), so a map sees each copy's rows as one
+run. Blocks that start past the grid, and blocks that cannot hold
 a kept point (a box clear of the ball, one that contains_many's box form finds
 clear of every tetrahedron of a polyhedron, or one below a triangle's
 diagonal), are left out.
@@ -49,14 +53,15 @@ the coordinate scale for rounding. The bounds: 1 for the identity; 1/min|x|
 over the box for the radial projection of a cube face, since
 |x/|x| - y/|y|| <= |x - y|/sqrt(|x||y|) and |x| >= 1 there; and the spectral
 norm for affine maps. A net stores its pieces' top levels only, so
-building it costs at most 64 blocks per piece however fine its grid.
+building it costs at most 64 blocks per copy however fine its grid.
 
 The walk. d(y) = dist(y, X) is 1-Lipschitz, so d <= d(p) + r on a block with
 representative p. ProbeNet.max_nearest_distance refines the top levels down to
 the finest blocks, a piece joining at its top so that all pieces reach their
 finest blocks together. A query returns d(p) and the row of the sample x_nn
-nearest to p, and each kept block hands its x_nn down to its children. Each
-level drops the children whose representative c has
+nearest to p, and each kept block hands its x_nn and copy down to its
+children, which are generated (as the last probe points are) a few thousand
+rows at a time. Each level drops the children whose representative c has
 (|c - x_nn| + r)(1 + 1e-12) < L with no query, since d(c) <= |c - x_nn|;
 evaluates d at the other children's representatives, all pieces in one query;
 raises L to the largest value at a representative the keep-mask keeps (a probe
@@ -78,6 +83,7 @@ never materialised unless ProbeNet.points is read.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -104,18 +110,19 @@ def _one(lo, hi):
     return 1.0
 
 
-def _identity(x):
+def _identity(x, copy):
     return x
 
 
 @dataclass(frozen=True)
 class _Piece:
-    """Probe points fmap(x) for the grid coordinates x of the axes that keep(x)."""
+    """Probe points fmap(x, copy) for the grid coordinates x that keep(x), copy by copy."""
     axes: tuple
-    fmap: Callable = _identity   # (m, k) grid coordinates -> (m, dim) points
+    fmap: Callable = _identity   # (m, k) grid coordinates, (m,) copies in order -> (m, dim) points
     lip: Callable = _one         # (lo, hi) grid-box corners -> Lipschitz bound of fmap
     keep: Callable | None = None  # (m, k) grid coordinates -> kept
     holds: Callable | None = None  # (lo, hi) -> False where no grid point is kept
+    copies: int = 1
 
     @property
     def shape(self) -> tuple:
@@ -128,14 +135,11 @@ class _Piece:
             out[:, k] = axis[idx[:, k]]
         return out
 
-    def points(self, idx: np.ndarray) -> np.ndarray:
-        x = self.coords(idx)
-        return self.fmap(x if self.keep is None else x[self.keep(x)])
-
 
 class _Level(NamedTuple):
-    """Blocks of one size in a piece's grid."""
+    """Blocks of one size in a piece's grids, in copy order."""
     first: np.ndarray  # first grid index of each block
+    copy: np.ndarray  # the copy of the grid that holds it
     reps: np.ndarray  # representative points
     reach: np.ndarray  # bounds on the distance from each to its block's points
     ok: np.ndarray | None  # representative kept by the piece's mask
@@ -168,24 +172,25 @@ def _in_grid(idx: np.ndarray, shape: tuple) -> np.ndarray:
     return inside
 
 
-def _level(piece: _Piece, first: np.ndarray, size: np.ndarray, nn=None) -> _Level:
-    """The blocks of the given size starting at first (each with the sample row
-    nn, if given), less those that start past the grid or cannot hold a kept point."""
+def _level(piece: _Piece, first: np.ndarray, copy: np.ndarray, size: np.ndarray,
+           nn=None) -> _Level:
+    """The blocks of the given size starting at first in copy (each with the sample
+    row nn, if given), less those that start past the grid or cannot hold a kept point."""
     # np.compress: several times faster than a boolean index on rows
     inside = _in_grid(first, piece.shape)
-    first = np.compress(inside, first, axis=0)
-    nn = None if nn is None else np.compress(inside, nn)
+    first, copy, nn = (None if a is None else np.compress(inside, a, axis=0)
+                       for a in (first, copy, nn))
     last = np.minimum(first + size, piece.shape) - 1
     lo, hi = piece.coords(first), piece.coords(last)
     if piece.holds is not None:
         held = piece.holds(lo, hi)
-        first, last, lo, hi = (np.compress(held, a, axis=0) for a in (first, last, lo, hi))
-        nn = None if nn is None else np.compress(held, nn)
+        first, copy, nn, last, lo, hi = (None if a is None else np.compress(held, a, axis=0)
+                                         for a in (first, copy, nn, last, lo, hi))
     mid = piece.coords((first + last) // 2)
-    reps = piece.fmap(mid)
+    reps = piece.fmap(mid, copy)
     reach = piece.lip(lo, hi) * _row_norms(np.maximum(mid - lo, hi - mid))
     reach += 1e-9 * (reach + np.abs(reps).max(initial=0.0))  # rounded coordinates and maps
-    return _Level(first, reps, reach, None if piece.keep is None else piece.keep(mid), nn)
+    return _Level(first, copy, reps, reach, None if piece.keep is None else piece.keep(mid), nn)
 
 
 def _blocks(piece: _Piece, width: float) -> _Blocks:
@@ -198,7 +203,9 @@ def _blocks(piece: _Piece, width: float) -> _Blocks:
     while np.prod(-(-shape // (side << depth))) > 64:  # sweep of 8-512 in CHANGES.md
         depth += 1
     size = side << depth
-    return _Blocks(side, depth, _level(piece, _box(tuple(-(-shape // size))) * size, size))
+    first = _box(tuple(-(-shape // size))) * size
+    copy = np.repeat(np.arange(piece.copies), len(first))
+    return _Blocks(side, depth, _level(piece, np.tile(first, (piece.copies, 1)), copy, size))
 
 
 @dataclass(frozen=True)
@@ -219,13 +226,15 @@ class ProbeNet:
 
     @cached_property
     def points(self) -> np.ndarray:
-        """All probe points, piece by piece in grid order (built on first use)."""
+        """All probe points, piece by piece, copy by copy in grid order (built on first use)."""
         chunks = []
         for piece in self.pieces:
             size = math.prod(piece.shape)
-            for start in range(0, size, 1 << 16):
+            for copy, start in itertools.product(range(piece.copies), range(0, size, 1 << 16)):
                 flat = np.arange(start, min(start + (1 << 16), size))
-                chunks.append(piece.points(np.stack(np.unravel_index(flat, piece.shape), axis=1)))
+                x = piece.coords(np.stack(np.unravel_index(flat, piece.shape), axis=1))
+                x = x if piece.keep is None else x[piece.keep(x)]
+                chunks.append(piece.fmap(x, np.full(len(x), copy)))
         pts = np.concatenate(chunks)
         pts.setflags(write=False)
         return pts
@@ -233,21 +242,14 @@ class ProbeNet:
     def max_nearest_distance(self, index: SpatialIndex) -> float:
         """index.nearest_distances(points).max(), from the blocks that can hold it."""
         samples = index.points
-        lower, live = -math.inf, [None] * len(self.cells)  # per piece, its kept blocks
+        lower, live = -math.inf, []  # (piece, a run of its kept blocks (first, nn, copy))
         for level in range(max(c.depth for c in self.cells), -1, -1):
-            batch = []  # (piece, the blocks evaluated)
-            for p, (piece, cells) in enumerate(zip(self.pieces, self.cells)):
-                if level == cells.depth:
-                    batch.append((p, cells.top))
-                elif level < cells.depth and len(live[p][0]):
-                    size, corners = cells.side << level, _box((2,) * len(cells.side))
-                    first, nn = live[p]
-                    kids = (first[:, None, :] + corners * size).reshape(-1, len(size))
-                    lev = _level(piece, kids, size, np.repeat(nn, len(corners)))
-                    # d(rep) <= |rep - the parent's nearest sample|: children that
-                    # cannot reach L even so are dropped with no query
-                    bound = _row_norms(lev.reps - np.take(samples, lev.nn, axis=0)) + lev.reach
-                    batch.append((p, lev.compress(bound * (1 + 1e-12) >= lower)))
+            # (piece, the blocks evaluated): top levels, then children run by run
+            batch = [(p, cells.top) for p, cells in enumerate(self.cells) if cells.depth == level]
+            for p, blocks in live:
+                size = self.cells[p].side << level
+                batch += [(p, _children(self.pieces[p], run, size, samples, lower))
+                          for run in _runs(blocks, 2 ** len(size))]
             d, nn = index.nearest(np.concatenate([lev.reps for _, lev in batch]))
             cuts = np.cumsum([len(lev.reach) for _, lev in batch])[:-1]
             parts = list(zip(np.split(d, cuts), np.split(nn, cuts)))
@@ -255,23 +257,62 @@ class ProbeNet:
                 probe = dp if lev.ok is None else np.compress(lev.ok, dp)
                 if len(probe):
                     lower = max(lower, float(probe.max()))
+            live = []
             for (p, lev), (dp, nnp) in zip(batch, parts):
                 keep = (dp + lev.reach) * (1 + 1e-12) >= lower
-                live[p] = (np.compress(keep, lev.first, axis=0), np.compress(keep, nnp))
-        pts = []
-        for (first, nn), piece, cells in zip(live, self.pieces, self.cells):
-            box = _box(tuple(cells.side))
-            idx = (first[:, None, :] + box).reshape(-1, len(cells.side))
-            inside = _in_grid(idx, piece.shape)
-            x = piece.coords(np.compress(inside, idx, axis=0))
-            y = piece.fmap(x)  # row by row, so mapping masked points too changes no bit
-            # as for blocks, d(y) <= |y - its block's nearest sample|; the mask is
-            # evaluated on the points left
-            near = np.take(samples, np.compress(inside, np.repeat(nn, len(box))), axis=0)
-            far = _row_norms(y - near) * (1 + 1e-12) >= lower
-            x, y = np.compress(far, x, axis=0), np.compress(far, y, axis=0)
-            pts.append(y if piece.keep is None else np.compress(piece.keep(x), y, axis=0))
+                live.append((p, tuple(np.compress(keep, a, axis=0)
+                                      for a in (lev.first, nnp, lev.copy))))
+        pts = [_probes(self.pieces[p], run, self.cells[p].side, samples, lower)
+               for p, blocks in live for run in _runs(blocks, math.prod(self.cells[p].side))]
         return float(index.nearest_distances(np.concatenate(pts)).max())
+
+
+# the walk generates children and probe points at most this many rows at a time,
+# so its temporaries grow with neither copies nor kept blocks: of 4096-32768 on 2 CPUs,
+# 4096 walked every domain at N=1e3 and 1e5 as fast or faster, and above it sphere3
+# and ball3 at N=1e3 took 50-100x more page faults (sweep in CHANGES.md)
+_ROWS = 4096
+
+
+def _runs(blocks: tuple, per_block: int):
+    """Runs of the blocks (first, nn, copy) that generate at most _ROWS rows at
+    per_block rows a block (one block at least)."""
+    step = max(1, _ROWS // per_block)
+    for start in range(0, len(blocks[0]), step):
+        yield tuple(a[start:start + step] for a in blocks)
+
+
+def _children(piece: _Piece, blocks: tuple, size: np.ndarray, samples: np.ndarray,
+              lower: float) -> _Level:
+    """The children of the given size of the blocks (first, nn, copy), each with
+    its parent's nn and copy, less those that cannot reach lower."""
+    first, nn, copy = blocks
+    corners = _box((2,) * len(size)) * size
+    kids = (first[:, None, :] + corners).reshape(-1, len(size))
+    lev = _level(piece, kids, np.repeat(copy, len(corners)), size,
+                 np.repeat(nn, len(corners)))
+    # d(rep) <= |rep - the parent's nearest sample|: children that cannot reach
+    # L even so are dropped with no query
+    bound = _row_norms(lev.reps - np.take(samples, lev.nn, axis=0)) + lev.reach
+    return lev.compress(bound * (1 + 1e-12) >= lower)
+
+
+def _probes(piece: _Piece, blocks: tuple, side: np.ndarray, samples: np.ndarray,
+            lower: float) -> np.ndarray:
+    """The probe points of the finest blocks (first, nn, copy) that can reach lower."""
+    first, nn, copy = blocks
+    box = _box(tuple(side))
+    idx = (first[:, None, :] + box).reshape(-1, len(side))
+    inside = _in_grid(idx, piece.shape)
+    x = piece.coords(np.compress(inside, idx, axis=0))
+    # row by row, so mapping masked points too changes no bit
+    y = piece.fmap(x, np.compress(inside, np.repeat(copy, len(box))))
+    # as for blocks, d(y) <= |y - its block's nearest sample|; the mask is
+    # evaluated on the points left
+    near = np.take(samples, np.compress(inside, np.repeat(nn, len(box))), axis=0)
+    far = _row_norms(y - near) * (1 + 1e-12) >= lower
+    x, y = np.compress(far, x, axis=0), np.compress(far, y, axis=0)
+    return y if piece.keep is None else np.compress(piece.keep(x), y, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +368,7 @@ def build_index(points: np.ndarray) -> SpatialIndex:
 def _segment(a: np.ndarray, b: np.ndarray, mesh: float) -> _Piece:
     length = float(np.linalg.norm(b - a))
     n_steps = max(1, math.ceil(length / (2.0 * mesh)))
-    return _Piece((np.linspace(0.0, 1.0, n_steps + 1),), lambda t: a + t * (b - a),
+    return _Piece((np.linspace(0.0, 1.0, n_steps + 1),), lambda t, copy: a + t * (b - a),
                   lambda lo, hi: length)
 
 
@@ -351,22 +392,23 @@ def _min_norms(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return _row_norms(np.maximum(np.maximum(lo, -hi), 0.0))
 
 
-def _sphere_pieces(d: int, mesh: float) -> list:
-    # grids on the faces of the cube [-1,1]^(d+1) surface, projected radially;
-    # face (ax, side) holds the face grid in the other axes and -1/+1 at ax
-    def face(ax, side):
-        def fmap(x):
-            pts = np.empty((len(x), d + 1))
-            pts[:, :ax], pts[:, ax], pts[:, ax + 1:] = x[:, :ax], side, x[:, ax:]
-            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-            return pts
-        return fmap
+def _sphere_piece(d: int, mesh: float) -> _Piece:
+    # grids on the faces of the cube [-1,1]^(d+1) surface, projected radially; copy
+    # 2 * ax + s holds the face grid in the other axes and -1 (s = 0) or +1 (s = 1) at ax
+    def fmap(x, copy):
+        pts = np.empty((len(x), d + 1))
+        runs = np.searchsorted(copy, np.arange(2 * d + 3))  # rows come in copy order
+        for c, (a, b) in enumerate(itertools.pairwise(runs)):
+            ax, face = c // 2, slice(a, b)
+            pts[face, :ax], pts[face, ax], pts[face, ax + 1:] = (
+                x[face, :ax], (-1.0, 1.0)[c % 2], x[face, ax:])
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        return pts
 
     def lip(lo, hi):  # |x| >= min over the box of sqrt(1 + |face coordinates|^2)
         return 1.0 / np.sqrt(1.0 + _min_norms(lo, hi) ** 2)
 
-    axes = _cube_axes(d, mesh, -1.0, 1.0)
-    return [_Piece(axes, face(ax, side), lip) for ax in range(d + 1) for side in (-1.0, 1.0)]
+    return _Piece(_cube_axes(d, mesh, -1.0, 1.0), fmap, lip, copies=2 * (d + 1))
 
 
 def _ball_pieces(d: int, mesh: float) -> list:
@@ -374,7 +416,7 @@ def _ball_pieces(d: int, mesh: float) -> list:
     interior = _Piece(axes, keep=lambda x: np.linalg.norm(x, axis=1) <= 1.0,
                       holds=lambda lo, hi: _min_norms(lo, hi) <= 1.0 + 1e-9)  # rounded norms
     # for d = 1 the boundary {-1, +1} is the grid's linspace ends
-    return [interior, *(_sphere_pieces(d - 1, mesh / 4.0) if d >= 2 else [])]
+    return [interior, _sphere_piece(d - 1, mesh / 4.0)] if d >= 2 else [interior]
 
 
 def _triangle(a, b, c, mesh: float) -> _Piece:
@@ -384,7 +426,7 @@ def _triangle(a, b, c, mesh: float) -> _Piece:
     # steps (i, j - i) along b - a and c - a, for i <= j <= k in row order
     norm = float(np.linalg.norm(np.stack([b - c, c - a], axis=1) / k, 2))
 
-    def fmap(x):
+    def fmap(x, copy):
         i, j = x[:, 0], x[:, 1]
         return a + (i / k)[:, None] * (b - a) + ((j - i) / k)[:, None] * (c - a)
 
@@ -429,7 +471,7 @@ def build_probe_net(domain: Domain, target_mesh: float) -> ProbeNet:
     elif isinstance(domain, Cube):
         pieces = [_Piece(_cube_axes(domain.d, mesh))]
     elif isinstance(domain, Sphere):
-        pieces = _sphere_pieces(domain.d, mesh)
+        pieces = [_sphere_piece(domain.d, mesh)]
     elif isinstance(domain, Ball):
         pieces = _ball_pieces(domain.d, mesh)
     elif isinstance(domain, Polyhedron3):

@@ -425,6 +425,22 @@ class TestPrunedMaximum:
         assert np.allclose(np.linalg.norm(at, axis=1), 1.0)
 
     @settings(max_examples=10, deadline=None)
+    @given(n=st.sampled_from([1, 10, 1000]), seed=st.integers(0, 2**32),
+           ax=st.integers(0, 2), side=st.sampled_from([-1.0, 1.0]))
+    @example(n=10, seed=0, ax=0, side=1.0)
+    def test_maximum_on_the_face_opposite_a_sphere_cap(self, n, seed, ax, side):
+        # samples in the cap side * x[ax] > 0.9 (x0 > 0.9 among them; about 5%
+        # of the sphere, so 1000 draws always hold one): the maximum lies on the
+        # opposite face, and the deep levels keep blocks of few of the six face
+        # copies, so most copies' runs of rows are empty, the cap's face before
+        # or after the maximum's
+        domain = Sphere(2)
+        x = sample(domain, max(100 * n, 1000), SeedSpec(seed, 0)).points
+        x = x[side * x[:, ax] > 0.9][:n]
+        at = self.check_at(domain, _net(domain, 0.005), x)
+        assert (side * at[:, ax] < -0.9).all()
+
+    @settings(max_examples=10, deadline=None)
     @given(n=st.sampled_from([1, 10, 1000]), seed=st.integers(0, 2**32))
     def test_maximum_on_the_far_face_of_the_unit_box(self, n, seed):
         # samples on the face z = 0: the maximum lies on the face z = 1, held by

@@ -73,24 +73,28 @@ BLOCK_DOMAINS = CERT_DOMAINS + [(regular_tetrahedron(), 0.1), (equilateral_prism
 
 def refine(piece, cells):
     """A piece's levels of blocks, top first, each block split into all its
-    children down to the finest side, with no pruning."""
+    children (in its copy) down to the finest side, with no pruning."""
     levels = [cells.top]
     for j in range(cells.depth - 1, -1, -1):
         size = cells.side << j
         corners = np.array(list(itertools.product((0, 1), repeat=len(size))))
         kids = levels[-1].first[:, None, :] + corners * size
-        levels.append(_level(piece, kids.reshape(-1, len(size)), size))
+        copy = np.repeat(levels[-1].copy, len(corners))
+        levels.append(_level(piece, kids.reshape(-1, len(size)), copy, size))
     return levels
 
 
 def grid_points(piece, cells, finest):
-    """Every grid point of a piece's finest blocks: its grid index, image and keep-mask."""
+    """Every grid point of a piece's finest blocks: its grid index, copy, image
+    and keep-mask."""
     offsets = np.array(list(itertools.product(*(range(s) for s in cells.side))))
     idx = (finest.first[:, None, :] + offsets).reshape(-1, len(cells.side))
-    idx = idx[(idx < piece.shape).all(axis=1)]
+    copy = np.repeat(finest.copy, len(offsets))
+    inside = (idx < piece.shape).all(axis=1)
+    idx, copy = idx[inside], copy[inside]
     x = piece.coords(idx)
     kept = np.ones(len(x), dtype=bool) if piece.keep is None else piece.keep(x)
-    return idx, piece.fmap(x), kept
+    return idx, copy, piece.fmap(x, copy), kept
 
 
 def spot_check_mesh(net: ProbeNet, n_samples: int = 10_000, master_seed: int = 987) -> float:
@@ -127,6 +131,16 @@ class TestBuildProbeNet:
         net = build_probe_net(domain, mesh)
         digest = hashlib.sha256(net.points.tobytes()).hexdigest()
         assert (digest, len(net.points), net.certified_mesh) == NET_DIGESTS[repr(domain)]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_one_sphere_piece_with_a_copy_per_face(self, d):
+        # the 2(d+1) cube faces are copies of one grid, and the ball adds the
+        # boundary sphere's piece to its interior grid for d >= 2
+        (sphere,) = build_probe_net(Sphere(d), 0.1).pieces
+        assert sphere.copies == 2 * (d + 1)
+        ball = build_probe_net(Ball(d), 0.1).pieces
+        assert len(ball) == (2 if d >= 2 else 1) and ball[0].copies == 1
+        assert d == 1 or ball[1].copies == 2 * d
 
     @pytest.mark.parametrize("d,mesh", [(1, 0.05), (2, 0.05), (3, 0.1)])
     def test_ball_net_is_its_proofs_union(self, d, mesh):
@@ -171,29 +185,48 @@ class TestBlocks:
         # blocks the top level leaves out, or refinement drops, hold no probe point
         net = build_probe_net(domain, mesh)
         held = np.concatenate([pts[kept] for piece, cells in zip(net.pieces, net.cells)
-                               for _, pts, kept in [grid_points(piece, cells,
-                                                                refine(piece, cells)[-1])]])
+                               for _, _, pts, kept in [grid_points(piece, cells,
+                                                                   refine(piece, cells)[-1])]])
         rows = lambda a: a[np.lexsort(a.T[::-1])]
         assert np.array_equal(rows(held), rows(np.array(net.points)))
 
     @pytest.mark.parametrize("domain,mesh", BLOCK_DOMAINS, ids=lambda v: repr(v)[:24])
     def test_reach_covers_every_grid_point(self, domain, mesh):
         # on every level, each grid point's image lies within its block's reach
-        # of the block's representative, masked or not
+        # of the block's representative, masked or not, in every copy
         net = build_probe_net(domain, mesh)
         for piece, cells in zip(net.pieces, net.cells):
             levels = refine(piece, cells)
-            idx, pts, _ = grid_points(piece, cells, levels[-1])
+            idx, copy, pts, _ = grid_points(piece, cells, levels[-1])
             for j, level in zip(range(cells.depth, -1, -1), levels):
                 size = cells.side << j
-                counts = -(-np.array(piece.shape) // size)
-                block = np.full(counts.prod(), -1)
-                block[np.ravel_multi_index((level.first // size).T, counts)] = np.arange(
-                    len(level.first))
-                block = block[np.ravel_multi_index((idx // size).T, counts)]
+                counts = (piece.copies, *-(-np.array(piece.shape) // size))
+                block = np.full(math.prod(counts), -1)
+                block[np.ravel_multi_index((level.copy, *(level.first // size).T),
+                                           counts)] = np.arange(len(level.first))
+                block = block[np.ravel_multi_index((copy, *(idx // size).T), counts)]
                 assert (block >= 0).all()
                 gap = np.linalg.norm(pts - level.reps[block], axis=1)
                 assert (gap <= level.reach[block]).all()
+
+    @pytest.mark.parametrize("domain,mesh", BLOCK_DOMAINS, ids=lambda v: repr(v)[:24])
+    def test_blocks_stay_in_one_copy_in_copy_order(self, domain, mesh):
+        # the top level holds blocks of every copy; each child lies in its
+        # parent's copy, so a block never spans two copies; and copy never falls
+        # along a level, which the faces' runs in fmap rely on
+        net = build_probe_net(domain, mesh)
+        for piece, cells in zip(net.pieces, net.cells):
+            levels = refine(piece, cells)
+            assert np.array_equal(np.unique(cells.top.copy), np.arange(piece.copies))
+            for j, level, parents in zip(range(cells.depth, -1, -1), levels, [None, *levels]):
+                assert level.copy.shape == (len(level.first),)
+                assert (np.diff(level.copy) >= 0).all()
+                if parents is not None:
+                    up = level.first // (2 * cells.side << j) * (2 * cells.side << j)
+                    known = {(c, *f) for c, f in zip(parents.copy.tolist(),
+                                                     parents.first.tolist())}
+                    assert all((c, *f) in known for c, f in zip(level.copy.tolist(),
+                                                                up.tolist()))
 
     def test_build_is_bounded_by_the_top_level(self):
         # 1.58e9 grid points in 4.66M finest blocks: the build allocates and

@@ -32,6 +32,7 @@ def test_trial_stages_runs():
     row = json.loads(lines[0])
     assert row["domain"] == "cube2"
     assert float(row["L"]) > 0.0
+    assert row["peak_rss_mb"] > 0.0
 
 
 def test_occupancy_stages_runs():

@@ -4,7 +4,9 @@ For each domain the probe net is built once at probe_mesh_for(domain, N, eta);
 each trial t then draws N points from SeedSpec(seed, t), builds the index over
 them and walks the net (ProbeNet.max_nearest_distance). One JSON line is
 printed per trial with the three stage times in ms, the rows and calls of every
-k-d tree query the walk made, and L (as repr, to compare runs bit for bit).
+k-d tree query the walk made, L (as repr, to compare runs bit for bit) and
+peak_rss_mb, the ru_maxrss of this process so far: the peak over every net,
+sample and walk before the line, not the trial's own.
 
 covrad is imported from the path, so the same script times another checkout:
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import time
 
 from covrad import nets
@@ -85,6 +88,7 @@ def main(argv=None) -> None:
                 "walk_ms": walk_ms, "query_calls": len(log),
                 "query_rows": sum(log), "final_query_rows": log[-1],
                 "L": repr(lower),
+                "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
             }), flush=True)
 
 
