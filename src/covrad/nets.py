@@ -270,7 +270,7 @@ class ProbeNet:
 # the walk generates children and probe points at most this many rows at a time,
 # so its temporaries grow with neither copies nor kept blocks: of 4096-32768 on 2 CPUs,
 # 4096 walked every domain at N=1e3 and 1e5 as fast or faster, and above it sphere3
-# and ball3 at N=1e3 took 50-100x more page faults (sweep in CHANGES.md)
+# and ball3 at N=1e3 page-faulted tens to thousands of times as often (sweep in CHANGES.md)
 _ROWS = 4096
 
 

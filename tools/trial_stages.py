@@ -5,8 +5,8 @@ each trial t then draws N points from SeedSpec(seed, t), builds the index over
 them and walks the net (ProbeNet.max_nearest_distance). One JSON line is
 printed per trial with the three stage times in ms, the rows and calls of every
 k-d tree query the walk made, L (as repr, to compare runs bit for bit) and
-peak_rss_mb, the ru_maxrss of this process so far: the peak over every net,
-sample and walk before the line, not the trial's own.
+peak_rss_mb, the ru_maxrss of this process so far (in MB, as covbench reports
+it): the peak over every net, sample and walk before the line, not the trial's own.
 
 covrad is imported from the path, so the same script times another checkout:
 
@@ -82,13 +82,14 @@ def main(argv=None) -> None:
             start = time.perf_counter()
             lower = net.max_nearest_distance(index)
             walk_ms = ms(start)
+            peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
             print(json.dumps({
                 "domain": name, "eta": eta, "n": args.n, "seed": [args.seed, t],
                 "net_build_ms": net_ms, "sample_ms": sample_ms, "tree_build_ms": build_ms,
                 "walk_ms": walk_ms, "query_calls": len(log),
                 "query_rows": sum(log), "final_query_rows": log[-1],
                 "L": repr(lower),
-                "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+                "peak_rss_mb": round(peak_mb, 1),
             }), flush=True)
 
 
