@@ -29,6 +29,7 @@ CERT_DOMAINS = [
     (Cube(3), 0.1),
     (Sphere(1), 0.05),
     (Sphere(2), 0.05),
+    (Sphere(3), 0.2),
     (Ball(2), 0.05),
     (Ball(3), 0.1),
     (Cantor(20), 0.01),
@@ -52,6 +53,8 @@ NET_DIGESTS = {
         ("481f4bb6a2b24516ac5bf10bd8817b63ce77aea0dfd7fabf6f30499a3cd66706", 84, 0.05),
     "Sphere(d=2, kind='Sphere')":
         ("beac798daf2e6a4e48a1dff3f2921c24c75ae87c236a6a9272e77545ac020a1f", 5400, 0.05),
+    "Sphere(d=3, kind='Sphere')":
+        ("832a2f498db029f0a7017fee3c9da794ed13b033d215714599ddef00bd8af507", 8000, 0.2),
     "Ball(d=2, kind='Ball')":
         ("4cc2db1eb3ca931b87297ecd43cbee3c90cb63e438893cc74671008eabf13939", 1453, 0.05),
     "Ball(d=3, kind='Ball')":

@@ -82,6 +82,11 @@ class TestDeterminism:
                    "5ded91fa56a713ebf06de30d49e31d28e9d9591ba8c2ab4ec04993e3f5f1a997"),
         "sphere2": (Sphere(2), 1000, 5,
                     "c88f76901ceed2df6617e4d6e90b532a5978d0a3c4be3485dc0ffb9936207e36"),
+        # 4 and 8 columns: NumPy sums a row of 8 or more contiguous squares pairwise
+        "sphere3": (Sphere(3), 1000, 5,
+                    "d96e7813637e774d4260576de97f870309046350917ef2907a856ffcdc458260"),
+        "sphere7": (Sphere(7), 1000, 5,
+                    "8f4f66250457adcdfd430b9524548e9e99e7bdeaa57e80b503a8c6eebf75af29"),
         "ball2": (Ball(2), 1000, 5,
                   "49bc25ff9765c21c6b322f9c20003502a8ea5f28329fb703fa83edb3c091e102"),
         "ball3": (Ball(3), 1000, 5,
