@@ -19,6 +19,7 @@ from .spaces import (
     Polyline,
     Sphere,
     hausdorff_mass,
+    row_norms,
     unit_ball_volume,
 )
 
@@ -76,7 +77,8 @@ def _interval_rho(xs: np.ndarray, lo: float, hi: float) -> float:
 
 def _circle_rho(points: np.ndarray) -> float:
     """Exact chord-metric covering radius of points on the unit circle."""
-    angles = np.sort(np.arctan2(points[:, 1], points[:, 0]))
+    angles = np.arctan2(points[:, 1], points[:, 0])
+    angles.sort()
     gaps = np.diff(angles)
     wrap = 2.0 * math.pi - (angles[-1] - angles[0])
     max_gap = max(float(gaps.max()) if gaps.size else 0.0, float(wrap))
@@ -233,7 +235,7 @@ def covering_radius_1d(domain: Domain, x: SampleSet | np.ndarray) -> float:
     raw = not isinstance(x, SampleSet)
     if isinstance(domain, Sphere) and domain.d == 1:
         if raw and (points.shape[1] != 2
-                    or not np.all(np.abs(np.linalg.norm(points, axis=1) - 1.0) <= 1e-9)):
+                    or not np.all(np.abs(row_norms(points) - 1.0) <= 1e-9)):
             raise ValueError("samples leave the unit circle")
         return _circle_rho(points)
     if isinstance(domain, Polyline):
@@ -253,13 +255,16 @@ def covering_radius_window(
         raise UnsupportedDomainError("windowed covering radius is an arcsine-interval operation")
     xs = _line_samples(domain, x)
     w0, w1 = window.bounds(n_for_window)
-    # peaks of y -> min_j |y - x_j| lie at midpoints of consecutive samples
+    # peaks of y -> min_j |y - x_j| lie at midpoints of consecutive samples, each
+    # nearest to the two it lies between, and at the window's ends
     mids = (xs[:-1] + xs[1:]) / 2.0
-    cand = np.concatenate([[w0, w1], mids[(mids > w0) & (mids < w1)]])
-    pos = np.searchsorted(xs, cand)
-    left = np.where(pos > 0, np.abs(cand - xs[np.maximum(pos - 1, 0)]), np.inf)
-    right = np.where(pos < xs.size, np.abs(xs[np.minimum(pos, xs.size - 1)] - cand), np.inf)
-    return float(np.minimum(left, right).max())
+    half = np.minimum(mids - xs[:-1], xs[1:] - mids)
+    ends = np.array([w0, w1])
+    pos = np.searchsorted(xs, ends)
+    left = np.where(pos > 0, np.abs(ends - xs[np.maximum(pos - 1, 0)]), np.inf)
+    right = np.where(pos < xs.size, np.abs(xs[np.minimum(pos, xs.size - 1)] - ends), np.inf)
+    return float(max(np.minimum(left, right).max(),
+                     half.max(where=(mids > w0) & (mids < w1), initial=0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -76,9 +76,10 @@ or point dropped unqueried has d < L, so it could neither raise L nor pass the
 keep test: the walk keeps the blocks it would keep with every child queried.
 Only kept blocks are split, so a trial's work and memory follow the blocks
 that can hold the maximum, not the net. Every probe point is computed by the
-same row-wise arithmetic wherever it is generated, so the last query's maximum
-is d(y*), the maximum over the whole net bit for bit, and the net itself is
-never materialised unless ProbeNet.points is read.
+same row-wise arithmetic wherever it is generated (spaces.row_norms sums each
+row's squares within the row), so the last query's maximum is d(y*), the
+maximum over the whole net bit for bit, and the net itself is never
+materialised unless ProbeNet.points is read.
 """
 
 from __future__ import annotations
@@ -103,6 +104,7 @@ from .spaces import (
     Polyhedron3,
     Polyline,
     Sphere,
+    row_norms,
 )
 
 
@@ -188,7 +190,7 @@ def _level(piece: _Piece, first: np.ndarray, copy: np.ndarray, size: np.ndarray,
                                          for a in (first, copy, nn, last, lo, hi))
     mid = piece.coords((first + last) // 2)
     reps = piece.fmap(mid, copy)
-    reach = piece.lip(lo, hi) * _row_norms(np.maximum(mid - lo, hi - mid))
+    reach = piece.lip(lo, hi) * row_norms(np.maximum(mid - lo, hi - mid))
     reach += 1e-9 * (reach + np.abs(reps).max(initial=0.0))  # rounded coordinates and maps
     return _Level(first, copy, reps, reach, None if piece.keep is None else piece.keep(mid), nn)
 
@@ -293,7 +295,7 @@ def _children(piece: _Piece, blocks: tuple, size: np.ndarray, samples: np.ndarra
                  np.repeat(nn, len(corners)))
     # d(rep) <= |rep - the parent's nearest sample|: children that cannot reach
     # L even so are dropped with no query
-    bound = _row_norms(lev.reps - np.take(samples, lev.nn, axis=0)) + lev.reach
+    bound = row_norms(lev.reps - np.take(samples, lev.nn, axis=0)) + lev.reach
     return lev.compress(bound * (1 + 1e-12) >= lower)
 
 
@@ -310,7 +312,7 @@ def _probes(piece: _Piece, blocks: tuple, side: np.ndarray, samples: np.ndarray,
     # as for blocks, d(y) <= |y - its block's nearest sample|; the mask is
     # evaluated on the points left
     near = np.take(samples, np.compress(inside, np.repeat(nn, len(box))), axis=0)
-    far = _row_norms(y - near) * (1 + 1e-12) >= lower
+    far = row_norms(y - near) * (1 + 1e-12) >= lower
     x, y = np.compress(far, x, axis=0), np.compress(far, y, axis=0)
     return y if piece.keep is None else np.compress(piece.keep(x), y, axis=0)
 
@@ -381,15 +383,9 @@ def _cube_axes(d: int, mesh: float, low: float = 0.0, high: float = 1.0) -> tupl
     return (_axis_grid(low, high, 2.0 * mesh / math.sqrt(d)),) * d
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """|x| per row, for bounds only: 3-5x faster than np.linalg.norm(x, axis=1),
-    which probe points keep for their bits."""
-    return np.sqrt(np.einsum("ij,ij->i", x, x))
-
-
 def _min_norms(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Smallest |x| over the boxes [lo, hi]."""
-    return _row_norms(np.maximum(np.maximum(lo, -hi), 0.0))
+    return row_norms(np.maximum(np.maximum(lo, -hi), 0.0))
 
 
 def _sphere_piece(d: int, mesh: float) -> _Piece:
@@ -402,7 +398,7 @@ def _sphere_piece(d: int, mesh: float) -> _Piece:
             ax, face = c // 2, slice(a, b)
             pts[face, :ax], pts[face, ax], pts[face, ax + 1:] = (
                 x[face, :ax], (-1.0, 1.0)[c % 2], x[face, ax:])
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        pts /= row_norms(pts)[:, None]
         return pts
 
     def lip(lo, hi):  # |x| >= min over the box of sqrt(1 + |face coordinates|^2)
@@ -413,7 +409,7 @@ def _sphere_piece(d: int, mesh: float) -> _Piece:
 
 def _ball_pieces(d: int, mesh: float) -> list:
     axes = _cube_axes(d, 0.75 * mesh, -1.0, 1.0)
-    interior = _Piece(axes, keep=lambda x: np.linalg.norm(x, axis=1) <= 1.0,
+    interior = _Piece(axes, keep=lambda x: row_norms(x) <= 1.0,
                       holds=lambda lo, hi: _min_norms(lo, hi) <= 1.0 + 1e-9)  # rounded norms
     # for d = 1 the boundary {-1, +1} is the grid's linspace ends
     return [interior, _sphere_piece(d - 1, mesh / 4.0)] if d >= 2 else [interior]

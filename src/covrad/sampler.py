@@ -7,6 +7,8 @@ do not depend on scheduling. Gaussian variates are produced by inverse-CDF
 sampler's `np.cos` call the C library's math functions, so sphere, ball and
 arcsine streams may differ in the last bits on another platform; cube,
 interval, polyline, polyhedron and Cantor streams use only IEEE arithmetic.
+Sphere and ball directions are Gaussian rows divided by `spaces.row_norms`,
+an elementwise sum of squares, so no BLAS build moves them.
 The tests pin each catalog domain's stream by SHA-256 on one platform.
 Cantor digits are bits of raw Philox words, read with shifts and masks and
 summed by elementwise IEEE arithmetic with no BLAS call, so neither byte
@@ -66,7 +68,7 @@ def _uniform_open(rng: np.random.Generator, shape) -> np.ndarray:
     """Uniforms clamped into (0, 1) so that inverse CDFs stay finite."""
     u = rng.random(shape)
     tiny = 2.0**-53
-    return np.clip(u, tiny, 1.0 - tiny)
+    return np.clip(u, tiny, 1.0 - tiny, out=u)
 
 
 def _gaussian(rng: np.random.Generator, shape) -> np.ndarray:
@@ -75,10 +77,10 @@ def _gaussian(rng: np.random.Generator, shape) -> np.ndarray:
 
 def _sphere_points(rng, n, d):
     g = _gaussian(rng, (n, d + 1))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
+    norms = spaces.row_norms(g)
     # a zero vector has probability 0; regenerate-free clamp is fine
     norms[norms == 0.0] = 1.0
-    return g / norms
+    return np.divide(g, norms[:, None], out=g)
 
 
 def _ball_points(rng, n, d):

@@ -25,6 +25,18 @@ def unit_ball_volume(s: int) -> float:
     return math.pi ** (s / 2.0) / math.gamma(1.0 + s / 2.0)
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """|x| per row of a 2-D float array, bit for bit np.linalg.norm(x, axis=1):
+    NumPy sums up to 7 squares left to right, as here, and 8 or more
+    contiguous ones pairwise, so those go to it (test_spaces pins both)."""
+    if not 0 < x.shape[1] < 8:
+        return np.linalg.norm(x, axis=1)
+    out = x[:, 0] * x[:, 0]
+    for j in range(1, x.shape[1]):
+        out += x[:, j] * x[:, j]
+    return np.sqrt(out, out=out)
+
+
 # ---------------------------------------------------------------------------
 # Domain models
 # ---------------------------------------------------------------------------
@@ -105,7 +117,7 @@ class Polyline:
         if not np.all(np.isfinite(v)):
             raise ValueError("polyline vertices must be finite")
         seg = np.diff(v, axis=0)
-        lengths = np.linalg.norm(seg, axis=1)
+        lengths = row_norms(seg)
         if np.any(lengths == 0.0):
             raise ValueError("consecutive polyline vertices must be distinct")
         self.vertices = v
@@ -330,13 +342,13 @@ def _dihedral_angles(domain: Polyhedron3) -> np.ndarray:
     if not isinstance(domain, Polyhedron3):
         raise UnsupportedDomainError("dihedral angles are defined for Polyhedron3 only")
     normals = np.array([domain.face_normal(f) for f in domain.faces])
-    area = np.linalg.norm(normals, axis=1)
+    area = row_norms(normals)
     if np.any(area < 1e-14):
         raise InvalidGeometryError(f"face {int(np.argmax(area < 1e-14))} has zero area")
     normals /= area[:, None]
     a, b, fi, fj = np.array(domain.edges).T
     e = domain.vertices[b] - domain.vertices[a]
-    elen = np.linalg.norm(e, axis=1)
+    elen = row_norms(e)
     if np.any(elen == 0.0):
         raise InvalidGeometryError("degenerate edge")
     e *= (domain.winding / elen)[:, None]

@@ -1,7 +1,7 @@
 """Reference values that only the tests use: regularity witnesses of the catalog
 domains, ball measures, the exact expected covering radius on the circle, the
-occupancy probability at high precision, and auxfn's occupancy sums as written
-on mpmath's mpf objects.
+windowed covering radius by a sorted search, the occupancy probability at
+high precision, and auxfn's occupancy sums as written on mpmath's mpf objects.
 
 No study, CLI command or tool computes from these; the tests check the library
 against them, and the witness spot-check checks them against measured ball
@@ -194,6 +194,25 @@ def circle_expectation_oracle(n: int, circumference: float = 2.0 * math.pi) -> f
         raise ValueError("need at least one point")
     harmonic = sum(1.0 / k for k in range(1, n + 1))
     return circumference * harmonic / (2.0 * n)
+
+
+# ---------------------------------------------------------------------------
+# Windowed covering radius
+# ---------------------------------------------------------------------------
+
+
+def window_radius_searchsorted(xs: np.ndarray, w0: float, w1: float) -> float:
+    """covering.covering_radius_window on sorted samples xs and the window
+    [w0, w1] as it was written with a sorted search for every candidate; the
+    library takes each in-window midpoint's half-gap directly and must equal
+    this bit for bit."""
+    # peaks of y -> min_j |y - x_j| lie at midpoints of consecutive samples
+    mids = (xs[:-1] + xs[1:]) / 2.0
+    cand = np.concatenate([[w0, w1], mids[(mids > w0) & (mids < w1)]])
+    pos = np.searchsorted(xs, cand)
+    left = np.where(pos > 0, np.abs(cand - xs[np.maximum(pos - 1, 0)]), np.inf)
+    right = np.where(pos < xs.size, np.abs(xs[np.minimum(pos, xs.size - 1)] - cand), np.inf)
+    return float(np.minimum(left, right).max())
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import ball_measure
+from oracles import ball_measure, window_radius_searchsorted
 from scipy.spatial import ConvexHull, cKDTree
 from test_nets import CERT_DOMAINS
 from test_spaces import equilateral_prism, regular_tetrahedron
@@ -253,7 +253,41 @@ class TestCantorExact:
                 assert b.lower - 1e-15 <= rho <= b.upper, (n, t)
 
 
+@st.composite
+def window_cases(draw):
+    """A window and raw samples of [-1, 1] that stress the midpoint step:
+    duplicates, 1-ulp neighbours, samples exactly at the window's ends, and
+    (with outside) none in the window at all."""
+    window = WindowSpec(draw(st.sampled_from([0.5, 1.0, 2.0, 3.0])),
+                        draw(st.sampled_from(["right_edge", "interior"])))
+    n = draw(st.integers(1, 100))
+    w0, w1 = window.bounds(n)
+    anchors = [-1.0, 0.0, 1.0, w0, w1]
+    anchors += [float(np.nextafter(a, to)) for a in anchors for to in (-2.0, 2.0)]
+    pool = st.floats(-1.0, 1.0) | st.sampled_from(anchors)
+    xs = draw(st.lists(pool, min_size=1, max_size=40))
+    for i, step in draw(st.lists(st.tuples(st.integers(0, len(xs) - 1),
+                                           st.sampled_from([-1.0, 0.0, 1.0])), max_size=10)):
+        xs.append(float(np.nextafter(xs[i], 2.0 * step)) if step else xs[i])
+    xs = np.clip(xs, -1.0, 1.0)
+    if draw(st.booleans()):
+        xs = xs[(xs < w0) | (xs > w1)]
+        xs = xs if xs.size else np.array([-1.0])
+    return xs, window, n
+
+
 class TestWindowedCoveringRadius:
+    @settings(max_examples=500, deadline=None)
+    @given(case=window_cases())
+    @example(case=(np.array([0.25]), WindowSpec(1.0, "interior"), 1))
+    @example(case=(np.array([-1.0, -1.0, 0.0, 1.0, 1.0]), WindowSpec(1.0, "right_edge"), 2))
+    def test_equals_the_sorted_search(self, case):
+        # each in-window midpoint's distance is the smaller of its two half-gaps:
+        # the same subtractions the sorted search made
+        xs, window, n = case
+        got = covering_radius_window(ArcsineInterval(), xs, window, n)
+        assert got == window_radius_searchsorted(np.sort(xs), *window.bounds(n))
+
     def test_two_point_window(self):
         u = 0.01  # window [1-u, 1] for N=10, a=2
         w = WindowSpec(2.0, "right_edge")

@@ -24,6 +24,7 @@ from covrad.spaces import (
     hausdorff_mass,
     limit_constant,
     min_dihedral_angle,
+    row_norms,
     unit_ball_volume,
     unit_box_polyhedron,
 )
@@ -89,6 +90,27 @@ class TestUnitBallVolume:
             unit_ball_volume(0)
         with pytest.raises(ValueError):
             unit_ball_volume(-3)
+
+
+class TestRowNorms:
+    @pytest.mark.parametrize("width", range(1, 13))
+    @pytest.mark.parametrize("layout", ["C", "F", "sliced"])
+    def test_row_norms_match_numpy_bit_for_bit(self, width, layout):
+        # the sampler's and the sphere net's points are divided by these norms,
+        # so a change in NumPy's reduction order shows here by name first
+        wide = np.random.default_rng(width).standard_normal((300, 2 * width))
+        wide[::7] = 0.0  # rows of zeros
+        x = {"C": np.ascontiguousarray(wide[:, :width]),
+             "F": np.asfortranarray(wide[:, :width]), "sliced": wide[:, ::2]}[layout]
+        for scaled in (x, x * 1e-160, x * 1e160, x[:0]):
+            with np.errstate(over="ignore", under="ignore"):
+                want = np.linalg.norm(scaled, axis=1)
+                assert row_norms(scaled).tobytes() == want.tobytes()
+
+    def test_leaves_its_input_alone(self):
+        x = np.arange(6.0).reshape(3, 2)
+        row_norms(x)
+        assert np.array_equal(x, np.arange(6.0).reshape(3, 2))
 
 
 class TestHausdorffMass:
