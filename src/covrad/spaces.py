@@ -28,7 +28,7 @@ def unit_ball_volume(s: int) -> float:
 def row_norms(x: np.ndarray) -> np.ndarray:
     """|x| per row of a 2-D float array, bit for bit np.linalg.norm(x, axis=1):
     NumPy sums up to 7 squares left to right, as here, and 8 or more
-    contiguous ones pairwise, so those go to it (test_spaces pins both)."""
+    contiguous ones pairwise, so those (and no columns) go to it."""
     if not 0 < x.shape[1] < 8:
         return np.linalg.norm(x, axis=1)
     out = x[:, 0] * x[:, 0]
