@@ -256,15 +256,16 @@ def covering_radius_window(
     xs = _line_samples(domain, x)
     w0, w1 = window.bounds(n_for_window)
     # peaks of y -> min_j |y - x_j| lie at midpoints of consecutive samples, each
-    # nearest to the two it lies between, and at the window's ends
+    # nearest to the two it lies between, and at the window's ends; the
+    # midpoints are sorted like the samples, so the in-window ones are mids[i:j]
     mids = (xs[:-1] + xs[1:]) / 2.0
-    half = np.minimum(mids - xs[:-1], xs[1:] - mids)
+    i, j = np.searchsorted(mids, w0, "right"), np.searchsorted(mids, w1, "left")
+    half = np.minimum(mids[i:j] - xs[i:j], xs[i + 1:j + 1] - mids[i:j])
     ends = np.array([w0, w1])
     pos = np.searchsorted(xs, ends)
     left = np.where(pos > 0, np.abs(ends - xs[np.maximum(pos - 1, 0)]), np.inf)
     right = np.where(pos < xs.size, np.abs(xs[np.minimum(pos, xs.size - 1)] - ends), np.inf)
-    return float(max(np.minimum(left, right).max(),
-                     half.max(where=(mids > w0) & (mids < w1), initial=0.0)))
+    return float(max(np.minimum(left, right).max(), half.max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ from .spaces import (
     IntervalUniform,
     Sphere,
     domain_to_dict,
-    hausdorff_mass,
     limit_constant,
     unit_ball_volume,
 )
@@ -139,13 +138,14 @@ class StudyWriter:
     def close(self, config_echo: dict) -> None:
         if self._fh:
             # serialised first: a config JSON cannot hold raises before the
-            # CSV moves, leaving `path` as it was
+            # CSV moves, leaving `path` as it was; a NumPy scalar is written
+            # as the Python number it holds
             meta = json.dumps({
                 "config": config_echo,
                 "generator": GENERATOR_NAME,
                 "version": __version__,
                 "wall_time_s": round(time.time() - self.t0, 3),
-            })
+            }, default=_python_scalar)
             self._fh.close()
             self._tmp.replace(self.path)
             self.meta_path.write_text(meta + "\n")
@@ -154,6 +154,12 @@ class StudyWriter:
         if self._fh:
             self._fh.close()
             self._tmp.unlink(missing_ok=True)
+
+
+def _python_scalar(v):
+    if isinstance(v, np.generic):
+        return v.item()
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
 def _fmt(v) -> str:
@@ -169,25 +175,11 @@ def _fmt(v) -> str:
 # ---------------------------------------------------------------------------
 
 
-def estimate_cost(domain: Domain, n: int, trials: int, eta: float) -> float:
-    """Rough count of distance evaluations: T * (N + P * q), q ~ log2 N."""
-    if has_exact_path(domain):
-        probe_count = 0.0
-    else:
-        probe_count = _probe_count_estimate(domain, probe_mesh_for(domain, n, eta))
-    return trials * (n + probe_count * max(1.0, math.log2(n)))
-
-
-def _probe_count_estimate(domain: Domain, mesh: float) -> float:
-    s = domain.intrinsic_dim
-    mass = hausdorff_mass(domain)
-    step = 2.0 * mesh / math.sqrt(max(1.0, s))
-    return mass / step**s * (3.0 if domain.kind in ("Sphere", "Ball") else 1.0)
-
-
-def check_budget(domain: Domain, n_grid, trials: int, eta: float, force: bool = False) -> float:
-    """Estimated cost of a study; refuses one above BUDGET_LIMIT unless forced."""
-    cost = sum(estimate_cost(domain, n, trials, eta) for n in n_grid)
+def check_budget(n_grid, trials: int, force: bool = False) -> float:
+    """Estimated cost of a study, T * sum of N log2 N over its grid: each
+    trial sorts its N samples, or builds a tree over them and queries it with
+    about N rows of log2 N steps. Refuses one above BUDGET_LIMIT unless forced."""
+    cost = trials * sum(n * max(1.0, math.log2(n)) for n in n_grid)
     print(f"estimated cost: {cost:.3g} distance evaluations", file=sys.stderr)
     if cost > BUDGET_LIMIT and not force:
         raise BudgetExceededError(
@@ -221,21 +213,21 @@ def _run_study(domain: Domain, n_grid, trials: int, master_seed: int, *, reduce,
                force: bool = False, kernel=_trial_bounds) -> list:
     """The trial loop behind every study.
 
-    The grid, trials, seed and eta are checked and the cost estimated at eta
-    (check_budget) before the first sample. Per N: net = _net(domain,
-    probe_mesh_for(domain, n, eta)), once, the net check_budget counted;
-    then kernel(domain, n, SeedSpec(master_seed, t), net) for t in
+    The grid, trials, seed and eta are checked and the cost estimated from the
+    grid and trials (check_budget) before the first sample. Per N: net =
+    _net(domain, probe_mesh_for(domain, n, eta)), once; then
+    kernel(domain, n, SeedSpec(master_seed, t), net) for t in
     range(trials), by default the trial's (L, U) from covering_radius_bounds,
     stacked in stream order into an array with one row per trial; then
     reduce(n, values) yields the output rows. The sidecar echoes the domain,
-    grid, trials and seed, as Python ints, plus `echo`, the study's own parameters.
+    grid, trials and seed plus `echo`, the study's own parameters.
     """
     n_grid = list(n_grid)
     _check_study(n_grid, trials, eta)
-    # Python ints, so that NumPy counts echo into the sidecar; SeedSpec checks the seed
+    # Python ints, so that no kernel or row computes in a NumPy integer; SeedSpec checks the seed
     n_grid, trials = [int(n) for n in n_grid], int(trials)
     master_seed = int(SeedSpec(master_seed).master_seed)
-    check_budget(domain, n_grid, trials, eta, force)
+    check_budget(n_grid, trials, force)
     config = {"domain": domain_to_dict(domain), "n_grid": n_grid, "trials": trials,
               "master_seed": master_seed, **echo}
 

@@ -199,7 +199,7 @@ def test_06_curve_constant_trend():
 def test_07_sphere_constant():
     t0 = time.time()
     cfg = StudyConfig(domain=Sphere(2), n_grid=[10**3, 10**5], trials=50,
-                      probe_eta=0.05, force=True)
+                      probe_eta=0.05)
     rows = run_expectation_study(cfg)
     final = rows[-1].rescaled
     closer = abs(final - 2.0) < abs(rows[0].rescaled - 2.0)
@@ -217,8 +217,7 @@ def test_08_ball_and_cube_constants():
     # and the probe-sandwich bias (+eta/2 of the rho scale) matters there
     for domain, target, eta in [(Ball(2), 1.0, 0.05),
                                 (Cube(2), limit_constant(Cube(2)), 0.025)]:
-        cfg = StudyConfig(domain=domain, n_grid=[10**5], trials=50, probe_eta=eta,
-                          force=True)
+        cfg = StudyConfig(domain=domain, n_grid=[10**5], trials=50, probe_eta=eta)
         row = run_expectation_study(cfg)[0]
         ok &= abs(row.rescaled - target) <= 0.25 * target
         results.append(f"{domain.kind}: {row.rescaled:.4f} vs {target:.4f}")

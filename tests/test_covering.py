@@ -281,6 +281,7 @@ class TestWindowedCoveringRadius:
     @given(case=window_cases())
     @example(case=(np.array([0.25]), WindowSpec(1.0, "interior"), 1))
     @example(case=(np.array([-1.0, -1.0, 0.0, 1.0, 1.0]), WindowSpec(1.0, "right_edge"), 2))
+    @example(case=(np.array([-1.0, 0.0, 0.5]), WindowSpec(2.0, "right_edge"), 10))  # none in window
     def test_equals_the_sorted_search(self, case):
         # each in-window midpoint's distance is the smaller of its two half-gaps:
         # the same subtractions the sorted search made

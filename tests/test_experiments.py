@@ -9,8 +9,8 @@ from test_acceptance import circle_chord_expectation
 
 from covrad.cli import BUILTIN_DOMAINS
 from covrad.cli import main as cli_main
-from covrad.covering import (covering_radius_1d, covering_radius_bounds, probe_mesh_for,
-                             rho_scale)
+from covrad.covering import (covering_radius_1d, covering_radius_bounds, has_exact_path,
+                             probe_mesh_for, rho_scale)
 from covrad.errors import BudgetExceededError
 from covrad.experiments import (
     StudyConfig,
@@ -19,7 +19,6 @@ from covrad.experiments import (
     _trial_bounds,
     check_budget,
     dump_f_grid,
-    estimate_cost,
     load_bands,
     run_arcsine_study,
     run_epsnet_study,
@@ -103,16 +102,46 @@ class TestCircleOracle:
 class TestBudget:
     def test_refusal(self):
         with pytest.raises(BudgetExceededError):
-            check_budget(Sphere(2), [10**7], 1000, 0.05)
+            check_budget([10**7], 1000)
 
     def test_force_overrides(self):
-        assert check_budget(Sphere(2), [10**7], 1000, 0.05, force=True) > 1e10
+        assert check_budget([10**7], 1000, force=True) > 1e10
 
     def test_estimate_goes_to_stderr(self, capsys):
-        check_budget(IntervalUniform(), [100], 5, 0.05)
+        check_budget([100], 5)
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("estimated cost: ")
+
+    def test_estimate_is_trials_times_n_log2_n(self):
+        # per trial a tree over N samples and about N query rows of log2 N each
+        assert check_budget([2, 100, 1000], 7) == 7 * (
+            2 * 1.0 + 100 * math.log2(100) + 1000 * math.log2(1000))
+
+    @pytest.mark.parametrize("domain,n_grid,trials,eta", [
+        (Sphere(2), [10**3, 10**5], 50, 0.05),
+        (Ball(2), [10**5], 50, 0.05),
+        (Cube(2), [10**5], 50, 0.025),
+        (Ball(3), [10**5], 2, 0.05),
+        (Cube(3), [10**5], 2, 0.05),
+        (unit_box_polyhedron(), [10**5], 2, 0.05),
+        (Sphere(3), [10**5], 2, 0.05),
+        (Cube(3), [10**6], 2, 0.05),
+    ], ids=["acceptance07", "acceptance08-ball2", "acceptance08-cube2", "ball3", "cube3",
+            "unit_box", "sphere3", "cube3-1e6"])
+    def test_acceptance_and_3d_studies_pass(self, domain, n_grid, trials, eta, monkeypatch):
+        # acceptance 07 and 08 and the 3-D studies of ROADMAP's header table
+        # reach their first sample without force
+        class FirstSample(Exception):
+            pass
+
+        def first_sample(*args):
+            raise FirstSample
+
+        monkeypatch.setattr("covrad.experiments.sample", first_sample)
+        with pytest.raises(FirstSample):
+            run_expectation_study(StudyConfig(domain=domain, n_grid=n_grid, trials=trials,
+                                              probe_eta=eta))
 
 
 class TestExpectationStudy:
@@ -224,8 +253,6 @@ class TestEpsNetExactPath:
         yes = float(np.mean([b.upper <= eps for b in net_bounds]))
         yes_or_unknown = float(np.mean([b.lower <= eps for b in net_bounds]))
         assert yes <= exact <= yes_or_unknown
-        # the budget model counts T * N, the work this study now does
-        assert estimate_cost(dom, self.N, self.T, self.C_MULT / 20.0) == self.T * self.N
 
 
 class TestWriter:
@@ -335,6 +362,25 @@ class TestSidecar:
         assert (config["d"], config["n_grid"], config["trials"], config["master_seed"]) == (
             1, [50], 3, 2)
 
+    @pytest.mark.parametrize("key,run", [
+        ("thresholds", lambda v, out: run_tail_study(Cube(2), 50, 3, [v, 2 * v], out=out)),
+        ("probe_eta", lambda v, out: run_tail_study(Cube(2), 50, 3, [0.2], probe_eta=v,
+                                                    out=out)),
+        ("c_mult", lambda v, out: run_epsnet_study(Sphere(1), [50], 3, v, out=out)),
+        ("probe_eta", lambda v, out: run_expectation_study(
+            StudyConfig(domain=Cube(2), n_grid=[50], trials=3, probe_eta=v, out=out))),
+        ("p", lambda v, out: run_expectation_study(
+            StudyConfig(domain=Cube(2), n_grid=[50], trials=3, p=v, out=out))),
+        ("a_exponent", lambda v, out: run_arcsine_study(v, "interior", [50], 3, out=out)),
+        ("probe_eta", lambda v, out: run_zn_study(1, [50], 3, probe_eta=v, out=out)),
+    ], ids=["tail-thresholds", "tail-probe_eta", "epsnet-c_mult", "study-probe_eta", "study-p",
+            "arcsine-a_exponent", "zn-probe_eta"])
+    def test_numpy_float_parameter_echo(self, tmp_path, key, run):
+        # a NumPy scalar is written as the Python number it holds
+        run(np.float32(1.5), str(tmp_path / "s.csv"))
+        config = json.loads((tmp_path / "s.csv.meta.jsonl").read_text())["config"]
+        assert config[key] == ([1.5, 3.0] if key == "thresholds" else 1.5)
+
     @pytest.mark.parametrize("seed", [1.5, True, -1])
     def test_bad_seed_fails_before_the_first_trial(self, seed, monkeypatch):
         monkeypatch.setattr("covrad.experiments.check_budget",
@@ -443,7 +489,7 @@ class TestEpsNetStudy:
 class TestEpsNetNetDomains:
     """On the net domains a row's fractions count the study's own streams'
     covering_radius_bounds [L, U] against eps (YES where U <= eps, YES or
-    UNKNOWN where L <= eps), on the net the budget gate estimates."""
+    UNKNOWN where L <= eps), on the net at probe_mesh_for(domain, N, c_mult/20)."""
 
     N_GRID, T, SEED = [100, 300], 10, 6
 
@@ -463,8 +509,8 @@ class TestEpsNetNetDomains:
 
 
 class TestGateMatchesRunner:
-    """A study builds a probe net exactly where its budget estimate counts
-    one, at the mesh the estimate uses."""
+    """A study builds a probe net exactly where its domain has no exact path,
+    once per N, at probe_mesh_for(domain, N, eta)."""
 
     @pytest.mark.parametrize("command", ["study", "epsnet"])
     @pytest.mark.parametrize("name", sorted(BUILTIN_DOMAINS))
@@ -486,8 +532,7 @@ class TestGateMatchesRunner:
             flag = ["--c-mult", repr(c_mult)]
         assert cli_main([command, "--domain", name, "--n-grid", "50", "--trials", "2",
                          *flag]) == 0
-        estimated_net = estimate_cost(domain, 50, 2, eta) > 2 * 50
-        assert meshes == ([probe_mesh_for(domain, 50, eta)] if estimated_net else [])
+        assert meshes == ([] if has_exact_path(domain) else [probe_mesh_for(domain, 50, eta)])
 
 
 class TestFGrid:
