@@ -51,6 +51,7 @@ class WindowSpec:
             raise ValueError("window exponent must be positive and finite")
         if self.side not in ("right_edge", "interior"):
             raise ValueError("side must be 'right_edge' or 'interior'")
+        object.__setattr__(self, "a_exponent", float(self.a_exponent))  # bounds in float64
 
     def bounds(self, n_for_window: int) -> tuple[float, float]:
         if n_for_window < 1:

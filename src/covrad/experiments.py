@@ -30,7 +30,7 @@ from .covering import (
     rho_scale,
 )
 from .errors import BudgetExceededError, UnsupportedDomainError
-from .nets import build_probe_net
+from .nets import axis_points, build_probe_net
 from .sampler import GENERATOR_NAME, SeedSpec, sample
 from .spaces import (
     ArcsineInterval,
@@ -66,6 +66,8 @@ class StudyConfig:
         _check_study(self.n_grid, self.trials, self.probe_eta)
         if not (self.p >= 1 and math.isfinite(self.p)):
             raise ValueError(f"moment order p must be finite and >= 1, got {self.p}")
+        # Python floats, so that no row computes in (or echoes) a NumPy float
+        self.p, self.probe_eta = float(self.p), float(self.probe_eta)
 
 
 def _check_study(n_grid, trials: int, eta: float) -> None:
@@ -138,14 +140,13 @@ class StudyWriter:
     def close(self, config_echo: dict) -> None:
         if self._fh:
             # serialised first: a config JSON cannot hold raises before the
-            # CSV moves, leaving `path` as it was; a NumPy scalar is written
-            # as the Python number it holds
+            # CSV moves, leaving `path` as it was
             meta = json.dumps({
                 "config": config_echo,
                 "generator": GENERATOR_NAME,
                 "version": __version__,
                 "wall_time_s": round(time.time() - self.t0, 3),
-            }, default=_python_scalar)
+            })
             self._fh.close()
             self._tmp.replace(self.path)
             self.meta_path.write_text(meta + "\n")
@@ -154,12 +155,6 @@ class StudyWriter:
         if self._fh:
             self._fh.close()
             self._tmp.unlink(missing_ok=True)
-
-
-def _python_scalar(v):
-    if isinstance(v, np.generic):
-        return v.item()
-    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
 def _fmt(v) -> str:
@@ -175,11 +170,14 @@ def _fmt(v) -> str:
 # ---------------------------------------------------------------------------
 
 
-def check_budget(n_grid, trials: int, force: bool = False) -> float:
+def check_budget(n_grid, trials: int, force: bool = False, net_axes=()) -> float:
     """Estimated cost of a study, T * sum of N log2 N over its grid: each
     trial sorts its N samples, or builds a tree over them and queries it with
-    about N rows of log2 N steps. Refuses one above BUDGET_LIMIT unless forced."""
-    cost = trials * sum(n * max(1.0, math.log2(n)) for n in n_grid)
+    about N rows of log2 N steps; plus A log2 A for each probe net of A axis
+    coordinates (they grow with 1/eta), each charged once as a sample. Refuses
+    a study above BUDGET_LIMIT unless forced."""
+    n_log2_n = lambda ns: sum(n * max(1.0, math.log2(n)) for n in ns)
+    cost = trials * n_log2_n(n_grid) + n_log2_n(net_axes)
     print(f"estimated cost: {cost:.3g} distance evaluations", file=sys.stderr)
     if cost > BUDGET_LIMIT and not force:
         raise BudgetExceededError(
@@ -214,7 +212,8 @@ def _run_study(domain: Domain, n_grid, trials: int, master_seed: int, *, reduce,
     """The trial loop behind every study.
 
     The grid, trials, seed and eta are checked and the cost estimated from the
-    grid and trials (check_budget) before the first sample. Per N: net =
+    grid, trials and nets' axis_points (check_budget) before the first sample
+    or net. Per N: net =
     _net(domain, probe_mesh_for(domain, n, eta)), once; then
     kernel(domain, n, SeedSpec(master_seed, t), net) for t in
     range(trials), by default the trial's (L, U) from covering_radius_bounds,
@@ -224,10 +223,11 @@ def _run_study(domain: Domain, n_grid, trials: int, master_seed: int, *, reduce,
     """
     n_grid = list(n_grid)
     _check_study(n_grid, trials, eta)
-    # Python ints, so that no kernel or row computes in a NumPy integer; SeedSpec checks the seed
-    n_grid, trials = [int(n) for n in n_grid], int(trials)
+    # Python numbers, so that no kernel or row computes in a NumPy type; SeedSpec checks the seed
+    n_grid, trials, eta = [int(n) for n in n_grid], int(trials), float(eta)
     master_seed = int(SeedSpec(master_seed).master_seed)
-    check_budget(n_grid, trials, force)
+    check_budget(n_grid, trials, force, [] if has_exact_path(domain) else [
+        axis_points(domain, probe_mesh_for(domain, n, eta)) for n in n_grid])
     config = {"domain": domain_to_dict(domain), "n_grid": n_grid, "trials": trials,
               "master_seed": master_seed, **echo}
 
@@ -309,6 +309,7 @@ def run_tail_study(domain: Domain, n: int, trials: int, thresholds=None, master_
     ):
         raise ValueError("thresholds must be finite, nonnegative and increasing, "
                          f"got {thresholds}")
+    thresholds, probe_eta = [float(t) for t in thresholds], float(probe_eta)
 
     def reduce(n, bounds):
         for thr in thresholds:
@@ -330,7 +331,8 @@ def run_zn_study(d: int, n_grid, trials: int, master_seed: int = 0, probe_eta: f
     converges in probability to 1."""
     if not is_count(d) or d not in (1, 2):
         raise ValueError(f"Z_N study supports the integers d in {{1, 2}}, got {d!r}")
-    domain = Sphere(d)
+    _check_study(n_grid, trials, probe_eta)
+    domain, probe_eta = Sphere(d), float(probe_eta)
     scale_const = unit_ball_volume(d) / ((d + 1) * unit_ball_volume(d + 1))
 
     def reduce(n, bounds):
@@ -352,6 +354,7 @@ def run_arcsine_study(a_exponent: float, side: str, n_grid, trials: int, master_
     """Windowed covering radii on the arcsine interval, rescaled by the
     two-sided-bound rate for the given window regime."""
     window = WindowSpec(a_exponent=a_exponent, side=side)
+    a_exponent = window.a_exponent
 
     def kernel(domain, n, seed, net):
         return covering_radius_window(domain, sample(domain, n, seed), window, n)
@@ -382,7 +385,8 @@ def run_random_vs_structured(d: int, n_grid, trials: int, master_seed: int = 0,
     if not is_count(d) or d not in (1, 2, 3):
         raise ValueError(f"random-vs-structured study supports the integers d in {{1, 2, 3}}, "
                          f"got {d!r}")
-    domain = IntervalUniform() if d == 1 else Cube(d)
+    _check_study(n_grid, trials, probe_eta)
+    domain, probe_eta = IntervalUniform() if d == 1 else Cube(d), float(probe_eta)
 
     def reduce(n, bounds):
         mean = float(((bounds[:, 0] + bounds[:, 1]) / 2.0).mean())
@@ -411,6 +415,7 @@ def run_epsnet_study(domain: Domain, n_grid, trials: int, c_mult: float, master_
     yes_or_unknown_fraction."""
     if c_mult <= 0:
         raise ValueError("c_mult must be positive")
+    c_mult = float(c_mult)
 
     def reduce(n, bounds):
         eps = c_mult * rho_scale(domain, n)

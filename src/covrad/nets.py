@@ -52,8 +52,9 @@ farthest corner, times a Lipschitz bound of the map on the box, plus 1e-9 of
 the coordinate scale for rounding. The bounds: 1 for the identity; 1/min|x|
 over the box for the radial projection of a cube face, since
 |x/|x| - y/|y|| <= |x - y|/sqrt(|x||y|) and |x| >= 1 there; and the spectral
-norm for affine maps. A net stores its pieces' top levels only, so
-building it costs at most 64 blocks per copy however fine its grid.
+norm for affine maps. A net stores its pieces' 1-D axes and top levels
+only, so building it costs at most 64 blocks per copy however fine its
+grid; only the axes grow with 1/mesh (axis_points bounds them unbuilt).
 
 The walk. d(y) = dist(y, X) is 1-Lipschitz, so d <= d(p) + r on a block with
 representative p. ProbeNet.max_nearest_distance refines the top levels down to
@@ -440,13 +441,13 @@ def _polyhedron_pieces(domain: Polyhedron3, mesh: float) -> list:
             *(_triangle(v[a], v[b], v[c], half) for a, b, c in domain.triangles)]
 
 
-def _cantor_piece(domain: Cantor, mesh: float) -> tuple[_Piece, float]:
+def _cantor_pieces(domain: Cantor, mesh: float) -> tuple[list, float]:
     k = min(domain.depth, max(1, math.ceil(-math.log(mesh) / math.log(3.0))))
     lefts = np.array([0.0])
     for depth in range(1, k + 1):
         lefts = np.concatenate([lefts, lefts + 2.0 * 3.0**-depth])
     cyl = 3.0**-k
-    return _Piece((np.unique(np.concatenate([lefts, lefts + cyl])),)), cyl
+    return [_Piece((np.unique(np.concatenate([lefts, lefts + cyl])),))], cyl
 
 
 def build_probe_net(domain: Domain, target_mesh: float) -> ProbeNet:
@@ -455,8 +456,21 @@ def build_probe_net(domain: Domain, target_mesh: float) -> ProbeNet:
         raise ValueError("target mesh must be positive")
     if target_mesh >= domain.diameter:
         raise ValueError("target mesh must be below the domain diameter")
+    pieces, mesh = _pieces(domain, target_mesh)
+    return ProbeNet(domain=domain, pieces=tuple(pieces), certified_mesh=mesh)
 
-    mesh = target_mesh
+
+def axis_points(domain: Domain, target_mesh: float) -> float:
+    """A bound on the axis coordinates of build_probe_net(domain, target_mesh), which grow
+    with 1/mesh: every step but Cantor's (no study takes a Cantor net) scales with the mesh,
+    so an axis of n coordinates at a coarse mesh c has at most (n - 1) c / target_mesh + 2."""
+    coarse = max(target_mesh, domain.diameter / 8.0)
+    return sum((len(axis) - 1) * coarse / target_mesh + 2
+               for piece in _pieces(domain, coarse)[0] for axis in piece.axes)
+
+
+def _pieces(domain: Domain, mesh: float) -> tuple[list, float]:
+    """The pieces of a probe net at mesh <= the given one, and its certified mesh."""
     if isinstance(domain, IntervalUniform):
         pieces = [_segment(np.array([0.0]), np.array([1.0]), mesh)]
     elif isinstance(domain, ArcsineInterval):
@@ -473,8 +487,7 @@ def build_probe_net(domain: Domain, target_mesh: float) -> ProbeNet:
     elif isinstance(domain, Polyhedron3):
         pieces = _polyhedron_pieces(domain, mesh)
     elif isinstance(domain, Cantor):
-        piece, mesh = _cantor_piece(domain, mesh)
-        pieces = [piece]
+        pieces, mesh = _cantor_pieces(domain, mesh)
     else:
         raise UnsupportedDomainError(f"no probe net construction for {domain!r}")
-    return ProbeNet(domain=domain, pieces=tuple(pieces), certified_mesh=mesh)
+    return pieces, mesh

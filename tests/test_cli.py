@@ -134,6 +134,27 @@ def test_refuses_over_budget(command, monkeypatch, capsys):
     assert "refused" in err and "Traceback" not in err
 
 
+# per study subcommand with an eta: a net study at N = 1e3 whose eta of 1e-9
+# would give its probe net axes of billions of coordinates
+TINY_ETA = {
+    "study": ["study", "--domain", "sphere2", "--n-grid", "1000", "--eta", "1e-9"],
+    "tail": ["tail", "--domain", "sphere2", "--n", "1000", "--eta", "1e-9"],
+    "zn": ["zn", "--d", "2", "--n-grid", "1000", "--eta", "1e-9"],
+    "epsnet": ["epsnet", "--domain", "sphere2", "--n-grid", "1000", "--c-mult", "2e-8"],
+    "versus": ["versus", "--d", "2", "--n-grid", "1000", "--eta", "1e-9"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(TINY_ETA))
+def test_refuses_a_tiny_eta_before_any_net_or_sample(command, monkeypatch, capsys):
+    for name in ("sample", "build_probe_net"):
+        monkeypatch.setattr(f"covrad.experiments.{name}", lambda *a: pytest.fail(
+            "a refused study built a net or drew a sample"))
+    assert cli_main([*TINY_ETA[command], "--trials", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "refused" in err and "Traceback" not in err
+
+
 def test_fgrid_rejects_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"trials": 3}))

@@ -118,6 +118,10 @@ class TestBudget:
         assert check_budget([2, 100, 1000], 7) == 7 * (
             2 * 1.0 + 100 * math.log2(100) + 1000 * math.log2(1000))
 
+    def test_net_axes_are_charged_once_as_samples(self):
+        assert check_budget([100], 7, net_axes=[2, 1e6]) == 7 * 100 * math.log2(100) + (
+            2 * 1.0 + 1e6 * math.log2(1e6))
+
     @pytest.mark.parametrize("domain,n_grid,trials,eta", [
         (Sphere(2), [10**3, 10**5], 50, 0.05),
         (Ball(2), [10**5], 50, 0.05),
@@ -375,11 +379,17 @@ class TestSidecar:
         ("probe_eta", lambda v, out: run_zn_study(1, [50], 3, probe_eta=v, out=out)),
     ], ids=["tail-thresholds", "tail-probe_eta", "epsnet-c_mult", "study-probe_eta", "study-p",
             "arcsine-a_exponent", "zn-probe_eta"])
-    def test_numpy_float_parameter_echo(self, tmp_path, key, run):
-        # a NumPy scalar is written as the Python number it holds
-        run(np.float32(1.5), str(tmp_path / "s.csv"))
-        config = json.loads((tmp_path / "s.csv.meta.jsonl").read_text())["config"]
-        assert config[key] == ([1.5, 3.0] if key == "thresholds" else 1.5)
+    def test_numpy_float_parameter(self, tmp_path, key, run):
+        # a float32 parameter runs as the Python float it holds, and is recorded
+        # as one: its rows and sidecar config are float(v)'s byte for byte
+        v = np.float32(1.3)
+        configs = []
+        for name, value in (("np", v), ("py", float(v))):
+            run(value, str(tmp_path / f"{name}.csv"))
+            configs.append(json.loads((tmp_path / f"{name}.csv.meta.jsonl").read_text())["config"])
+        assert (tmp_path / "np.csv").read_bytes() == (tmp_path / "py.csv").read_bytes()
+        assert configs[0] == configs[1]
+        assert configs[0][key] == ([float(v), 2 * float(v)] if key == "thresholds" else float(v))
 
     @pytest.mark.parametrize("seed", [1.5, True, -1])
     def test_bad_seed_fails_before_the_first_trial(self, seed, monkeypatch):

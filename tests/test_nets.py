@@ -8,7 +8,7 @@ import pytest
 from test_spaces import equilateral_prism, regular_tetrahedron
 
 from covrad.covering import probe_mesh_for
-from covrad.nets import ProbeNet, _cube_axes, _level, build_index, build_probe_net
+from covrad.nets import ProbeNet, _cube_axes, _level, axis_points, build_index, build_probe_net
 from covrad.sampler import SeedSpec, sample
 from covrad.spaces import (
     ArcsineInterval,
@@ -165,6 +165,17 @@ class TestBuildProbeNet:
         # the same as with a piece of the vertices alone
         points = {p.tobytes() for p in build_probe_net(domain, mesh).points}
         assert all(v.tobytes() in points for v in domain.vertices)
+
+    @pytest.mark.parametrize("domain,mesh", [c for c in BLOCK_DOMAINS
+                                             if not isinstance(c[0], Cantor)],
+                             ids=lambda v: repr(v)[:24])
+    @pytest.mark.parametrize("scale", [1.0, 0.1, 0.01, 20.0])
+    def test_axis_points_bound_the_build(self, domain, mesh, scale):
+        # the gate's count of a net's axis coordinates, from a coarse build:
+        # at least the build's, and within 1.5x + 4 per axis of it
+        mesh = min(mesh * scale, domain.diameter * 0.9)
+        axes = [len(a) for p in build_probe_net(domain, mesh).pieces for a in p.axes]
+        assert sum(axes) <= axis_points(domain, mesh) <= 1.5 * sum(axes) + 4 * len(axes)
 
     def test_cantor_mesh_snaps_to_power_of_three(self):
         net = build_probe_net(Cantor(20), 0.01)
