@@ -37,4 +37,4 @@ from .covering import (
     covering_radius_bounds,
     covering_radius_window,
 )
-from .auxfn import OccupancyParams, RegimeSpec, f_dp, f_exact, f_lower_bound, regime_params
+from .auxfn import OccupancyParams, f_dp, f_lower_bound

@@ -13,6 +13,7 @@ import json
 import sys
 
 from . import spaces
+from .covering import DEFAULT_ETA
 from .errors import BudgetExceededError, UnsupportedDomainError
 from .experiments import (
     StudyConfig,
@@ -49,23 +50,30 @@ def _resolve_domain(spec: str | dict) -> spaces.Domain:
         return spaces.domain_from_dict(json.load(fh))
 
 
+def _expectation(**cfg):
+    config = StudyConfig(**cfg)  # checks every field, so trials is a count below
+    if config.trials < 30:
+        print("warning: fewer than 30 trials; normal CIs are unreliable", file=sys.stderr)
+    return run_expectation_study(config)
+
+
 _STUDY = {"master_seed": 0, "out": None, "force": False}
 
 # subcommand: (runner, defaults, row format, help); the runner is called with
 # the merged config as keywords, and each row prints through the format
 TABLE = {
-    "study": (lambda **cfg: run_expectation_study(StudyConfig(**cfg)),
+    "study": (_expectation,
               {"domain": "interval", "n_grid": [100, 1000], "trials": 100, "p": 1.0,
-               "probe_eta": 0.05, **_STUDY},
+               "probe_eta": DEFAULT_ETA, **_STUDY},
               "N={n} rescaled={rescaled:.6g} ci={ci_half_width:.3g} target={target}",
               "expectation study against the limit constant"),
     "tail": (run_tail_study, {"domain": "interval", "n": 1000, "trials": 200,
-                              "thresholds": None, "probe_eta": 0.05, **_STUDY},
+                              "thresholds": None, "probe_eta": DEFAULT_ETA, **_STUDY},
              "t={threshold:.6g} P(L>=t)={prob_lower_exceeds:.4f} "
              "P(U>=t)={prob_upper_exceeds:.4f}",
              "tail probabilities of the covering radius"),
     "zn": (run_zn_study, {"d": 1, "n_grid": [100, 1000, 10000], "trials": 100,
-                          "probe_eta": 0.05, **_STUDY},
+                          "probe_eta": DEFAULT_ETA, **_STUDY},
            "N={n} mean={mean:.4f} stdev={stdev:.4f} frac|Z-1|<=0.2={frac_within_02:.3f}",
            "rescaled sphere covering radius Z_N"),
     "arcsine": (run_arcsine_study, {"a_exponent": 2.0, "side": "right_edge",
@@ -82,7 +90,7 @@ TABLE = {
               "N={N} n={n} m={m} f={f_dp:.6g} lower={f_lower_bound:.6g}",
               "dump the occupancy function over a grid"),
     "versus": (run_random_vs_structured, {"d": 2, "n_grid": [100, 10000], "trials": 50,
-                                          "probe_eta": 0.05, **_STUDY},
+                                          "probe_eta": DEFAULT_ETA, **_STUDY},
                "N={N} random={random_mean_rho:.6g} grid={grid_rho:.6g} ratio={ratio:.3f}",
                "random vs structured grid configurations"),
 }
@@ -142,8 +150,6 @@ def _run(command: str, args: argparse.Namespace) -> int:
             cfg[key] = getattr(args, key)
     if "domain" in cfg:
         cfg["domain"] = _resolve_domain(cfg["domain"])
-    if command == "study" and cfg["trials"] < 30:
-        print("warning: fewer than 30 trials; normal CIs are unreliable", file=sys.stderr)
     for row in runner(**cfg):
         fields = row if isinstance(row, dict) else vars(row)
         print(row_format.format(**{k: "n/a" if v is None else v for k, v in fields.items()}))

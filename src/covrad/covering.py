@@ -315,5 +315,9 @@ def rho_scale(domain: Domain, n: int) -> float:
     return (mass / unit_ball_volume(int(s)) * log_n / n) ** (1.0 / s)
 
 
-def probe_mesh_for(domain: Domain, n: int, eta: float = 0.05) -> float:
+# probe mesh over rho_scale when a study is given no eta
+DEFAULT_ETA = 0.05
+
+
+def probe_mesh_for(domain: Domain, n: int, eta: float = DEFAULT_ETA) -> float:
     return eta * rho_scale(domain, n)

@@ -14,7 +14,6 @@ import numbers
 import sys
 import time
 from dataclasses import astuple, dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +21,7 @@ import numpy as np
 from . import __version__
 from .auxfn import OccupancyParams, f_dp, f_lower_bound, is_count
 from .covering import (
+    DEFAULT_ETA,
     WindowSpec,
     covering_radius_bounds,
     covering_radius_window,
@@ -57,7 +57,7 @@ class StudyConfig:
     n_grid: list[int]
     trials: int
     p: float = 1.0
-    probe_eta: float = 0.05
+    probe_eta: float = DEFAULT_ETA
     master_seed: int = 0
     out: str | None = None
     force: bool = False
@@ -207,7 +207,7 @@ def _trial_bounds(domain: Domain, n: int, seed: SeedSpec, net) -> tuple[float, f
 
 
 def _run_study(domain: Domain, n_grid, trials: int, master_seed: int, *, reduce,
-               header: list[str], echo: dict, out: str | None, eta: float = 0.05,
+               header: list[str], echo: dict, out: str | None, eta: float = DEFAULT_ETA,
                force: bool = False, kernel=_trial_bounds) -> list:
     """The trial loop behind every study.
 
@@ -295,7 +295,7 @@ def run_expectation_study(config: StudyConfig) -> list[StudyRow]:
 
 
 def run_tail_study(domain: Domain, n: int, trials: int, thresholds=None, master_seed: int = 0,
-                   probe_eta: float = 0.05, out: str | None = None,
+                   probe_eta: float = DEFAULT_ETA, out: str | None = None,
                    force: bool = False) -> list[TailRow]:
     """Empirical tail probabilities P(L >= t) and P(U >= t) per threshold;
     by default t = k log(N)/N for k in 1, 2, 5, 10."""
@@ -325,7 +325,7 @@ def run_tail_study(domain: Domain, n: int, trials: int, thresholds=None, master_
         eta=probe_eta, force=force)
 
 
-def run_zn_study(d: int, n_grid, trials: int, master_seed: int = 0, probe_eta: float = 0.05,
+def run_zn_study(d: int, n_grid, trials: int, master_seed: int = 0, probe_eta: float = DEFAULT_ETA,
                  out: str | None = None, force: bool = False) -> list[ZnRow]:
     """Distribution of the rescaled sphere covering radius Z_N, which
     converges in probability to 1."""
@@ -378,7 +378,7 @@ def run_arcsine_study(a_exponent: float, side: str, n_grid, trials: int, master_
 
 
 def run_random_vs_structured(d: int, n_grid, trials: int, master_seed: int = 0,
-                             probe_eta: float = 0.05, out: str | None = None,
+                             probe_eta: float = DEFAULT_ETA, out: str | None = None,
                              force: bool = False) -> list[dict]:
     """Mean random covering radius vs the centered regular grid configuration
     on the cube; the ratio grows like (log N)^(1/d)."""
@@ -413,8 +413,8 @@ def run_epsnet_study(domain: Domain, n_grid, trials: int, c_mult: float, master_
     L <= eps. The probe net has mesh probe_mesh_for(domain, N, c_mult/20) =
     eps/20 up to rounding. On the exact paths L = U, so yes_fraction ==
     yes_or_unknown_fraction."""
-    if c_mult <= 0:
-        raise ValueError("c_mult must be positive")
+    if not (c_mult > 0 and math.isfinite(c_mult)):
+        raise ValueError(f"c_mult must be finite and positive, got {c_mult}")
     c_mult = float(c_mult)
 
     def reduce(n, bounds):
@@ -456,9 +456,3 @@ def dump_f_grid(n_values, n_cell_measures, m_values, out: str | None = None) -> 
                        {"study": "fgrid", "n_values": list(n_values),
                         "n_cell_measures": list(n_cell_measures),
                         "m_values": list(m_values)}, out)
-
-
-def load_bands() -> dict:
-    """Pilot-derived acceptance bands (with the seeds that produced them)."""
-    with resources.files("covrad").joinpath("bands.json").open() as fh:
-        return json.load(fh)

@@ -20,7 +20,6 @@ can then be sandwiched to within delta. Mesh proofs per kind:
   triangle lattices at mesh delta/2 on Polyhedron3.triangles, the face fans
   that the polyhedron checked to cover each face once; points near the
   boundary reach a face net through their boundary projection.
-* Cantor depth D: both endpoints of all depth-k cylinders with 3^-k <= delta.
 
 Pieces. A net is an ordered list of pieces, each the index grid of a few 1-D
 axes ("ij" order, last axis fastest) in one or more copies, a map from grid
@@ -31,8 +30,8 @@ cube face, the face grid with -1 or +1 inserted and projected radially; a ball
 has its interior grid kept where |x| <= 1 and, for d >= 2, its boundary
 sphere's piece; a polyhedron has its bounding-box grid kept by contains_many
 and the (i, j >= i) index lattice of each of its triangles (each its own
-piece, with its own k) under an affine map; a segment is its t-axis under an
-affine map; Cantor's sorted endpoints are one axis.
+piece, with its own k) under an affine map; and a segment is its t-axis under
+an affine map.
 
 Blocks. Each piece's grid is cut into finest blocks of about 8 certified
 meshes (sizing the grid step by the map's Lipschitz bound on the whole piece).
@@ -98,7 +97,6 @@ from .errors import UnsupportedDomainError
 from .spaces import (
     ArcsineInterval,
     Ball,
-    Cantor,
     Cube,
     Domain,
     IntervalUniform,
@@ -441,53 +439,40 @@ def _polyhedron_pieces(domain: Polyhedron3, mesh: float) -> list:
             *(_triangle(v[a], v[b], v[c], half) for a, b, c in domain.triangles)]
 
 
-def _cantor_pieces(domain: Cantor, mesh: float) -> tuple[list, float]:
-    k = min(domain.depth, max(1, math.ceil(-math.log(mesh) / math.log(3.0))))
-    lefts = np.array([0.0])
-    for depth in range(1, k + 1):
-        lefts = np.concatenate([lefts, lefts + 2.0 * 3.0**-depth])
-    cyl = 3.0**-k
-    return [_Piece((np.unique(np.concatenate([lefts, lefts + cyl])),))], cyl
-
-
 def build_probe_net(domain: Domain, target_mesh: float) -> ProbeNet:
-    """Probe net with certified mesh <= target_mesh for the given domain."""
+    """Probe net with certified mesh target_mesh for the given domain."""
     if target_mesh <= 0:
         raise ValueError("target mesh must be positive")
     if target_mesh >= domain.diameter:
         raise ValueError("target mesh must be below the domain diameter")
-    pieces, mesh = _pieces(domain, target_mesh)
-    return ProbeNet(domain=domain, pieces=tuple(pieces), certified_mesh=mesh)
+    return ProbeNet(domain=domain, pieces=tuple(_pieces(domain, target_mesh)),
+                    certified_mesh=target_mesh)
 
 
 def axis_points(domain: Domain, target_mesh: float) -> float:
     """A bound on the axis coordinates of build_probe_net(domain, target_mesh), which grow
-    with 1/mesh: every step but Cantor's (no study takes a Cantor net) scales with the mesh,
-    so an axis of n coordinates at a coarse mesh c has at most (n - 1) c / target_mesh + 2."""
+    with 1/mesh: every step scales with the mesh, so an axis of n coordinates at a coarse
+    mesh c has at most (n - 1) c / target_mesh + 2."""
     coarse = max(target_mesh, domain.diameter / 8.0)
     return sum((len(axis) - 1) * coarse / target_mesh + 2
-               for piece in _pieces(domain, coarse)[0] for axis in piece.axes)
+               for piece in _pieces(domain, coarse) for axis in piece.axes)
 
 
-def _pieces(domain: Domain, mesh: float) -> tuple[list, float]:
-    """The pieces of a probe net at mesh <= the given one, and its certified mesh."""
+def _pieces(domain: Domain, mesh: float) -> list:
+    """The pieces of a probe net of the given certified mesh."""
     if isinstance(domain, IntervalUniform):
-        pieces = [_segment(np.array([0.0]), np.array([1.0]), mesh)]
-    elif isinstance(domain, ArcsineInterval):
-        pieces = [_segment(np.array([-1.0]), np.array([1.0]), mesh)]
-    elif isinstance(domain, Polyline):
-        pieces = [_segment(domain.vertices[i], domain.vertices[i + 1], mesh)
-                  for i in range(len(domain.vertices) - 1)]
-    elif isinstance(domain, Cube):
-        pieces = [_Piece(_cube_axes(domain.d, mesh))]
-    elif isinstance(domain, Sphere):
-        pieces = [_sphere_piece(domain.d, mesh)]
-    elif isinstance(domain, Ball):
-        pieces = _ball_pieces(domain.d, mesh)
-    elif isinstance(domain, Polyhedron3):
-        pieces = _polyhedron_pieces(domain, mesh)
-    elif isinstance(domain, Cantor):
-        pieces, mesh = _cantor_pieces(domain, mesh)
-    else:
-        raise UnsupportedDomainError(f"no probe net construction for {domain!r}")
-    return pieces, mesh
+        return [_segment(np.array([0.0]), np.array([1.0]), mesh)]
+    if isinstance(domain, ArcsineInterval):
+        return [_segment(np.array([-1.0]), np.array([1.0]), mesh)]
+    if isinstance(domain, Polyline):
+        return [_segment(domain.vertices[i], domain.vertices[i + 1], mesh)
+                for i in range(len(domain.vertices) - 1)]
+    if isinstance(domain, Cube):
+        return [_Piece(_cube_axes(domain.d, mesh))]
+    if isinstance(domain, Sphere):
+        return [_sphere_piece(domain.d, mesh)]
+    if isinstance(domain, Ball):
+        return _ball_pieces(domain.d, mesh)
+    if isinstance(domain, Polyhedron3):
+        return _polyhedron_pieces(domain, mesh)
+    raise UnsupportedDomainError(f"no probe net construction for {domain!r}")

@@ -1,7 +1,8 @@
 """Reference values that only the tests use: regularity witnesses of the catalog
 domains, ball measures, the exact expected covering radius on the circle, the
-windowed covering radius by a sorted search, the occupancy probability at
-high precision, and auxfn's occupancy sums as written on mpmath's mpf objects.
+windowed covering radius by a sorted search, a probe net of the Cantor set, the
+occupancy probability at high precision, auxfn's occupancy sums as written on
+mpmath's mpf objects, and the acceptance bands.
 
 No study, CLI command or tool computes from these; the tests check the library
 against them, and the witness spot-check checks them against measured ball
@@ -10,14 +11,17 @@ masses.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from importlib import resources
 
 import mpmath
 import numpy as np
 
 from covrad.auxfn import OccupancyParams, _log_empty_one_cell
 from covrad.errors import ResourceLimitError, UnsupportedDomainError
+from covrad.nets import ProbeNet, _Piece
 from covrad.sampler import SeedSpec, sample
 from covrad.spaces import (
     LOG2_OVER_LOG3,
@@ -216,6 +220,28 @@ def window_radius_searchsorted(xs: np.ndarray, w0: float, w1: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Cantor probe net
+# ---------------------------------------------------------------------------
+
+
+def cantor_net(domain: Cantor, mesh: float) -> ProbeNet:
+    """A probe net of the truncated Cantor set: both endpoints of every depth-k
+    cylinder, sorted, as one axis, for the smallest k >= 1 with 3^-k <= mesh
+    (at most the depth). Each point of the set lies in a depth-k cylinder of
+    length 3^-k, so it is within 3^-k of either endpoint: the certified mesh is
+    3^-k. Cantor studies take the exact path (covering.has_exact_path); the
+    tests check that path against this net, and run the walk on its axis,
+    the one that is not a linspace."""
+    k = min(domain.depth, max(1, math.ceil(-math.log(mesh) / math.log(3.0))))
+    lefts = np.array([0.0])
+    for depth in range(1, k + 1):
+        lefts = np.concatenate([lefts, lefts + 2.0 * 3.0**-depth])
+    cyl = 3.0**-k
+    axis = np.unique(np.concatenate([lefts, lefts + cyl]))
+    return ProbeNet(domain=domain, pieces=(_Piece((axis,)),), certified_mesh=cyl)
+
+
+# ---------------------------------------------------------------------------
 # Occupancy probability
 # ---------------------------------------------------------------------------
 
@@ -285,3 +311,15 @@ def f_complement_log_mpf(params: OccupancyParams) -> float:
         if total <= 0:
             raise ResourceLimitError("complement underflowed the working precision")
         return float(mpmath.log(total))
+
+
+# ---------------------------------------------------------------------------
+# Acceptance bands
+# ---------------------------------------------------------------------------
+
+
+def load_bands() -> dict:
+    """Pilot-derived acceptance bands (with the seeds that produced them), from
+    covrad's packaged bands.json."""
+    with resources.files("covrad").joinpath("bands.json").open() as fh:
+        return json.load(fh)

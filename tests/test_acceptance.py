@@ -18,6 +18,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import load_bands
 
 from covrad.auxfn import (
     OccupancyParams,
@@ -31,7 +32,6 @@ from covrad.auxfn import (
 from covrad.covering import covering_radius_1d, covering_radius_bounds
 from covrad.experiments import (
     StudyConfig,
-    load_bands,
     run_arcsine_study,
     run_epsnet_study,
     run_expectation_study,

@@ -232,6 +232,25 @@ def test_rejects_non_finite_p_and_thresholds(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cfg,flags,message", [
+    ({"trials": "5"}, [], "at least two trials"),
+    ({"trials": None}, [], "at least two trials"),
+    ({}, ["--trials", "3", "--p", "nan"], "moment order p"),
+], ids=["string-trials", "null-trials", "p-nan"])
+def test_study_warns_only_after_the_config_is_accepted(cfg, flags, message, tmp_path, capsys):
+    # the study's own message, with no comparison of trials with 30 before it
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n_grid": [50], **cfg}))
+    assert cli_main(["study", "--domain", "interval", "--config", str(path), *flags]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "warning" not in err and "Traceback" not in err
+
+
+def test_study_warns_below_30_trials(capsys):
+    assert cli_main(["study", "--domain", "interval", "--n-grid", "50", "--trials", "3"]) == 0
+    assert "warning: fewer than 30 trials" in capsys.readouterr().err
+
+
 TETRAHEDRON = {"vertices": [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]],
                "tetrahedra": [[0, 1, 2, 3]],
                "faces": [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]]}

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import ball_measure, window_radius_searchsorted
+from oracles import ball_measure, cantor_net, window_radius_searchsorted
 from scipy.spatial import ConvexHull, cKDTree
-from test_nets import CERT_DOMAINS
+from test_nets import CERT_DOMAINS, probe_net
 from test_spaces import equilateral_prism, regular_tetrahedron
 
 from covrad import nets
@@ -245,7 +245,7 @@ class TestCantorExact:
         # coordinates round at ulp(1), so L may pass rho by a few 1e-16
         domain = Cantor(40)
         for n in (10**2, 10**3, 10**4, 10**5):
-            net = build_probe_net(domain, probe_mesh_for(domain, n))
+            net = cantor_net(domain, probe_mesh_for(domain, n))
             for t in range(3):
                 x = sample(domain, n, SeedSpec(19, t))
                 rho = covering_radius_1d(domain, x)
@@ -394,7 +394,7 @@ _NETS: dict = {}
 def _net(domain, mesh):
     key = (repr(domain), mesh)
     if key not in _NETS:
-        _NETS[key] = build_probe_net(domain, mesh)
+        _NETS[key] = probe_net(domain, mesh)
     return _NETS[key]
 
 
@@ -531,7 +531,7 @@ class TestLazyNet:
                 return super().query(x, *args, **kwargs)
 
         monkeypatch.setattr(nets, "cKDTree", CountedTree)
-        net = build_probe_net(domain, mesh)
+        net = probe_net(domain, mesh)
         large = (domain, mesh) in LARGE_NETS
         x = sample(domain, 10**5 if large else 200, SeedSpec(3, 0)).points
         covering_radius_bounds(domain, x, net)

@@ -4,8 +4,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from oracles import circle_expectation_oracle
+from oracles import circle_expectation_oracle, load_bands
 from test_acceptance import circle_chord_expectation
+from test_nets import probe_net
 
 from covrad.cli import BUILTIN_DOMAINS
 from covrad.cli import main as cli_main
@@ -19,7 +20,6 @@ from covrad.experiments import (
     _trial_bounds,
     check_budget,
     dump_f_grid,
-    load_bands,
     run_arcsine_study,
     run_epsnet_study,
     run_expectation_study,
@@ -240,7 +240,7 @@ class TestEpsNetExactPath:
         seeds = [SeedSpec(4, t) for t in range(self.T)]
         ssets = [sample(dom, self.N, s) for s in seeds]
         rhos = np.array([covering_radius_1d(dom, x) for x in ssets])
-        probe = build_probe_net(dom, eps / 20.0)
+        probe = probe_net(dom, eps / 20.0)  # the oracle's net on the Cantor set
         net_bounds = [covering_radius_bounds(dom, x.points, probe) for x in ssets]
 
         def no_net(*args):
@@ -492,8 +492,9 @@ class TestEpsNetStudy:
         assert rows[0]["yes_fraction"] in (0.0, 0.5, 1.0)
 
     def test_c_mult_validation(self):
-        with pytest.raises(ValueError):
-            run_epsnet_study(Sphere(1), [100], 5, 0.0, 0)
+        for c_mult in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="c_mult must be finite and positive"):
+                run_epsnet_study(Sphere(1), [100], 5, c_mult, 0)
 
 
 class TestEpsNetNetDomains:

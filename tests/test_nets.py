@@ -5,9 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import cantor_net
 from test_spaces import equilateral_prism, regular_tetrahedron
 
 from covrad.covering import probe_mesh_for
+from covrad.errors import UnsupportedDomainError
 from covrad.nets import ProbeNet, _cube_axes, _level, axis_points, build_index, build_probe_net
 from covrad.sampler import SeedSpec, sample
 from covrad.spaces import (
@@ -38,8 +40,8 @@ CERT_DOMAINS = [
 ]
 
 # sha256 of points.tobytes(), point count and certified mesh per CERT_DOMAINS
-# case: a refactor of the net builders must keep every probe point bit for bit
-# and in order.
+# case (the Cantor net is the oracle's): a refactor of the net builders must
+# keep every probe point bit for bit and in order.
 NET_DIGESTS = {
     "IntervalUniform(kind='IntervalUniform')":
         ("cc68460f765f617551f639c2f3cfe98177ccc952f2f0454d01f8cff4296edd07", 26, 0.02),
@@ -72,6 +74,13 @@ NET_DIGESTS = {
 # interior grid alone
 BLOCK_DOMAINS = CERT_DOMAINS + [(regular_tetrahedron(), 0.1), (equilateral_prism(), 0.05),
                                 (Ball(1), 0.05)]
+
+
+def probe_net(domain, mesh):
+    """build_probe_net's net, or for the Cantor set (which no study nets) the oracle's."""
+    if isinstance(domain, Cantor):
+        return cantor_net(domain, mesh)
+    return build_probe_net(domain, mesh)
 
 
 def refine(piece, cells):
@@ -125,13 +134,15 @@ class TestBuildProbeNet:
 
     @pytest.mark.parametrize("domain,mesh", BLOCK_DOMAINS, ids=lambda v: repr(v))
     def test_certified_mesh_spot_check(self, domain, mesh):
-        net = build_probe_net(domain, mesh)
+        net = probe_net(domain, mesh)
         assert net.certified_mesh <= mesh
+        # build_probe_net certifies the mesh asked; the Cantor oracle's snaps to 3^-k
+        assert isinstance(domain, Cantor) or net.certified_mesh == mesh
         assert spot_check_mesh(net, n_samples=10_000) <= net.certified_mesh
 
     @pytest.mark.parametrize("domain,mesh", CERT_DOMAINS, ids=lambda v: repr(v))
     def test_points_are_golden(self, domain, mesh):
-        net = build_probe_net(domain, mesh)
+        net = probe_net(domain, mesh)
         digest = hashlib.sha256(net.points.tobytes()).hexdigest()
         assert (digest, len(net.points), net.certified_mesh) == NET_DIGESTS[repr(domain)]
 
@@ -178,9 +189,14 @@ class TestBuildProbeNet:
         assert sum(axes) <= axis_points(domain, mesh) <= 1.5 * sum(axes) + 4 * len(axes)
 
     def test_cantor_mesh_snaps_to_power_of_three(self):
-        net = build_probe_net(Cantor(20), 0.01)
+        net = cantor_net(Cantor(20), 0.01)
         k = round(-math.log(net.certified_mesh) / math.log(3.0))
         assert net.certified_mesh == pytest.approx(3.0**-k)
+
+    def test_no_cantor_net(self):
+        # Cantor studies take the exact path, so no study builds a Cantor net
+        with pytest.raises(UnsupportedDomainError):
+            build_probe_net(Cantor(20), 0.01)
 
     def test_invalid_mesh(self):
         with pytest.raises(ValueError):
@@ -197,7 +213,7 @@ class TestBlocks:
     @pytest.mark.parametrize("domain,mesh", BLOCK_DOMAINS, ids=lambda v: repr(v)[:24])
     def test_blocks_hold_every_probe_point(self, domain, mesh):
         # blocks the top level leaves out, or refinement drops, hold no probe point
-        net = build_probe_net(domain, mesh)
+        net = probe_net(domain, mesh)
         held = np.concatenate([pts[kept] for piece, cells in zip(net.pieces, net.cells)
                                for _, _, pts, kept in [grid_points(piece, cells,
                                                                    refine(piece, cells)[-1])]])
@@ -208,7 +224,7 @@ class TestBlocks:
     def test_reach_covers_every_grid_point(self, domain, mesh):
         # on every level, each grid point's image lies within its block's reach
         # of the block's representative, masked or not, in every copy
-        net = build_probe_net(domain, mesh)
+        net = probe_net(domain, mesh)
         for piece, cells in zip(net.pieces, net.cells):
             levels = refine(piece, cells)
             idx, copy, pts, _ = grid_points(piece, cells, levels[-1])
@@ -228,7 +244,7 @@ class TestBlocks:
         # the top level holds blocks of every copy; each child lies in its
         # parent's copy, so a block never spans two copies; and copy never falls
         # along a level, which the faces' runs in fmap rely on
-        net = build_probe_net(domain, mesh)
+        net = probe_net(domain, mesh)
         for piece, cells in zip(net.pieces, net.cells):
             levels = refine(piece, cells)
             assert np.array_equal(np.unique(cells.top.copy), np.arange(piece.copies))

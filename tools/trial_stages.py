@@ -1,8 +1,9 @@
 """Time the stages of net-path trials on fixed seeds: sample, k-d tree build, walk.
 
-For each domain the probe net is built once at probe_mesh_for(domain, N, eta);
-each trial t then draws N points from SeedSpec(seed, t), builds the index over
-them and walks the net (ProbeNet.max_nearest_distance). One JSON line is
+For each domain the probe net is built once at probe_mesh_for(domain, N, eta),
+with the domain's eta from DOMAINS; each trial t then draws N points from
+SeedSpec(seed, t), builds the index over them and walks the net
+(ProbeNet.max_nearest_distance). One JSON line is
 printed per trial with the three stage times in ms, the rows and calls of every
 k-d tree query the walk made, L (as repr, to compare runs bit for bit) and
 peak_rss_mb, the ru_maxrss of this process so far (in MB, as covbench reports
@@ -28,15 +29,17 @@ from covrad.sampler import SeedSpec, sample
 from covrad.spaces import Ball, Cube, Sphere, unit_box_polyhedron
 
 # domain name -> (domain, eta): the acceptance 07/08 configurations for the
-# 2-D domains, eta 0.05 on cube3 and the unit box, 0.1 on ball3 and sphere3
+# 2-D domains, and eta 0.05 on the 3-D ones; a coarser eta walks longer in 3-D
+# (at N=1e5 on 2 CPUs, ball3 took 571-594 ms at eta 0.1 against 180-245 ms at
+# 0.05, and sphere3 603-1145 against 375-456 ms)
 DOMAINS = {
     "sphere2": (Sphere(2), 0.05),
     "ball2": (Ball(2), 0.05),
     "cube2": (Cube(2), 0.025),
     "cube3": (Cube(3), 0.05),
     "unit_box": (unit_box_polyhedron(), 0.05),
-    "ball3": (Ball(3), 0.1),
-    "sphere3": (Sphere(3), 0.1),
+    "ball3": (Ball(3), 0.05),
+    "sphere3": (Sphere(3), 0.05),
 }
 
 
