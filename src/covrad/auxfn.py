@@ -40,6 +40,17 @@ def is_count(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
 
 
+def real(value, name: str, at_least: float | None = None) -> float:
+    """A finite real parameter, positive or at least `at_least`, as a Python float; a
+    bool is refused, as it would be taken as 1.0 (or 0.0) and echoed as given."""
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    x = float(value) if number else math.nan  # an int beyond float range raises OverflowError
+    if not (math.isfinite(x) and (x > 0 if at_least is None else x >= at_least)):
+        bound = "positive" if at_least is None else f"at least {at_least:g}"
+        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class OccupancyParams:
     n_points: int  # N: number of thrown points

@@ -176,7 +176,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, TypeError, OSError, KeyError) as exc:
+    except (ValueError, TypeError, OSError, KeyError, OverflowError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 1
 

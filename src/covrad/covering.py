@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .auxfn import real
 from .errors import UnsupportedDomainError
 from .nets import ProbeNet, build_index
 from .sampler import SampleSet
@@ -47,18 +48,14 @@ class WindowSpec:
     side: str = "right_edge"  # "right_edge" | "interior"
 
     def __post_init__(self):
-        if not (self.a_exponent > 0 and math.isfinite(self.a_exponent)):
-            raise ValueError("window exponent must be positive and finite")
+        object.__setattr__(self, "a_exponent", real(self.a_exponent, "window exponent a"))
         if self.side not in ("right_edge", "interior"):
             raise ValueError("side must be 'right_edge' or 'interior'")
-        object.__setattr__(self, "a_exponent", float(self.a_exponent))  # bounds in float64
 
     def bounds(self, n_for_window: int) -> tuple[float, float]:
         if n_for_window < 1:
             raise ValueError("window size parameter N must be a positive integer")
-        u = float(n_for_window) ** (-self.a_exponent)
-        if u >= 2.0:
-            raise ValueError("degenerate window: N^-a covers the whole interval")
+        u = float(n_for_window) ** (-self.a_exponent)  # in (0, 1], as N >= 1 and a > 0
         if self.side == "right_edge":
             return 1.0 - u, 1.0
         return -1.0 + u, 1.0 - u

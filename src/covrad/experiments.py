@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import sys
 import time
 from dataclasses import astuple, dataclass
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .auxfn import OccupancyParams, f_dp, f_lower_bound, is_count
+from .auxfn import OccupancyParams, f_dp, f_lower_bound, is_count, real
 from .covering import (
     DEFAULT_ETA,
     WindowSpec,
@@ -63,23 +62,21 @@ class StudyConfig:
     force: bool = False
 
     def __post_init__(self):
-        _check_study(self.n_grid, self.trials, self.probe_eta)
-        if not (self.p >= 1 and math.isfinite(self.p)):
-            raise ValueError(f"moment order p must be finite and >= 1, got {self.p}")
+        _check_study(self.n_grid, self.trials)
         # Python floats, so that no row computes in (or echoes) a NumPy float
-        self.p, self.probe_eta = float(self.p), float(self.probe_eta)
+        self.p = real(self.p, "moment order p", at_least=1)
+        self.probe_eta = real(self.probe_eta, "probe_eta")
 
 
-def _check_study(n_grid, trials: int, eta: float) -> None:
-    """Every study needs a strictly increasing grid of integers N >= 2, at
-    least two trials and a finite eta > 0."""
+def _check_study(n_grid, trials: int) -> None:
+    """Every study needs a strictly increasing grid of integers N >= 2 and at
+    least two trials."""
     grid = list(n_grid)
     ints = all(is_count(v) for v in (*grid, trials))
     if not (ints and grid and grid[0] >= 2 and all(a < b for a, b in zip(grid, grid[1:]))
-            and trials >= 2 and eta > 0 and math.isfinite(eta)):
-        raise ValueError("need a strictly increasing grid of integers N >= 2, at least two "
-                         f"trials and a finite eta > 0; got N grid {grid}, {trials} trials, "
-                         f"eta {eta}")
+            and trials >= 2):
+        raise ValueError("need a strictly increasing grid of integers N >= 2 and at least two "
+                         f"trials; got N grid {grid}, {trials} trials")
 
 
 @dataclass(frozen=True)
@@ -211,9 +208,9 @@ def _run_study(domain: Domain, n_grid, trials: int, master_seed: int, *, reduce,
                force: bool = False, kernel=_trial_bounds) -> list:
     """The trial loop behind every study.
 
-    The grid, trials, seed and eta are checked and the cost estimated from the
+    The grid, trials and seed are checked and the cost estimated from the
     grid, trials and nets' axis_points (check_budget) before the first sample
-    or net. Per N: net =
+    or net; eta is a float that auxfn.real has checked. Per N: net =
     _net(domain, probe_mesh_for(domain, n, eta)), once; then
     kernel(domain, n, SeedSpec(master_seed, t), net) for t in
     range(trials), by default the trial's (L, U) from covering_radius_bounds,
@@ -222,9 +219,9 @@ def _run_study(domain: Domain, n_grid, trials: int, master_seed: int, *, reduce,
     grid, trials and seed plus `echo`, the study's own parameters.
     """
     n_grid = list(n_grid)
-    _check_study(n_grid, trials, eta)
+    _check_study(n_grid, trials)
     # Python numbers, so that no kernel or row computes in a NumPy type; SeedSpec checks the seed
-    n_grid, trials, eta = [int(n) for n in n_grid], int(trials), float(eta)
+    n_grid, trials = [int(n) for n in n_grid], int(trials)
     master_seed = int(SeedSpec(master_seed).master_seed)
     check_budget(n_grid, trials, force, [] if has_exact_path(domain) else [
         axis_points(domain, probe_mesh_for(domain, n, eta)) for n in n_grid])
@@ -299,17 +296,14 @@ def run_tail_study(domain: Domain, n: int, trials: int, thresholds=None, master_
                    force: bool = False) -> list[TailRow]:
     """Empirical tail probabilities P(L >= t) and P(U >= t) per threshold;
     by default t = k log(N)/N for k in 1, 2, 5, 10."""
-    _check_study([n], trials, probe_eta)  # before log(N) / N makes the default thresholds
+    _check_study([n], trials)  # before log(N) / N makes the default thresholds
+    probe_eta = real(probe_eta, "probe_eta")
     if thresholds is None:
         base = math.log(n) / n
         thresholds = [k * base for k in (1, 2, 5, 10)]
-    thresholds = list(thresholds)
-    if any(b <= a for a, b in zip(thresholds, thresholds[1:])) or not all(
-        math.isfinite(t) and t >= 0 for t in thresholds
-    ):
-        raise ValueError("thresholds must be finite, nonnegative and increasing, "
-                         f"got {thresholds}")
-    thresholds, probe_eta = [float(t) for t in thresholds], float(probe_eta)
+    thresholds = [real(t, "threshold", at_least=0) for t in thresholds]
+    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
+        raise ValueError(f"thresholds must be increasing, got {thresholds}")
 
     def reduce(n, bounds):
         for thr in thresholds:
@@ -331,8 +325,7 @@ def run_zn_study(d: int, n_grid, trials: int, master_seed: int = 0, probe_eta: f
     converges in probability to 1."""
     if not is_count(d) or d not in (1, 2):
         raise ValueError(f"Z_N study supports the integers d in {{1, 2}}, got {d!r}")
-    _check_study(n_grid, trials, probe_eta)
-    domain, probe_eta = Sphere(d), float(probe_eta)
+    domain, probe_eta = Sphere(d), real(probe_eta, "probe_eta")
     scale_const = unit_ball_volume(d) / ((d + 1) * unit_ball_volume(d + 1))
 
     def reduce(n, bounds):
@@ -385,8 +378,7 @@ def run_random_vs_structured(d: int, n_grid, trials: int, master_seed: int = 0,
     if not is_count(d) or d not in (1, 2, 3):
         raise ValueError(f"random-vs-structured study supports the integers d in {{1, 2, 3}}, "
                          f"got {d!r}")
-    _check_study(n_grid, trials, probe_eta)
-    domain, probe_eta = IntervalUniform() if d == 1 else Cube(d), float(probe_eta)
+    domain, probe_eta = IntervalUniform() if d == 1 else Cube(d), real(probe_eta, "probe_eta")
 
     def reduce(n, bounds):
         mean = float(((bounds[:, 0] + bounds[:, 1]) / 2.0).mean())
@@ -413,9 +405,7 @@ def run_epsnet_study(domain: Domain, n_grid, trials: int, c_mult: float, master_
     L <= eps. The probe net has mesh probe_mesh_for(domain, N, c_mult/20) =
     eps/20 up to rounding. On the exact paths L = U, so yes_fraction ==
     yes_or_unknown_fraction."""
-    if not (c_mult > 0 and math.isfinite(c_mult)):
-        raise ValueError(f"c_mult must be finite and positive, got {c_mult}")
-    c_mult = float(c_mult)
+    c_mult = real(c_mult, "c_mult")
 
     def reduce(n, bounds):
         eps = c_mult * rho_scale(domain, n)
@@ -438,9 +428,8 @@ def dump_f_grid(n_values, n_cell_measures, m_values, out: str | None = None) -> 
     if not all(is_count(v) for v in (*n_values, *m_values)):
         raise ValueError(f"N and m must be positive integers; got N {list(n_values)}, "
                          f"m {list(m_values)}")
-    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-               and v > 0 for v in n_cell_measures):
-        raise ValueError(f"n must be finite and positive; got {list(n_cell_measures)}")
+    for v in n_cell_measures:
+        real(v, "n")  # checked only: an integer n reaches the occupancy sums as given
 
     def rows():
         for big_n in n_values:

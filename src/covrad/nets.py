@@ -93,6 +93,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .auxfn import real
 from .errors import UnsupportedDomainError
 from .spaces import (
     ArcsineInterval,
@@ -441,8 +442,7 @@ def _polyhedron_pieces(domain: Polyhedron3, mesh: float) -> list:
 
 def build_probe_net(domain: Domain, target_mesh: float) -> ProbeNet:
     """Probe net with certified mesh target_mesh for the given domain."""
-    if target_mesh <= 0:
-        raise ValueError("target mesh must be positive")
+    target_mesh = real(target_mesh, "target mesh")
     if target_mesh >= domain.diameter:
         raise ValueError("target mesh must be below the domain diameter")
     return ProbeNet(domain=domain, pieces=tuple(_pieces(domain, target_mesh)),
@@ -453,6 +453,7 @@ def axis_points(domain: Domain, target_mesh: float) -> float:
     """A bound on the axis coordinates of build_probe_net(domain, target_mesh), which grow
     with 1/mesh: every step scales with the mesh, so an axis of n coordinates at a coarse
     mesh c has at most (n - 1) c / target_mesh + 2."""
+    target_mesh = real(target_mesh, "target mesh")  # an eta * rho_scale can round to 0
     coarse = max(target_mesh, domain.diameter / 8.0)
     return sum((len(axis) - 1) * coarse / target_mesh + 2
                for piece in _pieces(domain, coarse) for axis in piece.axes)

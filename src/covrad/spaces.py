@@ -12,7 +12,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .auxfn import is_count
+from .auxfn import is_count, real
 from .errors import InvalidGeometryError, UnsupportedDomainError
 
 LOG2_OVER_LOG3 = math.log(2.0) / math.log(3.0)
@@ -363,8 +363,7 @@ def limit_constant(domain: Domain, p: float = 1.0) -> float:
     Defined for the sharp-constant catalog only; Cantor and the arcsine
     interval admit two-sided bounds but no sharp constant.
     """
-    if p < 1:
-        raise ValueError("moment order p must be >= 1")
+    p = real(p, "moment order p", at_least=1)
     if isinstance(domain, Sphere):
         d = domain.d
         base = (d + 1) * unit_ball_volume(d + 1) / unit_ball_volume(d)

@@ -16,6 +16,7 @@ from covrad.auxfn import (
     f_dp,
     f_exact,
     f_lower_bound,
+    real,
     regime_params,
 )
 from covrad.errors import ResourceLimitError
@@ -29,6 +30,25 @@ EXACT_GRID = [OccupancyParams(big_n, n, m)
 
 def _relative_error(got: float, want: float) -> float:
     return abs(got - want) / abs(want) if want else abs(got)
+
+
+class TestReal:
+    def test_accepts_a_finite_real_as_a_python_float(self):
+        for value in (2, 0.5, np.float64(0.5), np.int64(3), Fraction(1, 4)):
+            got = real(value, "x")
+            assert type(got) is float and got == value
+        assert real(1, "p", at_least=1) == 1.0 and real(0, "t", at_least=0) == 0.0
+
+    @pytest.mark.parametrize("value", [True, False, 0, -1.0, math.nan, math.inf, "1", None])
+    def test_refuses(self, value):
+        with pytest.raises(ValueError, match="x must be finite and positive"):
+            real(value, "x")
+
+    def test_at_least(self):
+        with pytest.raises(ValueError, match="p must be finite and at least 1, got 0.5"):
+            real(0.5, "p", at_least=1)
+        with pytest.raises(ValueError, match="at least 0"):
+            real(-math.inf, "t", at_least=0)
 
 
 class TestOccupancyParams:

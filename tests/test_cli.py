@@ -155,6 +155,12 @@ def test_refuses_a_tiny_eta_before_any_net_or_sample(command, monkeypatch, capsy
     assert "refused" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", sorted(TINY_ETA))
+def test_rejects_an_eta_whose_mesh_rounds_to_zero(command, capsys):
+    # eta * rho_scale (c_mult / 20 for epsnet) of 0.0 ended in a ZeroDivisionError traceback
+    _exit_1([*TINY_ETA[command][:-1], "5e-324", "--trials", "2"], capsys)
+
+
 def test_fgrid_rejects_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"trials": 3}))
@@ -218,6 +224,24 @@ def test_rejects_non_integer_d(command, d, tmp_path, capsys):
     out = tmp_path / "s.csv"
     _exit_1([command, "--config", str(cfg), "--out", str(out)], capsys)
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("study", {"p": True}), ("study", {"probe_eta": True}), ("tail", {"probe_eta": True}),
+    ("tail", {"thresholds": [True]}), ("zn", {"probe_eta": True}),
+    ("versus", {"probe_eta": True}), ("arcsine", {"a_exponent": True}),
+    ("epsnet", {"c_mult": True}), ("epsnet", {"c_mult": 10**400}),
+], ids=["study-p", "study-eta", "tail-eta", "tail-threshold", "zn-eta", "versus-eta",
+        "arcsine-a", "epsnet-c_mult", "epsnet-huge-c_mult"])
+def test_rejects_bool_or_huge_real(command, cfg, tmp_path, capsys):
+    # true would run as 1.0 and be echoed to the sidecar as 1.0; an integer beyond the
+    # float range ended in an OverflowError traceback
+    path = tmp_path / "cfg.json"
+    size = {"n": 50} if command == "tail" else {"n_grid": [50]}
+    path.write_text(json.dumps({**size, "trials": 2, **cfg}))
+    out = tmp_path / "s.csv"
+    _exit_1([command, "--config", str(path), "--out", str(out)], capsys)
+    assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("argv", [

@@ -336,6 +336,8 @@ class TestWindowedCoveringRadius:
     def test_window_spec_validation(self):
         with pytest.raises(ValueError):
             WindowSpec(-1.0, "right_edge")
+        with pytest.raises(ValueError, match="window exponent"):
+            WindowSpec(True)  # once ran as a = 1.0
         with pytest.raises(ValueError):
             WindowSpec(1.0, "left_edge")
 

@@ -56,6 +56,13 @@ class TestStudyConfig:
         with pytest.raises(ValueError):
             StudyConfig(domain=IntervalUniform(), n_grid=[10], trials=5, probe_eta=0.0)
 
+    def test_bool_is_not_a_real(self):
+        # True once ran as p = 1.0 and eta = 1.0
+        with pytest.raises(ValueError, match="moment order p"):
+            StudyConfig(domain=IntervalUniform(), n_grid=[10], trials=5, p=True)
+        with pytest.raises(ValueError, match="probe_eta"):
+            StudyConfig(domain=IntervalUniform(), n_grid=[10], trials=5, probe_eta=True)
+
 
 class TestCircleOracle:
     def test_single_point(self):
@@ -432,6 +439,8 @@ class TestTailStudy:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             run_tail_study(IntervalUniform(), 100, 10, [0.2, 0.1])
+        with pytest.raises(ValueError, match="threshold"):
+            run_tail_study(IntervalUniform(), 100, 2, [True])  # once ran at 1.0
 
     def test_trial_count_validation(self):
         with pytest.raises(ValueError):

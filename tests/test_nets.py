@@ -203,6 +203,10 @@ class TestBuildProbeNet:
             build_probe_net(IntervalUniform(), 0.0)
         with pytest.raises(ValueError):
             build_probe_net(IntervalUniform(), 2.0)
+        # True once made a net whose certified_mesh was True; nan failed in the axes
+        for mesh in (True, math.nan):
+            with pytest.raises(ValueError, match="target mesh"):
+                build_probe_net(Cube(2), mesh)
 
     def test_probe_net_validation(self):
         with pytest.raises(ValueError):

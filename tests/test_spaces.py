@@ -194,6 +194,8 @@ class TestLimitConstant:
             limit_constant(ArcsineInterval(), 1.0)
         with pytest.raises(ValueError):
             limit_constant(Sphere(2), 0.5)
+        with pytest.raises(ValueError, match="moment order p"):
+            limit_constant(Sphere(2), math.nan)  # once returned nan
 
 
 class TestDihedralAngles:
