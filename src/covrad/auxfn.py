@@ -83,12 +83,13 @@ class RegimeSpec:
     def __post_init__(self):
         if self.variant not in ("I", "II", "III"):
             raise ValueError("variant must be 'I', 'II' or 'III'")
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
+        object.__setattr__(self, "kappa", real(self.kappa, "kappa"))
+        object.__setattr__(self, "alpha", real(self.alpha, "alpha", at_least=-math.inf))
         if self.variant == "I" and self.kappa > 1.0:
             raise ValueError("variant I requires kappa <= 1")
-        if self.variant in ("II", "III") and self.d < 2:
-            raise ValueError("variants II/III require d >= 2")
+        if not (is_count(self.d) and (self.variant == "I" or self.d >= 2)):
+            raise ValueError(f"d must be an integer, >= 2 in variants II/III, got {self.d!r}")
+        object.__setattr__(self, "d", int(self.d))
 
 
 def regime_params(spec: RegimeSpec, n_points: int) -> OccupancyParams:

@@ -188,11 +188,6 @@ def check_budget(n_grid, trials: int, force: bool = False, net_axes=()) -> float
 # ---------------------------------------------------------------------------
 
 
-def _net(domain: Domain, mesh: float):
-    """The probe net of a study's trials at one N, or None on the exact paths."""
-    return None if has_exact_path(domain) else build_probe_net(domain, mesh)
-
-
 def _trial_bounds(domain: Domain, n: int, seed: SeedSpec, net) -> tuple[float, float]:
     b = covering_radius_bounds(domain, sample(domain, n, seed), net)
     return b.lower, b.upper
@@ -211,8 +206,8 @@ def _run_study(domain: Domain, n_grid, trials: int, master_seed: int, *, reduce,
     The grid, trials and seed are checked and the cost estimated from the
     grid, trials and nets' axis_points (check_budget) before the first sample
     or net; eta is a float that auxfn.real has checked. Per N: net =
-    _net(domain, probe_mesh_for(domain, n, eta)), once; then
-    kernel(domain, n, SeedSpec(master_seed, t), net) for t in
+    build_probe_net(domain, probe_mesh_for(domain, n, eta)), once (None on the
+    exact paths); then kernel(domain, n, SeedSpec(master_seed, t), net) for t in
     range(trials), by default the trial's (L, U) from covering_radius_bounds,
     stacked in stream order into an array with one row per trial; then
     reduce(n, values) yields the output rows. The sidecar echoes the domain,
@@ -223,14 +218,14 @@ def _run_study(domain: Domain, n_grid, trials: int, master_seed: int, *, reduce,
     # Python numbers, so that no kernel or row computes in a NumPy type; SeedSpec checks the seed
     n_grid, trials = [int(n) for n in n_grid], int(trials)
     master_seed = int(SeedSpec(master_seed).master_seed)
-    check_budget(n_grid, trials, force, [] if has_exact_path(domain) else [
-        axis_points(domain, probe_mesh_for(domain, n, eta)) for n in n_grid])
+    mesh = {} if has_exact_path(domain) else {n: probe_mesh_for(domain, n, eta) for n in n_grid}
+    check_budget(n_grid, trials, force, [axis_points(domain, m) for m in mesh.values()])
     config = {"domain": domain_to_dict(domain), "n_grid": n_grid, "trials": trials,
               "master_seed": master_seed, **echo}
 
     def rows():
         for n in n_grid:
-            net = _net(domain, probe_mesh_for(domain, n, eta))
+            net = build_probe_net(domain, mesh[n]) if mesh else None
             values = np.array([kernel(domain, n, SeedSpec(master_seed, t), net)
                                for t in range(trials)])
             yield from reduce(n, values)

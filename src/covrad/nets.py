@@ -329,14 +329,14 @@ _THREADS_FROM = 2048
 class SpatialIndex:
     """Exact Euclidean nearest-neighbor index over a fixed point set (a k-d tree).
 
-    points is a read-only view of the indexed points. nearest returns, with each
-    distance, the row of the nearest point; the walk keeps these rows to bound
-    the distances of children and probe points it never queries (see above).
-    The tree is unbalanced (split at the middle of each node's box, not at the
-    median) and its nodes keep their boxes uncompacted: on 1e5 points it built
-    in about half the time of scipy's default tree, and whole N=1e5 sphere2,
-    ball2 and cube2 trials ran about 5% faster than with compacted nodes.
-    Either way the queries are exact.
+    points is a read-only view of the indexed points, and query_rows the rows of
+    each batch queried, in call order. nearest returns, with each distance, the
+    row of the nearest point; the walk keeps these rows to bound the distances of
+    children and probe points it never queries (see above). The tree is unbalanced
+    (split at the middle of each node's box, not at the median) and its nodes keep
+    their boxes uncompacted: on 1e5 points it built in about half the time of
+    scipy's default tree, and whole N=1e5 sphere2, ball2 and cube2 trials ran
+    about 5% faster than with compacted nodes. Either way the queries are exact.
     """
 
     def __init__(self, points: np.ndarray):
@@ -346,11 +346,13 @@ class SpatialIndex:
         self._tree = cKDTree(points, balanced_tree=False, compact_nodes=False)
         self.points = self._tree.data.view()
         self.points.setflags(write=False)
+        self.query_rows = []
 
     def nearest(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Exact nearest distances for a batch of query points, and the rows of
         their nearest points."""
         queries = np.asarray(queries, dtype=float)
+        self.query_rows.append(len(queries))
         return self._tree.query(queries, workers=1 if len(queries) < _THREADS_FROM else -1)
 
     def nearest_distances(self, queries: np.ndarray) -> np.ndarray:

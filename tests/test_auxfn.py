@@ -227,6 +227,24 @@ class TestRegimeParams:
         with pytest.raises(ValueError):
             RegimeSpec("I", kappa=0.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"variant": "I", "kappa": math.nan},
+        {"variant": "II", "kappa": True, "alpha": math.inf},
+        {"variant": "II", "alpha": math.inf},
+        {"variant": "I", "alpha": math.nan},
+        {"variant": "III", "d": 2.5},
+        {"variant": "I", "d": True},
+    ], ids=repr)
+    def test_spec_refuses_non_finite_and_non_integer(self, kwargs):
+        with pytest.raises(ValueError):
+            RegimeSpec(**kwargs)
+
+    def test_spec_stores_python_numbers(self):
+        # as spaces' domains store d: floats for kappa and alpha, an int for d
+        spec = RegimeSpec("III", kappa=np.int64(1), alpha=-2, d=np.int64(3))
+        assert [type(v) for v in (spec.kappa, spec.alpha, spec.d)] == [float, float, int]
+        assert regime_params(spec, 10**6) == regime_params(RegimeSpec("III", 1.0, -2.0, 3), 10**6)
+
 
 class TestHighPrecisionSums:
     """The two high-precision alternating sums, f_dp and f_complement_log."""

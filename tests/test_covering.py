@@ -6,11 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import ball_measure, cantor_net, window_radius_searchsorted
-from scipy.spatial import ConvexHull, cKDTree
+from scipy.spatial import ConvexHull
 from test_nets import CERT_DOMAINS, probe_net
 from test_spaces import equilateral_prism, regular_tetrahedron
 
-from covrad import nets
 from covrad.covering import (
     CoveringRadiusInterval,
     WindowSpec,
@@ -525,18 +524,13 @@ class TestLazyNet:
             raise AssertionError("the whole probe net was built")
 
         monkeypatch.setattr(ProbeNet, "points", property(materialised))
-        rows = []  # per k-d tree query, its rows: nearest and nearest_distances alike
-
-        class CountedTree(cKDTree):
-            def query(self, x, *args, **kwargs):
-                rows.append(len(x))
-                return super().query(x, *args, **kwargs)
-
-        monkeypatch.setattr(nets, "cKDTree", CountedTree)
         net = probe_net(domain, mesh)
         large = (domain, mesh) in LARGE_NETS
         x = sample(domain, 10**5 if large else 200, SeedSpec(3, 0)).points
-        covering_radius_bounds(domain, x, net)
+        index = build_index(x.reshape(len(x), -1))
+        lower = net.max_nearest_distance(index)
+        assert covering_radius_bounds(domain, x, net).lower == lower
+        rows = index.query_rows
         assert 0 < len(rows) <= levels(net) + 1
         if large:
             total, last = LARGE_NET_ROWS[repr(domain)]
@@ -559,6 +553,23 @@ class TestSphereHullOracle:
             b = covering_radius_bounds(domain, x, net)
             assert b.lower <= rho + 1e-12
             assert rho <= b.upper + 1e-12
+
+
+class TestUnitBoxCrossNet:
+    """Cube(3) and unit_box_polyhedron() are the same solid with independent net
+    proofs (an axis grid; a masked box grid plus face lattices), so their
+    sandwiches of one sample's covering radius must overlap."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 1000), seed=st.integers(0, 2**32), dup=st.integers(0, 50))
+    @example(n=1, seed=0, dup=0)
+    @example(n=1000, seed=7, dup=50)
+    def test_cube_and_polyhedron_sandwiches_overlap(self, n, seed, dup):
+        x = sample(Cube(3), n, SeedSpec(seed, 0)).points
+        x = np.concatenate([x, x[:dup]])  # duplicated sample points
+        cube = covering_radius_bounds(Cube(3), x, _net(Cube(3), 0.05))
+        box = covering_radius_bounds(unit_box_polyhedron(), x, _net(unit_box_polyhedron(), 0.05))
+        assert max(cube.lower, box.lower) <= min(cube.upper, box.upper) + 1e-12
 
 
 class TestBallMeasure:

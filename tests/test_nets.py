@@ -310,6 +310,21 @@ class TestSpatialIndex:
         assert np.allclose(d, np.linalg.norm(queries - idx.points[rows], axis=1),
                            rtol=1e-12, atol=0)
 
+    def test_query_rows(self):
+        # every new index starts with no queries, then records each batch's
+        # rows in call order, from nearest and nearest_distances alike (a
+        # batch of _THREADS_FROM rows or more is queried on several threads)
+        rng = np.random.default_rng(10)
+        pts = rng.random((200, 2))
+        idx, other = build_index(pts), build_index(pts)
+        assert idx.query_rows == [] and other.query_rows == []
+        idx.nearest(rng.random((3, 2)))
+        idx.nearest_distances([[0.5, 0.5]])
+        idx.nearest_distances(rng.random((5000, 2)))
+        idx.nearest(np.empty((0, 2)))
+        assert idx.query_rows == [3, 1, 5000, 0]
+        assert other.query_rows == []
+
     def test_empty_points(self):
         with pytest.raises(ValueError):
             build_index(np.empty((0, 2)))

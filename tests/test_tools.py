@@ -25,7 +25,7 @@ def _env_with_covrad() -> dict:
 
 
 def test_trial_stages_runs():
-    # in a child process: trial_stages rebinds nets.cKDTree for its whole process
+    # in a child process, so that the command line itself is run
     run = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "trial_stages.py"),
          "--domains", "cube2", "--n", "1000", "--trials", "1"],
@@ -37,6 +37,8 @@ def test_trial_stages_runs():
     assert row["domain"] == "cube2"
     assert float(row["L"]) > 0.0
     assert row["peak_rss_mb"] > 0.0
+    assert row["query_calls"] >= 1
+    assert row["query_rows"] >= row["final_query_rows"] >= 1
 
 
 def test_occupancy_stages_runs():

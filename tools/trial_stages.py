@@ -3,13 +3,15 @@
 For each domain the probe net is built once at probe_mesh_for(domain, N, eta),
 with the domain's eta from DOMAINS; each trial t then draws N points from
 SeedSpec(seed, t), builds the index over them and walks the net
-(ProbeNet.max_nearest_distance). One JSON line is
-printed per trial with the three stage times in ms, the rows and calls of every
-k-d tree query the walk made, L (as repr, to compare runs bit for bit) and
-peak_rss_mb, the ru_maxrss of this process so far (in MB, as covbench reports
-it): the peak over every net, sample and walk before the line, not the trial's own.
+(ProbeNet.max_nearest_distance). One JSON line is printed per trial with the
+three stage times in ms, the calls and rows of the walk's k-d tree queries (as
+its index records them in SpatialIndex.query_rows), L (as repr, to compare runs
+bit for bit) and peak_rss_mb, the ru_maxrss of this process so far (in MB, as
+covbench reports it): the peak over every net, sample and walk before the line,
+not the trial's own.
 
-covrad is imported from the path, so the same script times another checkout:
+covrad is imported from the path, so the same script times another checkout
+(one whose SpatialIndex records query_rows):
 
     PYTHONPATH=src python tools/trial_stages.py
     PYTHONPATH=../other/src python tools/trial_stages.py --domains sphere2 cube3
@@ -22,7 +24,6 @@ import json
 import resource
 import time
 
-from covrad import nets
 from covrad.covering import probe_mesh_for
 from covrad.nets import build_index, build_probe_net
 from covrad.sampler import SeedSpec, sample
@@ -43,16 +44,6 @@ DOMAINS = {
 }
 
 
-def count_queries(log: list) -> None:
-    """Append the rows of every k-d tree query to log, whichever index method asked."""
-    class CountedTree(nets.cKDTree):
-        def query(self, x, *args, **kwargs):
-            log.append(len(x))
-            return super().query(x, *args, **kwargs)
-
-    nets.cKDTree = CountedTree
-
-
 def ms(start: float) -> float:
     return round((time.perf_counter() - start) * 1e3, 2)
 
@@ -65,8 +56,6 @@ def main(argv=None) -> None:
     ap.add_argument("--trials", type=int, default=2)
     args = ap.parse_args(argv)
 
-    log: list = []
-    count_queries(log)
     for name in args.domains:
         domain, eta = DOMAINS[name]
         start = time.perf_counter()
@@ -81,16 +70,16 @@ def main(argv=None) -> None:
             start = time.perf_counter()
             index = build_index(x.reshape(len(x), -1))
             build_ms = ms(start)
-            log.clear()
             start = time.perf_counter()
             lower = net.max_nearest_distance(index)
             walk_ms = ms(start)
             peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+            rows = index.query_rows
             print(json.dumps({
                 "domain": name, "eta": eta, "n": args.n, "seed": [args.seed, t],
                 "net_build_ms": net_ms, "sample_ms": sample_ms, "tree_build_ms": build_ms,
-                "walk_ms": walk_ms, "query_calls": len(log),
-                "query_rows": sum(log), "final_query_rows": log[-1],
+                "walk_ms": walk_ms, "query_calls": len(rows),
+                "query_rows": sum(rows), "final_query_rows": rows[-1],
                 "L": repr(lower),
                 "peak_rss_mb": round(peak_mb, 1),
             }), flush=True)
