@@ -34,10 +34,14 @@ from mpmath.libmp import (dps_to_prec, fhalf, fone, fzero, from_float, from_int,
 from .errors import ResourceLimitError
 
 
+def is_integer(value) -> bool:
+    """An integer, not a bool, float or string (True as 1 point, 6.9 as vertex 6)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def is_count(value) -> bool:
-    """A positive integer, not a bool: a float or bool would be taken as a
-    count (100.5 points, or True as 1)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+    """A positive integer (is_integer)."""
+    return is_integer(value) and value >= 1
 
 
 def real(value, name: str, at_least: float | None = None) -> float:

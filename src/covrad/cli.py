@@ -43,6 +43,8 @@ BUILTIN_DOMAINS = {
 def _resolve_domain(spec: str | dict) -> spaces.Domain:
     if isinstance(spec, dict):
         return spaces.domain_from_dict(spec)
+    if not isinstance(spec, str):  # open() would take an int as a file descriptor
+        raise ValueError(f"domain must be a name, a path or a domain document, got {spec!r}")
     if spec in BUILTIN_DOMAINS:
         return BUILTIN_DOMAINS[spec]
     # otherwise treat as a path to a domain JSON document

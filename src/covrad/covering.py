@@ -1,5 +1,5 @@
-"""Covering radii: exact on the one-dimensional domains (the truncated Cantor
-set among them), certified sandwich elsewhere."""
+"""Covering radii: exact on the interval, arcsine interval, Cantor set and
+circle (has_exact_path), certified sandwich elsewhere, polylines included."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auxfn import real
+from .auxfn import is_count, real
 from .errors import UnsupportedDomainError
 from .nets import ProbeNet, build_index
 from .sampler import SampleSet
@@ -17,7 +17,6 @@ from .spaces import (
     Cantor,
     Domain,
     IntervalUniform,
-    Polyline,
     Sphere,
     hausdorff_mass,
     row_norms,
@@ -53,8 +52,8 @@ class WindowSpec:
             raise ValueError("side must be 'right_edge' or 'interior'")
 
     def bounds(self, n_for_window: int) -> tuple[float, float]:
-        if n_for_window < 1:
-            raise ValueError("window size parameter N must be a positive integer")
+        if not is_count(n_for_window):
+            raise ValueError(f"window size N must be a positive integer, got {n_for_window!r}")
         u = float(n_for_window) ** (-self.a_exponent)  # in (0, 1], as N >= 1 and a > 0
         if self.side == "right_edge":
             return 1.0 - u, 1.0
@@ -81,38 +80,6 @@ def _circle_rho(points: np.ndarray) -> float:
     wrap = 2.0 * math.pi - (angles[-1] - angles[0])
     max_gap = max(float(gaps.max()) if gaps.size else 0.0, float(wrap))
     return 2.0 * math.sin(max_gap / 4.0)
-
-
-def _polyline_rho(domain: Polyline, points: np.ndarray) -> float:
-    """Exact sup over the polyline of the distance to the nearest sample.
-
-    Per edge, each sample point x_j restricted to the edge line gives the
-    distance function sqrt((t - t_j)^2 + h_j^2); the max of their lower
-    envelope is attained at an edge endpoint or at a pairwise crossing.
-    O(N^2) candidates per edge, each answered by one k-d tree query, in
-    O(N^2) memory; intended for desk-scale exact checks.
-    """
-    index = build_index(points)
-    best = 0.0
-    for i in range(len(domain.vertices) - 1):
-        a = domain.vertices[i]
-        b = domain.vertices[i + 1]
-        length = float(np.linalg.norm(b - a))
-        u = (b - a) / length
-        t_j = (points - a) @ u
-        perp = points - a - np.outer(t_j, u)
-        h2_j = np.einsum("ij,ij->i", perp, perp)
-
-        candidates = [np.array([0.0, length])]
-        # crossing of envelope branches j < k: linear equation in t
-        c_j = t_j**2 + h2_j
-        for j in range(len(t_j)):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t_cross = (c_j[j + 1:] - c_j[j]) / (2.0 * (t_j[j + 1:] - t_j[j]))
-            candidates.append(t_cross[np.isfinite(t_cross) & (t_cross > 0.0) & (t_cross < length)])
-        t_cand = np.concatenate(candidates)
-        best = max(best, float(index.nearest_distances(a + t_cand[:, None] * u).max()))
-    return best
 
 
 def _cantor_gap_values(a: np.ndarray, b: np.ndarray, depth: int) -> np.ndarray:
@@ -205,17 +172,17 @@ def _line_samples(domain: Domain, x: SampleSet | np.ndarray) -> np.ndarray:
 
 
 def has_exact_path(domain: Domain) -> bool:
-    """Whether studies take the covering radius exactly, with no probe net:
-    the interval, arcsine interval, Cantor set and circle. Polylines stay on
-    nets, because their exact radius costs O(N^2)."""
+    """Whether covering_radius_1d takes the domain, so that studies take its
+    covering radius exactly, with no probe net: the interval, arcsine
+    interval, Cantor set and circle."""
     return _line_range(domain) is not None or (isinstance(domain, Sphere) and domain.d == 1)
 
 
 def covering_radius_1d(domain: Domain, x: SampleSet | np.ndarray) -> float:
-    """Exact covering radius on the one-dimensional domains: the interval, the
-    arcsine interval and the circle from sorted gaps, polylines from the lower
-    envelope per edge, and the truncated Cantor set from sorted gaps and a
-    digit descent in the gaps that can hold the maximum.
+    """Exact covering radius on the domains of has_exact_path: the interval,
+    the arcsine interval and the circle from sorted gaps, and the truncated
+    Cantor set from sorted gaps and a digit descent in the gaps that can hold
+    the maximum; UnsupportedDomainError on any other domain.
 
     A SampleSet must be of `domain` and is taken as it is. Raw samples off
     the domain raise ValueError: on the line domains the sorted ends must lie
@@ -223,22 +190,19 @@ def covering_radius_1d(domain: Domain, x: SampleSet | np.ndarray) -> float:
     are points of the Cantor set, which the prune relies on, is not checked:
     a vectorised digit check took about 20 ms at N = 1e5 on a 2-CPU host,
     five times the radius's 4 ms."""
+    if not has_exact_path(domain):
+        raise UnsupportedDomainError(f"no exact 1-D covering radius for {domain!r}")
     span = _line_range(domain)
     if span is not None:
         xs = _line_samples(domain, x)
         if isinstance(domain, Cantor):
             return _cantor_rho(domain, xs)
         return _interval_rho(xs, *span)
-    points = _points(domain, x)
-    raw = not isinstance(x, SampleSet)
-    if isinstance(domain, Sphere) and domain.d == 1:
-        if raw and (points.shape[1] != 2
-                    or not np.all(np.abs(row_norms(points) - 1.0) <= 1e-9)):
-            raise ValueError("samples leave the unit circle")
-        return _circle_rho(points)
-    if isinstance(domain, Polyline):
-        return _polyline_rho(domain, points)
-    raise UnsupportedDomainError(f"no exact 1-D covering radius for {domain!r}")
+    points = _points(domain, x)  # on the circle
+    if not isinstance(x, SampleSet) and (
+            points.shape[1] != 2 or not np.all(np.abs(row_norms(points) - 1.0) <= 1e-9)):
+        raise ValueError("samples leave the unit circle")
+    return _circle_rho(points)
 
 
 def covering_radius_window(

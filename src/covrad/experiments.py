@@ -172,7 +172,9 @@ def check_budget(n_grid, trials: int, force: bool = False, net_axes=()) -> float
     trial sorts its N samples, or builds a tree over them and queries it with
     about N rows of log2 N steps; plus A log2 A for each probe net of A axis
     coordinates (they grow with 1/eta), each charged once as a sample. Refuses
-    a study above BUDGET_LIMIT unless forced."""
+    a study above BUDGET_LIMIT unless forced (force must be True or False)."""
+    if not isinstance(force, bool):
+        raise ValueError(f"force must be true or false, got {force!r}")
     n_log2_n = lambda ns: sum(n * max(1.0, math.log2(n)) for n in ns)
     cost = trials * n_log2_n(n_grid) + n_log2_n(net_axes)
     print(f"estimated cost: {cost:.3g} distance evaluations", file=sys.stderr)

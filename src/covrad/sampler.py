@@ -18,13 +18,13 @@ order nor a reduction order moves the stream (see `_cantor_points`).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
 from . import spaces
+from .auxfn import is_count, is_integer
 from .spaces import (
     ArcsineInterval,
     Ball,
@@ -48,8 +48,7 @@ class SeedSpec:
     def __post_init__(self):
         # a float would be truncated to another seed's stream without a word,
         # and a bool taken as 0 or 1
-        if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) and 0 <= s < 2**64
-                   for s in (self.master_seed, self.stream_id)):
+        if not all(is_integer(s) and 0 <= s < 2**64 for s in (self.master_seed, self.stream_id)):
             raise ValueError("seeds must be unsigned 64-bit integers")
 
     def generator(self) -> np.random.Generator:
@@ -147,8 +146,8 @@ def _cantor_points(rng, n, domain: Cantor):
 
 def sample(domain: Domain, n: int, seed: SeedSpec) -> SampleSet:
     """Draw N i.i.d. points from the domain's normalized measure."""
-    if n < 1:
-        raise ValueError("need at least one point")
+    if not is_count(n):
+        raise ValueError(f"need a positive integer count of points, got {n!r}")
     rng = seed.generator()
     if isinstance(domain, Sphere):
         pts = _sphere_points(rng, n, domain.d)

@@ -12,7 +12,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .auxfn import is_count, real
+from .auxfn import is_count, is_integer, real
 from .errors import InvalidGeometryError, UnsupportedDomainError
 
 LOG2_OVER_LOG3 = math.log(2.0) / math.log(3.0)
@@ -104,6 +104,14 @@ class ArcsineInterval:
     diameter = 2.0
 
 
+def _coordinates(vertices) -> np.ndarray:
+    """Vertices as a float array; each coordinate must pass auxfn.real as any
+    finite number before it is converted, so "0" or true is not taken as 0 or 1."""
+    cells = np.asarray(vertices, dtype=object)
+    return np.array([real(x, "vertex coordinate", at_least=-math.inf) for x in cells.flat],
+                    dtype=float).reshape(cells.shape)
+
+
 class Polyline:
     """Chain of straight segments in R^D with normalized arclength measure."""
 
@@ -111,13 +119,10 @@ class Polyline:
     intrinsic_dim = 1
 
     def __init__(self, vertices):
-        v = np.asarray(vertices, dtype=float)
+        v = _coordinates(vertices)
         if v.ndim != 2 or v.shape[0] < 2:
             raise ValueError("polyline needs at least two vertices in R^D")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("polyline vertices must be finite")
-        seg = np.diff(v, axis=0)
-        lengths = row_norms(seg)
+        lengths = row_norms(np.diff(v, axis=0))
         if np.any(lengths == 0.0):
             raise ValueError("consecutive polyline vertices must be distinct")
         self.vertices = v
@@ -159,21 +164,22 @@ class Polyhedron3:
     intrinsic_dim = 3
 
     def __init__(self, vertices, tetrahedra, faces):
-        v = np.asarray(vertices, dtype=float)
+        v = _coordinates(vertices)
         if v.ndim != 2 or v.shape[1] != 3:
             raise ValueError("vertices must be an (n, 3) array")
-        tets = [tuple(int(i) for i in t) for t in tetrahedra]
+        tets, faces = [tuple(t) for t in tetrahedra], [tuple(f) for f in faces]
         if not tets or any(len(t) != 4 for t in tets):
             raise ValueError("tetrahedra must be 4-tuples of vertex indices")
+        for what, polys, least in (("tetrahedron", tets, 4), ("face", faces, 3)):
+            for k, poly in enumerate(polys):
+                if len(poly) < least or not all(is_integer(i) and 0 <= i < len(v) for i in poly):
+                    raise InvalidGeometryError(f"{what} {k} {list(poly)} needs at least "
+                                               f"{least} integer vertex indices in [0, {len(v)})")
         self.vertices = v
         self.vertices.setflags(write=False)
-        self.tetrahedra = tets
-        self.faces = [tuple(int(i) for i in f) for f in faces]
-        for what, polys, least in (("tetrahedron", tets, 4), ("face", self.faces, 3)):
-            for k, poly in enumerate(polys):
-                if len(poly) < least or not all(0 <= i < len(v) for i in poly):
-                    raise InvalidGeometryError(f"{what} {k} {list(poly)} needs at least "
-                                               f"{least} vertex indices in [0, {len(v)})")
+        # Python ints, so that a domain built from NumPy indices serialises
+        self.tetrahedra = tets = [tuple(map(int, t)) for t in tets]
+        self.faces = [tuple(map(int, f)) for f in faces]
         # each edge: (vertex_a, vertex_b, face_i, face_j), face_i running a -> b
         # and face_j running b -> a
         runs = {}
@@ -234,11 +240,7 @@ class Polyhedron3:
     def face_normal(self, face) -> np.ndarray:
         """Newell-method area vector of a face polygon (not normalized)."""
         pts = self.vertices[list(face)]
-        n = np.zeros(3)
-        for i in range(len(pts)):
-            p, q = pts[i], pts[(i + 1) % len(pts)]
-            n += np.cross(p, q)
-        return n / 2.0
+        return sum(map(np.cross, pts, np.roll(pts, -1, axis=0)), np.zeros(3)) / 2.0
 
     def contains_many(self, points: np.ndarray, tol: float = 1e-12,
                       half: np.ndarray | None = None) -> np.ndarray:
@@ -265,17 +267,11 @@ class Polyhedron3:
 
     @property
     def diameter(self) -> float:
-        lo = self.vertices.min(axis=0)
-        hi = self.vertices.max(axis=0)
-        return float(np.linalg.norm(hi - lo))
+        return float(np.linalg.norm(self.vertices.max(axis=0) - self.vertices.min(axis=0)))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Polyhedron3)
-            and np.array_equal(self.vertices, other.vertices)
-            and self.tetrahedra == other.tetrahedra
-            and self.faces == other.faces
-        )
+        return (isinstance(other, Polyhedron3) and np.array_equal(self.vertices, other.vertices)
+                and (self.tetrahedra, self.faces) == (other.tetrahedra, other.faces))
 
     def __hash__(self):
         return hash((self.kind, self.vertices.tobytes(), tuple(self.tetrahedra)))

@@ -1,6 +1,7 @@
 """Reference values that only the tests use: regularity witnesses of the catalog
 domains, ball measures, the exact expected covering radius on the circle, the
-windowed covering radius by a sorted search, a probe net of the Cantor set, the
+windowed covering radius by a sorted search, the exact covering radius of a
+polyline from its envelope crossings, a probe net of the Cantor set, the
 occupancy probability at high precision, auxfn's occupancy sums as written on
 mpmath's mpf objects, and the acceptance bands.
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from covrad.auxfn import OccupancyParams, _log_empty_one_cell
 from covrad.errors import ResourceLimitError, UnsupportedDomainError
-from covrad.nets import ProbeNet, _Piece
+from covrad.nets import ProbeNet, _Piece, build_index
 from covrad.sampler import SeedSpec, sample
 from covrad.spaces import (
     LOG2_OVER_LOG3,
@@ -217,6 +218,44 @@ def window_radius_searchsorted(xs: np.ndarray, w0: float, w1: float) -> float:
     left = np.where(pos > 0, np.abs(cand - xs[np.maximum(pos - 1, 0)]), np.inf)
     right = np.where(pos < xs.size, np.abs(xs[np.minimum(pos, xs.size - 1)] - cand), np.inf)
     return float(np.minimum(left, right).max())
+
+
+# ---------------------------------------------------------------------------
+# Exact covering radius of a polyline
+# ---------------------------------------------------------------------------
+
+
+def polyline_rho(domain: Polyline, points: np.ndarray) -> float:
+    """Exact sup over the polyline of the distance to the nearest sample.
+
+    Per edge, each sample point x_j restricted to the edge line gives the
+    distance function sqrt((t - t_j)^2 + h_j^2); the max of their lower
+    envelope is attained at an edge endpoint or at a pairwise crossing.
+    O(N^2) candidates per edge, each answered by one k-d tree query, in
+    O(N^2) memory. The library has no exact polyline path
+    (covering.has_exact_path); the polyline nets are checked against this.
+    """
+    index = build_index(points)
+    best = 0.0
+    for i in range(len(domain.vertices) - 1):
+        a = domain.vertices[i]
+        b = domain.vertices[i + 1]
+        length = float(np.linalg.norm(b - a))
+        u = (b - a) / length
+        t_j = (points - a) @ u
+        perp = points - a - np.outer(t_j, u)
+        h2_j = np.einsum("ij,ij->i", perp, perp)
+
+        candidates = [np.array([0.0, length])]
+        # crossing of envelope branches j < k: linear equation in t
+        c_j = t_j**2 + h2_j
+        for j in range(len(t_j)):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t_cross = (c_j[j + 1:] - c_j[j]) / (2.0 * (t_j[j + 1:] - t_j[j]))
+            candidates.append(t_cross[np.isfinite(t_cross) & (t_cross > 0.0) & (t_cross < length)])
+        t_cand = np.concatenate(candidates)
+        best = max(best, float(index.nearest_distances(a + t_cand[:, None] * u).max()))
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import load_bands
+from oracles import load_bands, polyline_rho
 
 from covrad.auxfn import (
     OccupancyParams,
@@ -170,7 +170,8 @@ def test_05_sandwich_soundness():
         for k in range(500):
             domain = domains[k % 3]
             pts = sample(domain, int(rng.integers(2, 60)), SeedSpec(500, k)).points
-            exact = covering_radius_1d(domain, pts)
+            exact = (polyline_rho if isinstance(domain, Polyline) else covering_radius_1d)(
+                domain, pts)
             b = covering_radius_bounds(domain, pts, nets[domain])
             if not (b.lower <= exact + 1e-12 and exact <= b.upper + 1e-12):
                 violations += 1

@@ -7,10 +7,10 @@ import json
 
 import numpy as np
 import pytest
+from oracles import polyline_rho
 
 from covrad.cli import TABLE, build_parser
 from covrad.cli import main as cli_main
-from covrad.covering import covering_radius_1d
 from covrad.sampler import SeedSpec, sample
 from covrad.spaces import Polyline
 
@@ -153,6 +153,38 @@ def test_refuses_a_tiny_eta_before_any_net_or_sample(command, monkeypatch, capsy
     assert cli_main([*TINY_ETA[command], "--trials", "2"]) == 2
     err = capsys.readouterr().err
     assert "refused" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("force", ["false", "true", 0, None])
+def test_rejects_a_force_that_is_not_a_bool(force, tmp_path, monkeypatch, capsys):
+    # the string "false" passed the budget gate as true, and an interval study
+    # estimated at 2.7e11 started allocating
+    for name in ("sample", "build_probe_net"):
+        monkeypatch.setattr(f"covrad.experiments.{name}", lambda *a: pytest.fail(
+            "a study with a non-bool force built a net or drew a sample"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"force": force, "n_grid": [100000000], "trials": 100}))
+    _exit_1(["study", "--domain", "interval", "--config", str(cfg)], capsys)
+
+
+@pytest.mark.parametrize("domain", [0, 1, True], ids=["stdin", "stdout", "bool"])
+def test_rejects_a_domain_that_is_not_a_name_path_or_document(domain, tmp_path, monkeypatch,
+                                                              capsys):
+    # open() took an int as a file descriptor: 0 read a domain document from
+    # stdin and ran its study, and 1 closed stdout
+    real_open = open
+
+    def no_descriptor(file, *args, **kwargs):
+        if not isinstance(file, str):
+            pytest.fail(f"the domain {file!r} reached open()")
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("covrad.cli.open", no_descriptor, raising=False)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"domain": domain, "n_grid": [50], "trials": 2}))
+    out = tmp_path / "s.csv"
+    _exit_1(["study", "--config", str(cfg), "--out", str(out)], capsys)
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 @pytest.mark.parametrize("command", sorted(TINY_ETA))
@@ -309,6 +341,6 @@ def test_polyline_study_from_an_inline_document(tmp_path, capsys):
     assert cli_main(["study", "--config", str(cfg)]) == 0
     row = dict(zip(*(line.split(",") for line in out.read_text().splitlines())))
     domain = Polyline(vertices)
-    exact = np.mean([covering_radius_1d(domain, sample(domain, 100, SeedSpec(0, t)))
+    exact = np.mean([polyline_rho(domain, sample(domain, 100, SeedSpec(0, t)).points)
                      for t in range(5)])
     assert float(row["mean_rho_p_lower"]) <= exact <= float(row["mean_rho_p_upper"])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import ball_measure, cantor_net, window_radius_searchsorted
+from oracles import ball_measure, cantor_net, polyline_rho, window_radius_searchsorted
 from scipy.spatial import ConvexHull
 from test_nets import CERT_DOMAINS, probe_net
 from test_spaces import equilateral_prism, regular_tetrahedron
@@ -17,9 +17,11 @@ from covrad.covering import (
     covering_radius_1d,
     covering_radius_bounds,
     covering_radius_window,
+    has_exact_path,
     probe_mesh_for,
     rho_scale,
 )
+from covrad.cli import BUILTIN_DOMAINS
 from covrad.errors import UnsupportedDomainError
 from covrad.nets import ProbeNet, build_index, build_probe_net
 from covrad.sampler import SeedSpec, sample
@@ -64,7 +66,7 @@ class TestCoveringRadius1D:
     def test_polyline_matches_brute_force(self):
         domain = Polyline([[0, 0], [1, 0], [1, 2]])
         pts = sample(domain, 20, SeedSpec(5, 0)).points
-        exact = covering_radius_1d(domain, pts)
+        exact = polyline_rho(domain, pts)
         probe = build_probe_net(domain, 1e-4).points
         brute = build_index(pts).nearest_distances(probe).max()
         assert brute <= exact <= brute + 2e-4
@@ -97,7 +99,7 @@ class TestCoveringRadius1D:
 
         for n, seed in [(1, 0), (2, 1), (20, 2), (60, 3), (150, 4)]:
             pts = sample(domain, n, SeedSpec(seed, 0)).points
-            assert covering_radius_1d(domain, pts) == pytest.approx(dense(pts), rel=0, abs=1e-12)
+            assert polyline_rho(domain, pts) == pytest.approx(dense(pts), rel=0, abs=1e-12)
 
     def test_polyline_memory_is_quadratic(self):
         # the dense envelope held N^2 candidates against N samples: 216 MB at N = 300
@@ -105,7 +107,7 @@ class TestCoveringRadius1D:
         pts = sample(domain, 300, SeedSpec(8, 0)).points
         tracemalloc.start()
         try:
-            covering_radius_1d(domain, pts)
+            polyline_rho(domain, pts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -166,8 +168,8 @@ class TestCoveringRadius1D:
         domain = Polyline(base)
         scaled = Polyline(base * lam)
         pts = sample(domain, 15, SeedSpec(6, 0)).points
-        assert covering_radius_1d(scaled, pts * lam) == pytest.approx(
-            lam * covering_radius_1d(domain, pts), rel=1e-12
+        assert polyline_rho(scaled, pts * lam) == pytest.approx(
+            lam * polyline_rho(domain, pts), rel=1e-12
         )
 
 
@@ -288,6 +290,15 @@ class TestWindowedCoveringRadius:
         got = covering_radius_window(ArcsineInterval(), xs, window, n)
         assert got == window_radius_searchsorted(np.sort(xs), *window.bounds(n))
 
+    @pytest.mark.parametrize("n", [2.5, True], ids=["float", "bool"])
+    def test_window_size_is_a_count(self, n):
+        # 2.5 gave the window for N = 2.5, and True the one for N = 1
+        x = sample(ArcsineInterval(), 10, SeedSpec(0, 0))
+        with pytest.raises(ValueError, match="window size N must be a positive integer"):
+            WindowSpec(2.0).bounds(n)
+        with pytest.raises(ValueError, match="window size N must be a positive integer"):
+            covering_radius_window(ArcsineInterval(), x, WindowSpec(2.0), n)
+
     def test_two_point_window(self):
         u = 0.01  # window [1-u, 1] for N=10, a=2
         w = WindowSpec(2.0, "right_edge")
@@ -383,7 +394,8 @@ class TestSandwichBounds:
         for k in range(60):
             domain = domains[k % 3]
             pts = sample(domain, int(rng.integers(2, 40)), SeedSpec(100, k)).points
-            exact = covering_radius_1d(domain, pts)
+            exact = (polyline_rho if isinstance(domain, Polyline) else covering_radius_1d)(
+                domain, pts)
             b = covering_radius_bounds(domain, pts, nets[domain])
             assert b.lower <= exact + 1e-12
             assert exact <= b.upper + 1e-12
@@ -618,8 +630,7 @@ class TestBallMeasure:
             ball_measure(Cube(2), [0.0, 0.0], 0.1, mc_budget=10)
 
 
-EXACT_DOMAINS = [IntervalUniform(), ArcsineInterval(), Sphere(1), Cantor(40),
-                 Polyline([[0.0, 0.0], [1.0, 0.0], [1.0, 2.0]])]
+EXACT_DOMAINS = [IntervalUniform(), ArcsineInterval(), Sphere(1), Cantor(40)]
 
 
 class TestExactBounds:
@@ -633,11 +644,24 @@ class TestExactBounds:
             b = covering_radius_bounds(domain, sset, None)
             assert (b.lower, b.upper, b.probe_mesh) == (rho, rho, 0.0)
 
-    @pytest.mark.parametrize("domain", [Sphere(2), Cube(2)], ids=repr)
+    @pytest.mark.parametrize("domain", [Sphere(2), Cube(2),
+                                        Polyline([[0.0, 0.0], [1.0, 0.0], [1.0, 2.0]])], ids=repr)
     def test_no_exact_path_off_the_1d_domains(self, domain):
+        # nor on a polyline: its exact radius, O(N^2), is the test oracle polyline_rho
         sset = sample(domain, 50, SeedSpec(21, 0))
         with pytest.raises(UnsupportedDomainError):
             covering_radius_bounds(domain, sset, None)
+
+    @pytest.mark.parametrize("domain", [*BUILTIN_DOMAINS.values(), Ball(1), Cube(1),
+                                        Polyline([[0.0, 0.0], [1.0, 0.0], [1.0, 2.0]])], ids=repr)
+    def test_has_exact_path_names_the_domains_covering_radius_1d_takes(self, domain):
+        x = sample(domain, 50, SeedSpec(0, 0))
+        try:
+            covering_radius_1d(domain, x)
+        except UnsupportedDomainError:
+            assert not has_exact_path(domain)
+        else:
+            assert has_exact_path(domain)
 
     def test_samples_of_another_domain_are_refused(self):
         sset = sample(Cantor(20), 50, SeedSpec(22, 0))

@@ -114,6 +114,11 @@ class TestBudget:
     def test_force_overrides(self):
         assert check_budget([10**7], 1000, force=True) > 1e10
 
+    @pytest.mark.parametrize("force", ["false", 0, None, np.True_], ids=repr)
+    def test_force_is_a_bool(self, force):
+        with pytest.raises(ValueError, match="force must be true or false"):
+            check_budget([100], 5, force=force)
+
     def test_estimate_goes_to_stderr(self, capsys):
         check_budget([100], 5)
         captured = capsys.readouterr()

@@ -131,6 +131,12 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             sample(IntervalUniform(), 0, SeedSpec(0, 0))
 
+    @pytest.mark.parametrize("n", [True, 2.5, "3"], ids=["bool", "float", "string"])
+    def test_counts_go_through_is_count(self, n):
+        # True raised NumPy's TypeError, and so did 2.5 and "3"
+        with pytest.raises(ValueError, match="positive integer count of points"):
+            sample(IntervalUniform(), n, SeedSpec(0, 0))
+
 
 class TestMembership:
     def test_interval(self):

@@ -514,6 +514,25 @@ class TestSerialization:
         with pytest.raises(ValueError, match="must be an integer"):
             domain_from_dict(doc)
 
+    @pytest.mark.parametrize("key,row,col,value", [
+        ("tetrahedra", 0, 3, 6.9), ("tetrahedra", 0, 0, "0"), ("faces", 0, 0, False),
+        ("vertices", 0, 0, "0"), ("vertices", 6, 2, True),
+    ], ids=["float-index", "string-index", "bool-face-index", "string-coordinate",
+            "bool-coordinate"])
+    def test_polyhedron_numbers_follow_the_catalog_rules(self, key, row, col, value):
+        # int() built index 6.9 as vertex 6, and the box compared equal to
+        # unit_box_polyhedron(); a float conversion took "0" and true as 0.0 and 1.0
+        doc = domain_to_dict(unit_box_polyhedron())
+        doc["params"][key][row][col] = value
+        with pytest.raises(ValueError, match="integer vertex indices|vertex coordinate"):
+            domain_from_dict(doc)
+
+    @pytest.mark.parametrize("value", ["0", True], ids=["string", "bool"])
+    def test_polyline_coordinates_are_real_numbers(self, value):
+        doc = {"kind": "Polyline", "params": {"vertices": [[0, 0], [1, value], [1, 2]]}}
+        with pytest.raises(ValueError, match="vertex coordinate"):
+            domain_from_dict(doc)
+
     def test_integer_parameters_are_kept(self):
         assert domain_from_dict({"kind": "Sphere", "params": {"d": np.int64(2)}}) == Sphere(2)
         assert domain_from_dict({"kind": "Cantor"}) == Cantor(40)
