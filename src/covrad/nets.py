@@ -35,15 +35,15 @@ an affine map.
 
 Blocks. Each piece's grid is cut into finest blocks of about 8 certified
 meshes (sizing the grid step by the map's Lipschitz bound on the whole piece).
-Its top level has blocks 2^k finest sides wide, for the smallest k that leaves
-at most 64 of them per copy, and each level below splits a block into the
-2^dim blocks of half its side in its copy, so no block spans two copies. Rows
-stay in copy order (the top level lists copy by copy, children follow their
-parent, dropped rows keep the order), so a map sees each copy's rows as one
-run. Blocks that start past the grid, and blocks that cannot hold
-a kept point (a box clear of the ball, one that contains_many's box form finds
-clear of every tetrahedron of a polyhedron, or one below a triangle's
-diagonal), are left out.
+The top levels have blocks 2^k finest sides wide, with one k for the whole net
+(its depth): the smallest at which each piece's top holds at most 2048 blocks
+over all its copies. Each level below splits a block into the 2^dim blocks of
+half its side in its copy, so no block spans two copies. Rows stay in copy
+order (the top level lists copy by copy, children follow their parent, dropped
+rows keep the order), so a map sees each copy's rows as one run. Blocks that
+start past the grid, and blocks that cannot hold a kept point (a box clear of
+the ball, one that contains_many's box form finds clear of every tetrahedron
+of a polyhedron, or one below a triangle's diagonal), are left out.
 Each block has a representative (the image of its middle grid point) and a
 reach r >= the distance from the representative to the image of any grid point
 of the block: the distance in the grid box from the middle point to the
@@ -51,18 +51,17 @@ farthest corner, times a Lipschitz bound of the map on the box, plus 1e-9 of
 the coordinate scale for rounding. The bounds: 1 for the identity; 1/min|x|
 over the box for the radial projection of a cube face, since
 |x/|x| - y/|y|| <= |x - y|/sqrt(|x||y|) and |x| >= 1 there; and the spectral
-norm for affine maps. A net stores its pieces' 1-D axes and top levels
-only, so building it costs at most 64 blocks per copy however fine its
-grid; only the axes grow with 1/mesh (axis_points bounds them unbuilt).
+norm for affine maps. A net stores its pieces' 1-D axes and top levels only,
+so building it costs at most 2048 blocks per piece however fine its grid; only
+the axes grow with 1/mesh (axis_points bounds them unbuilt).
 
 The walk. d(y) = dist(y, X) is 1-Lipschitz, so d <= d(p) + r on a block with
-representative p. ProbeNet.max_nearest_distance refines the top levels down to
-the finest blocks, a piece joining at its top so that all pieces reach their
-finest blocks together. A query returns d(p) and the row of the sample x_nn
-nearest to p, and each kept block hands its x_nn and copy down to its
-children, which are generated (as the last probe points are) a few thousand
-rows at a time. Each level drops the children whose representative c has
-(|c - x_nn| + r)(1 + 1e-12) < L with no query, since d(c) <= |c - x_nn|;
+representative p. ProbeNet.max_nearest_distance refines all pieces' top levels
+together down to the finest blocks. A query returns d(p) and the row of the
+sample x_nn nearest to p, and each kept block hands its x_nn and copy down to
+its children, which are generated (as the last probe points are) a few
+thousand rows at a time. Each level drops the children whose representative c
+has (|c - x_nn| + r)(1 + 1e-12) < L with no query, since d(c) <= |c - x_nn|;
 evaluates d at the other children's representatives, all pieces in one query;
 raises L to the largest value at a representative the keep-mask keeps (a probe
 value, so L never passes the net's maximum; a masked representative is no
@@ -108,20 +107,12 @@ from .spaces import (
 )
 
 
-def _one(lo, hi):
-    return 1.0
-
-
-def _identity(x, copy):
-    return x
-
-
 @dataclass(frozen=True)
 class _Piece:
     """Probe points fmap(x, copy) for the grid coordinates x that keep(x), copy by copy."""
     axes: tuple
-    fmap: Callable = _identity   # (m, k) grid coordinates, (m,) copies in order -> (m, dim) points
-    lip: Callable = _one         # (lo, hi) grid-box corners -> Lipschitz bound of fmap
+    fmap: Callable = lambda x, copy: x  # (m, k) grid coordinates, (m,) copies -> (m, dim)
+    lip: Callable = lambda lo, hi: 1.0  # (lo, hi) grid-box corners -> Lipschitz bound of fmap
     keep: Callable | None = None  # (m, k) grid coordinates -> kept
     holds: Callable | None = None  # (lo, hi) -> False where no grid point is kept
     copies: int = 1
@@ -149,13 +140,6 @@ class _Level(NamedTuple):
 
     def compress(self, keep: np.ndarray) -> _Level:
         return _Level(*(None if a is None else np.compress(keep, a, axis=0) for a in self))
-
-
-class _Blocks(NamedTuple):
-    """A piece's finest block side, the number of levels below its top, and its top level."""
-    side: np.ndarray
-    depth: int
-    top: _Level
 
 
 @lru_cache(maxsize=64)
@@ -195,19 +179,24 @@ def _level(piece: _Piece, first: np.ndarray, copy: np.ndarray, size: np.ndarray,
     return _Level(first, copy, reps, reach, None if piece.keep is None else piece.keep(mid), nn)
 
 
-def _blocks(piece: _Piece, width: float) -> _Blocks:
-    shape = np.array(piece.shape)
+def _side(piece: _Piece, width: float) -> np.ndarray:
+    """A piece's finest block side in grid steps: width under its map's Lipschitz bound."""
     ends = np.stack([[axis[0] for axis in piece.axes], [axis[-1] for axis in piece.axes]])
     lip = float(np.max(piece.lip(ends[:1], ends[1:])))
     step = np.array([np.diff(axis).min() if len(axis) > 1 else np.inf for axis in piece.axes])
-    side = np.clip(np.round(width / (lip * step)), 1, shape).astype(np.int64)
-    depth = 0
-    while np.prod(-(-shape // (side << depth))) > 64:  # sweep of 8-512 in CHANGES.md
-        depth += 1
+    return np.clip(np.round(width / (lip * step)), 1, piece.shape).astype(np.int64)
+
+
+def _cut(piece: _Piece, side: np.ndarray, depth: int) -> _Level:
+    """The piece's top level: blocks depth levels above the finest, of the given side."""
     size = side << depth
-    first = _box(tuple(-(-shape // size))) * size
+    first = _box(tuple(-(-np.array(piece.shape) // size))) * size
     copy = np.repeat(np.arange(piece.copies), len(first))
-    return _Blocks(side, depth, _level(piece, np.tile(first, (piece.copies, 1)), copy, size))
+    return _level(piece, np.tile(first, (piece.copies, 1)), copy, size)
+
+
+# the most top blocks a piece has over all its copies (sweep of 512-8192 in CHANGES.md)
+_TOP = 2048
 
 
 @dataclass(frozen=True)
@@ -216,15 +205,25 @@ class ProbeNet:
     domain: Domain
     pieces: tuple = field(repr=False)
     certified_mesh: float
-    cells: tuple = field(init=False, repr=False, compare=False)
+    depth: int = field(init=False, repr=False, compare=False)  # levels under the tops
+    sides: tuple = field(init=False, repr=False, compare=False)  # each piece's finest blocks
+    tops: tuple = field(init=False, repr=False, compare=False)  # each piece's top level
 
     def __post_init__(self):
         if self.certified_mesh <= 0:
             raise ValueError("certified mesh must be positive")
         # finest blocks 8 meshes wide: at N=1e5 (2 CPUs; every build under 3 ms) 6 and 12
         # walked sphere2, ball2 and cube2 as fast, 6 walked cube3 1.2x and 12 8x slower
-        width = 8 * self.certified_mesh
-        object.__setattr__(self, "cells", tuple(_blocks(p, width) for p in self.pieces))
+        sides = tuple(_side(p, 8 * self.certified_mesh) for p in self.pieces)
+        # the fewest levels for all pieces, so that they enter the walk together
+        depth = 0
+        while any(p.copies * math.prod(-(-np.array(p.shape) // (side << depth))) > _TOP
+                  for p, side in zip(self.pieces, sides)):
+            depth += 1
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "sides", sides)
+        object.__setattr__(self, "tops", tuple(_cut(p, side, depth)
+                                               for p, side in zip(self.pieces, sides)))
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -245,11 +244,11 @@ class ProbeNet:
         """index.nearest_distances(points).max(), from the blocks that can hold it."""
         samples = index.points
         lower, live = -math.inf, []  # (piece, a run of its kept blocks (first, nn, copy))
-        for level in range(max(c.depth for c in self.cells), -1, -1):
-            # (piece, the blocks evaluated): top levels, then children run by run
-            batch = [(p, cells.top) for p, cells in enumerate(self.cells) if cells.depth == level]
+        for level in range(self.depth, -1, -1):
+            # (piece, the blocks evaluated): every piece's top, then children run by run
+            batch = [] if level < self.depth else list(enumerate(self.tops))
             for p, blocks in live:
-                size = self.cells[p].side << level
+                size = self.sides[p] << level
                 batch += [(p, _children(self.pieces[p], run, size, samples, lower))
                           for run in _runs(blocks, 2 ** len(size))]
             d, nn = index.nearest(np.concatenate([lev.reps for _, lev in batch]))
@@ -257,15 +256,14 @@ class ProbeNet:
             parts = list(zip(np.split(d, cuts), np.split(nn, cuts)))
             for (_, lev), (dp, _) in zip(batch, parts):
                 probe = dp if lev.ok is None else np.compress(lev.ok, dp)
-                if len(probe):
-                    lower = max(lower, float(probe.max()))
+                lower = max(lower, float(probe.max(initial=-math.inf)))
             live = []
             for (p, lev), (dp, nnp) in zip(batch, parts):
                 keep = (dp + lev.reach) * (1 + 1e-12) >= lower
                 live.append((p, tuple(np.compress(keep, a, axis=0)
                                       for a in (lev.first, nnp, lev.copy))))
-        pts = [_probes(self.pieces[p], run, self.cells[p].side, samples, lower)
-               for p, blocks in live for run in _runs(blocks, math.prod(self.cells[p].side))]
+        pts = [_probes(self.pieces[p], run, self.sides[p], samples, lower)
+               for p, blocks in live for run in _runs(blocks, math.prod(self.sides[p]))]
         return float(index.nearest_distances(np.concatenate(pts)).max())
 
 

@@ -418,6 +418,8 @@ def domain_from_dict(doc: dict) -> Domain:
     missing parameter with no default reaches it as None and is rejected."""
     kind = doc["kind"]
     params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError(f"domain params must be an object, not {params!r}")
     if kind in _KINDS:
         cls = _KINDS[kind]
         return cls(**{f.name: params.get(f.name, None if f.default is MISSING else f.default)

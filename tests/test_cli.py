@@ -247,6 +247,17 @@ def test_rejects_non_integer_domain_parameter(params, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [dom]
 
 
+@pytest.mark.parametrize("params", [3, [3], "3"], ids=["int", "list", "string"])
+def test_rejects_domain_params_that_are_not_an_object(params, tmp_path, capsys):
+    # params.get on an int, list or string ended in an AttributeError traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"domain": {"kind": "Sphere", "params": params},
+                               "n_grid": [50], "trials": 2}))
+    out = tmp_path / "s.csv"
+    _exit_1(["study", "--config", str(cfg), "--out", str(out)], capsys)
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 @pytest.mark.parametrize("command", ["zn", "versus"])
 @pytest.mark.parametrize("d", [True, 1.0])
 def test_rejects_non_integer_d(command, d, tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import ball_measure, cantor_net, polyline_rho, window_radius_searchsorted
 from scipy.spatial import ConvexHull
-from test_nets import CERT_DOMAINS, probe_net
+from test_nets import BLOCK_DOMAINS, CERT_DOMAINS, cut, probe_net
 from test_spaces import equilateral_prism, regular_tetrahedron
 
 from covrad.covering import (
@@ -404,15 +404,18 @@ class TestSandwichBounds:
 _NETS: dict = {}
 
 
-def _net(domain, mesh):
-    key = (repr(domain), mesh)
+def _net(domain, mesh, deeper=0):
+    """The probe net, cut deeper levels below its own depth (cached)."""
+    key = (repr(domain), mesh, deeper)
     if key not in _NETS:
-        _NETS[key] = probe_net(domain, mesh)
+        net = probe_net(domain, mesh)
+        _NETS[key] = cut(net, net.depth + deeper) if deeper else net
     return _NETS[key]
 
 
-# nets deep enough that the cell walk has several levels and prunes; the 3-D
-# sphere and ball are the coarsest with three levels (1.48M and 409k points)
+# nets fine enough that the cell walk, cut two levels below their own depth,
+# has several levels and prunes; the 3-D sphere and ball have 1.48M and 409k
+# points, and a 3-level cube3 net at the build's own cut would hold about 45M
 DEEP_NETS = [(Cube(2), 0.002), (Cube(3), 0.01), (Sphere(2), 0.005), (Ball(2), 0.003),
              (Sphere(3), 0.031), (Ball(3), 0.032), (Cantor(20), 1e-5),
              (unit_box_polyhedron(), 0.015)]
@@ -420,7 +423,7 @@ DEEP_NETS = [(Cube(2), 0.002), (Cube(3), 0.01), (Sphere(2), 0.005), (Ball(2), 0.
 
 def levels(net) -> int:
     """Levels of blocks the walk evaluates before the finest blocks' points."""
-    return max(cells.depth for cells in net.cells) + 1
+    return net.depth + 1
 
 
 class TestPrunedMaximum:
@@ -457,9 +460,29 @@ class TestPrunedMaximum:
     @given(n=st.sampled_from([1, 10, 1000, 5000]), seed=st.integers(0, 2**32),
            dup=st.integers(0, 50), probe_at=st.none() | st.integers(0, 10**7))
     def test_deep_nets(self, domain, mesh, n, seed, dup, probe_at):
-        net = _net(domain, mesh)
+        net = _net(domain, mesh, deeper=2)
         assert levels(net) >= 3  # coarse-to-fine levels above the finest blocks' points
         self.check(domain, net, n, seed, dup, probe_at)
+
+    @pytest.mark.parametrize("domain, mesh", BLOCK_DOMAINS, ids=lambda v: repr(v)[:24])
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(1, 3) | st.integers(4, 400), seed=st.integers(0, 2**32),
+           dup=st.integers(0, 3), probe_at=st.none() | st.integers(0, 10**6))
+    @example(n=1, seed=0, dup=2, probe_at=None)
+    @example(n=2, seed=1, dup=1, probe_at=0)
+    def test_every_cut_walks_to_the_same_maximum(self, domain, mesh, n, seed, dup, probe_at):
+        # the walk's L does not depend on the depth the pieces are cut at: the
+        # top as the finest blocks, the net's own cut and a deeper one
+        net = _net(domain, mesh)
+        x = sample(domain, n, SeedSpec(seed, 0)).points.reshape(n, -1)
+        x = np.concatenate([x, x[:dup]])  # duplicated sample points
+        if probe_at is not None:
+            x[-1] = net.points[probe_at % len(net.points)]
+        index = build_index(x)
+        full = float(index.nearest_distances(net.points).max())
+        walked = [cut(net, depth).max_nearest_distance(index)
+                  for depth in (0, net.depth, net.depth + 3)]
+        assert walked == [full] * 3
 
     @settings(max_examples=10, deadline=None)
     @given(n=st.sampled_from([1, 10, 1000]), seed=st.integers(0, 2**32),
@@ -469,7 +492,7 @@ class TestPrunedMaximum:
         # sphere net's and the interior grid's, on |y| = 1
         domain = Ball(2)
         x = scale * sample(domain, n, SeedSpec(seed, 0)).points
-        at = self.check_at(domain, _net(domain, 0.003), x)
+        at = self.check_at(domain, _net(domain, 0.003, deeper=2), x)
         assert np.allclose(np.linalg.norm(at, axis=1), 1.0)
 
     @settings(max_examples=10, deadline=None)
@@ -485,7 +508,7 @@ class TestPrunedMaximum:
         domain = Sphere(2)
         x = sample(domain, max(100 * n, 1000), SeedSpec(seed, 0)).points
         x = x[side * x[:, ax] > 0.9][:n]
-        at = self.check_at(domain, _net(domain, 0.005), x)
+        at = self.check_at(domain, _net(domain, 0.005, deeper=2), x)
         assert (side * at[:, ax] < -0.9).all()
 
     @settings(max_examples=10, deadline=None)
@@ -495,7 +518,7 @@ class TestPrunedMaximum:
         # the face lattices, the vertices and the masked interior grid
         domain = unit_box_polyhedron()
         x = sample(domain, n, SeedSpec(seed, 0)).points * [1.0, 1.0, 0.0]
-        at = self.check_at(domain, _net(domain, 0.015), x)
+        at = self.check_at(domain, _net(domain, 0.015, deeper=2), x)
         assert (at[:, 2] == 1.0).all()
 
     @pytest.mark.parametrize("domain", [regular_tetrahedron(), equilateral_prism()],

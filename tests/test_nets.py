@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -10,7 +11,15 @@ from test_spaces import equilateral_prism, regular_tetrahedron
 
 from covrad.covering import probe_mesh_for
 from covrad.errors import UnsupportedDomainError
-from covrad.nets import ProbeNet, _cube_axes, _level, axis_points, build_index, build_probe_net
+from covrad.nets import (
+    ProbeNet,
+    _cube_axes,
+    _cut,
+    _level,
+    axis_points,
+    build_index,
+    build_probe_net,
+)
 from covrad.sampler import SeedSpec, sample
 from covrad.spaces import (
     ArcsineInterval,
@@ -83,12 +92,27 @@ def probe_net(domain, mesh):
     return build_probe_net(domain, mesh)
 
 
-def refine(piece, cells):
+def cut(net, depth):
+    """The net with every piece cut at the given depth by the helper its build
+    uses, so a test can walk more levels than the net's own cut."""
+    out = dataclasses.replace(net)
+    object.__setattr__(out, "depth", depth)
+    object.__setattr__(out, "tops", tuple(_cut(piece, side, depth)
+                                          for piece, side in zip(net.pieces, net.sides)))
+    return out
+
+
+def own_and_deeper(net):
+    """The net as built, and cut three levels deeper (its own cut is often its finest)."""
+    return net, cut(net, net.depth + 3)
+
+
+def refine(piece, side, top, depth):
     """A piece's levels of blocks, top first, each block split into all its
     children (in its copy) down to the finest side, with no pruning."""
-    levels = [cells.top]
-    for j in range(cells.depth - 1, -1, -1):
-        size = cells.side << j
+    levels = [top]
+    for j in range(depth - 1, -1, -1):
+        size = side << j
         corners = np.array(list(itertools.product((0, 1), repeat=len(size))))
         kids = levels[-1].first[:, None, :] + corners * size
         copy = np.repeat(levels[-1].copy, len(corners))
@@ -96,11 +120,11 @@ def refine(piece, cells):
     return levels
 
 
-def grid_points(piece, cells, finest):
+def grid_points(piece, side, finest):
     """Every grid point of a piece's finest blocks: its grid index, copy, image
     and keep-mask."""
-    offsets = np.array(list(itertools.product(*(range(s) for s in cells.side))))
-    idx = (finest.first[:, None, :] + offsets).reshape(-1, len(cells.side))
+    offsets = np.array(list(itertools.product(*(range(s) for s in side))))
+    idx = (finest.first[:, None, :] + offsets).reshape(-1, len(side))
     copy = np.repeat(finest.copy, len(offsets))
     inside = (idx < piece.shape).all(axis=1)
     idx, copy = idx[inside], copy[inside]
@@ -217,65 +241,83 @@ class TestBlocks:
     @pytest.mark.parametrize("domain,mesh", BLOCK_DOMAINS, ids=lambda v: repr(v)[:24])
     def test_blocks_hold_every_probe_point(self, domain, mesh):
         # blocks the top level leaves out, or refinement drops, hold no probe point
-        net = probe_net(domain, mesh)
-        held = np.concatenate([pts[kept] for piece, cells in zip(net.pieces, net.cells)
-                               for _, _, pts, kept in [grid_points(piece, cells,
-                                                                   refine(piece, cells)[-1])]])
         rows = lambda a: a[np.lexsort(a.T[::-1])]
-        assert np.array_equal(rows(held), rows(np.array(net.points)))
+        for net in own_and_deeper(probe_net(domain, mesh)):
+            held = np.concatenate([
+                pts[kept] for piece, side, top in zip(net.pieces, net.sides, net.tops)
+                for _, _, pts, kept in [grid_points(piece, side,
+                                                    refine(piece, side, top, net.depth)[-1])]])
+            assert np.array_equal(rows(held), rows(np.array(net.points)))
 
     @pytest.mark.parametrize("domain,mesh", BLOCK_DOMAINS, ids=lambda v: repr(v)[:24])
     def test_reach_covers_every_grid_point(self, domain, mesh):
         # on every level, each grid point's image lies within its block's reach
         # of the block's representative, masked or not, in every copy
-        net = probe_net(domain, mesh)
-        for piece, cells in zip(net.pieces, net.cells):
-            levels = refine(piece, cells)
-            idx, copy, pts, _ = grid_points(piece, cells, levels[-1])
-            for j, level in zip(range(cells.depth, -1, -1), levels):
-                size = cells.side << j
-                counts = (piece.copies, *-(-np.array(piece.shape) // size))
-                block = np.full(math.prod(counts), -1)
-                block[np.ravel_multi_index((level.copy, *(level.first // size).T),
-                                           counts)] = np.arange(len(level.first))
-                block = block[np.ravel_multi_index((copy, *(idx // size).T), counts)]
-                assert (block >= 0).all()
-                gap = np.linalg.norm(pts - level.reps[block], axis=1)
-                assert (gap <= level.reach[block]).all()
+        for net in own_and_deeper(probe_net(domain, mesh)):
+            for piece, side, top in zip(net.pieces, net.sides, net.tops):
+                levels = refine(piece, side, top, net.depth)
+                idx, copy, pts, _ = grid_points(piece, side, levels[-1])
+                for j, level in zip(range(net.depth, -1, -1), levels):
+                    size = side << j
+                    counts = (piece.copies, *-(-np.array(piece.shape) // size))
+                    block = np.full(math.prod(counts), -1)
+                    block[np.ravel_multi_index((level.copy, *(level.first // size).T),
+                                               counts)] = np.arange(len(level.first))
+                    block = block[np.ravel_multi_index((copy, *(idx // size).T), counts)]
+                    assert (block >= 0).all()
+                    gap = np.linalg.norm(pts - level.reps[block], axis=1)
+                    assert (gap <= level.reach[block]).all()
 
     @pytest.mark.parametrize("domain,mesh", BLOCK_DOMAINS, ids=lambda v: repr(v)[:24])
     def test_blocks_stay_in_one_copy_in_copy_order(self, domain, mesh):
         # the top level holds blocks of every copy; each child lies in its
         # parent's copy, so a block never spans two copies; and copy never falls
         # along a level, which the faces' runs in fmap rely on
-        net = probe_net(domain, mesh)
-        for piece, cells in zip(net.pieces, net.cells):
-            levels = refine(piece, cells)
-            assert np.array_equal(np.unique(cells.top.copy), np.arange(piece.copies))
-            for j, level, parents in zip(range(cells.depth, -1, -1), levels, [None, *levels]):
-                assert level.copy.shape == (len(level.first),)
-                assert (np.diff(level.copy) >= 0).all()
-                if parents is not None:
-                    up = level.first // (2 * cells.side << j) * (2 * cells.side << j)
-                    known = {(c, *f) for c, f in zip(parents.copy.tolist(),
-                                                     parents.first.tolist())}
-                    assert all((c, *f) in known for c, f in zip(level.copy.tolist(),
-                                                                up.tolist()))
+        for net in own_and_deeper(probe_net(domain, mesh)):
+            for piece, side, top in zip(net.pieces, net.sides, net.tops):
+                levels = refine(piece, side, top, net.depth)
+                assert np.array_equal(np.unique(top.copy), np.arange(piece.copies))
+                for j, level, parents in zip(range(net.depth, -1, -1), levels,
+                                             [None, *levels]):
+                    assert level.copy.shape == (len(level.first),)
+                    assert (np.diff(level.copy) >= 0).all()
+                    if parents is not None:
+                        up = level.first // (2 * side << j) * (2 * side << j)
+                        known = {(c, *f) for c, f in zip(parents.copy.tolist(),
+                                                         parents.first.tolist())}
+                        assert all((c, *f) in known for c, f in zip(level.copy.tolist(),
+                                                                    up.tolist()))
 
     def test_build_is_bounded_by_the_top_level(self):
         # 1.58e9 grid points in 4.66M finest blocks: the build allocates and
-        # stores the top level's blocks only
+        # stores the top level's blocks only, at most 2048 of them
         tracemalloc.start()
         try:
             net = build_probe_net(Cube(3), probe_mesh_for(Cube(3), 10**6, 0.05))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        (piece,), (cells,) = net.pieces, net.cells
+        (piece,), (side,), (top,) = net.pieces, net.sides, net.tops
         assert math.prod(piece.shape) > 1.5e9
-        assert math.prod(-(-np.array(piece.shape) // cells.side)) > 4.6e6
-        assert all(len(a) <= 64 for a in (cells.side, *cells.top) if a is not None)
+        assert math.prod(-(-np.array(piece.shape) // side)) > 4.6e6
+        assert all(len(a) <= 2048 for a in top if a is not None)
         assert peak < 1e6
+
+    def test_build_is_bounded_with_many_pieces(self):
+        # 1.28e10 grid points over 13 pieces, all cut at the depth the finest
+        # piece needs: each top holds at most 2048 blocks (2645 in all), and the
+        # build peaked at 1.18 MB
+        tracemalloc.start()
+        try:
+            domain = unit_box_polyhedron()
+            net = build_probe_net(domain, probe_mesh_for(domain, 10**6, 0.05))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(net.pieces) == 13
+        assert sum(math.prod(p.shape) for p in net.pieces) > 1.2e10
+        assert all(len(top.first) <= 2048 for top in net.tops)
+        assert peak < 2e6
 
 
 class TestSpatialIndex:

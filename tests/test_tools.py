@@ -39,6 +39,9 @@ def test_trial_stages_runs():
     assert row["peak_rss_mb"] > 0.0
     assert row["query_calls"] >= 1
     assert row["query_rows"] >= row["final_query_rows"] >= 1
+    # one query per level of blocks, then one over the kept finest blocks' points
+    assert row["query_calls"] == len(row["query_rows_per_call"]) == row["depth"] + 2
+    assert sum(row["query_rows_per_call"]) == row["query_rows"]
 
 
 def test_occupancy_stages_runs():

@@ -4,14 +4,15 @@ For each domain the probe net is built once at probe_mesh_for(domain, N, eta),
 with the domain's eta from DOMAINS; each trial t then draws N points from
 SeedSpec(seed, t), builds the index over them and walks the net
 (ProbeNet.max_nearest_distance). One JSON line is printed per trial with the
-three stage times in ms, the calls and rows of the walk's k-d tree queries (as
-its index records them in SpatialIndex.query_rows), L (as repr, to compare runs
-bit for bit) and peak_rss_mb, the ru_maxrss of this process so far (in MB, as
-covbench reports it): the peak over every net, sample and walk before the line,
-not the trial's own.
+three stage times in ms, the net's depth (the levels of blocks above its finest),
+the calls and rows of the walk's k-d tree queries (as its index records them in
+SpatialIndex.query_rows: their count, their sum, the last and the list per call),
+L (as repr, to compare runs bit for bit) and peak_rss_mb, the ru_maxrss of this
+process so far (in MB, as covbench reports it): the peak over every net, sample
+and walk before the line, not the trial's own.
 
 covrad is imported from the path, so the same script times another checkout
-(one whose SpatialIndex records query_rows):
+(one whose nets have one depth and whose SpatialIndex records query_rows):
 
     PYTHONPATH=src python tools/trial_stages.py
     PYTHONPATH=../other/src python tools/trial_stages.py --domains sphere2 cube3
@@ -78,8 +79,9 @@ def main(argv=None) -> None:
             print(json.dumps({
                 "domain": name, "eta": eta, "n": args.n, "seed": [args.seed, t],
                 "net_build_ms": net_ms, "sample_ms": sample_ms, "tree_build_ms": build_ms,
-                "walk_ms": walk_ms, "query_calls": len(rows),
+                "walk_ms": walk_ms, "depth": net.depth, "query_calls": len(rows),
                 "query_rows": sum(rows), "final_query_rows": rows[-1],
+                "query_rows_per_call": rows,
                 "L": repr(lower),
                 "peak_rss_mb": round(peak_mb, 1),
             }), flush=True)
