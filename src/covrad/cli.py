@@ -143,7 +143,10 @@ def _run(command: str, args: argparse.Namespace) -> int:
     cfg = dict(defaults)
     if args.config:
         with open(args.config) as fh:
-            cfg.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):  # dict.update would take a list of pairs
+            raise ValueError(f"a config file holds one JSON object, not a {type(loaded).__name__}")
+        cfg.update(loaded)
     unknown = sorted(set(cfg) - set(defaults))
     if unknown:
         raise ValueError(f"{command} takes no config keys {unknown}")

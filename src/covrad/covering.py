@@ -173,8 +173,8 @@ def _line_samples(domain: Domain, x: SampleSet | np.ndarray) -> np.ndarray:
 
 def has_exact_path(domain: Domain) -> bool:
     """Whether covering_radius_1d takes the domain, so that studies take its
-    covering radius exactly, with no probe net: the interval, arcsine
-    interval, Cantor set and circle."""
+    covering radius exactly and build_probe_net refuses it: the interval,
+    arcsine interval, Cantor set and circle."""
     return _line_range(domain) is not None or (isinstance(domain, Sphere) and domain.d == 1)
 
 

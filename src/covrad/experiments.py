@@ -119,8 +119,9 @@ class StudyWriter:
     metadata as JSONL) and discard() deletes, leaving `path` as it was."""
 
     def __init__(self, path: str | Path | None, header: list[str]):
-        self.path = Path(path) if path else None
-        self.header = header
+        if path == "":  # a shell's unset variable; None alone means no file
+            raise ValueError("the output path is empty")
+        self.path = None if path is None else Path(path)
         self.t0 = time.time()
         if self.path:
             self._tmp = self.path.with_name(f".{self.path.name}.tmp")

@@ -4,8 +4,7 @@ A probe net is a finite point set whose certified mesh delta guarantees that
 every domain point is within delta of some net point; suprema over the domain
 can then be sandwiched to within delta. Mesh proofs per kind:
 
-* Interval / Polyline / ArcsineInterval: arclength grid of step 2*delta
-  (chord <= arc on segments, equality on straight pieces).
+* Polyline: arclength grid of step 2*delta on each segment.
 * Cube d: axis grid of step 2*delta/sqrt(d); half cell diagonal is delta.
 * Sphere d: grids on all faces of the circumscribed cube surface, centrally
   projected x -> x/|x|. The projection is 1-Lipschitz on {|x| >= 1}, and every
@@ -95,11 +94,9 @@ from scipy.spatial import cKDTree
 from .auxfn import real
 from .errors import UnsupportedDomainError
 from .spaces import (
-    ArcsineInterval,
     Ball,
     Cube,
     Domain,
-    IntervalUniform,
     Polyhedron3,
     Polyline,
     Sphere,
@@ -441,7 +438,8 @@ def _polyhedron_pieces(domain: Polyhedron3, mesh: float) -> list:
 
 
 def build_probe_net(domain: Domain, target_mesh: float) -> ProbeNet:
-    """Probe net with certified mesh target_mesh for the given domain."""
+    """Probe net with certified mesh target_mesh for the given domain; the domains
+    of covering.has_exact_path take none (UnsupportedDomainError)."""
     target_mesh = real(target_mesh, "target mesh")
     if target_mesh >= domain.diameter:
         raise ValueError("target mesh must be below the domain diameter")
@@ -461,16 +459,12 @@ def axis_points(domain: Domain, target_mesh: float) -> float:
 
 def _pieces(domain: Domain, mesh: float) -> list:
     """The pieces of a probe net of the given certified mesh."""
-    if isinstance(domain, IntervalUniform):
-        return [_segment(np.array([0.0]), np.array([1.0]), mesh)]
-    if isinstance(domain, ArcsineInterval):
-        return [_segment(np.array([-1.0]), np.array([1.0]), mesh)]
     if isinstance(domain, Polyline):
         return [_segment(domain.vertices[i], domain.vertices[i + 1], mesh)
                 for i in range(len(domain.vertices) - 1)]
     if isinstance(domain, Cube):
         return [_Piece(_cube_axes(domain.d, mesh))]
-    if isinstance(domain, Sphere):
+    if isinstance(domain, Sphere) and domain.d > 1:  # the circle takes the exact path
         return [_sphere_piece(domain.d, mesh)]
     if isinstance(domain, Ball):
         return _ball_pieces(domain.d, mesh)

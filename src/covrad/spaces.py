@@ -391,8 +391,10 @@ def limit_constant(domain: Domain, p: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 
 
-# the dataclass kinds, whose documents' params are their init fields
+# the dataclass kinds, and each kind's params (Polyhedron3 ignores the edges of old documents)
 _KINDS = {cls.kind: cls for cls in (Sphere, Ball, Cube, IntervalUniform, ArcsineInterval, Cantor)}
+_PARAMS = {**{kind: {f.name for f in fields(cls) if f.init} for kind, cls in _KINDS.items()},
+           "Polyline": {"vertices"}, "Polyhedron3": {"vertices", "tetrahedra", "faces", "edges"}}
 
 
 def domain_to_dict(domain: Domain) -> dict:
@@ -414,21 +416,24 @@ def domain_to_dict(domain: Domain) -> dict:
 
 
 def domain_from_dict(doc: dict) -> Domain:
-    """The domain a document describes. Its constructor checks the values; a
-    missing parameter with no default reaches it as None and is rejected."""
+    """The domain a document describes; unknown keys are refused, and its constructor checks
+    the values (a missing parameter with no default reaches it as None and is rejected)."""
     kind = doc["kind"]
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ValueError(f"domain params must be an object, not {params!r}")
+    if kind not in _PARAMS:
+        raise UnsupportedDomainError(f"unknown domain kind {kind!r}")
+    unknown = (set(doc) - {"kind", "params"}) | (set(params) - _PARAMS[kind])
+    if unknown:
+        raise ValueError(f"a {kind} document takes no keys {sorted(unknown, key=str)}")
     if kind in _KINDS:
         cls = _KINDS[kind]
         return cls(**{f.name: params.get(f.name, None if f.default is MISSING else f.default)
                       for f in fields(cls) if f.init})
     if kind == "Polyline":
         return Polyline(params["vertices"])
-    if kind == "Polyhedron3":
-        return Polyhedron3(params["vertices"], params["tetrahedra"], params["faces"])
-    raise UnsupportedDomainError(f"unknown domain kind {kind!r}")
+    return Polyhedron3(params["vertices"], params["tetrahedra"], params["faces"])
 
 
 def unit_box_polyhedron() -> Polyhedron3:

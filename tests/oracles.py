@@ -1,7 +1,8 @@
 """Reference values that only the tests use: regularity witnesses of the catalog
 domains, ball measures, the exact expected covering radius on the circle, the
 windowed covering radius by a sorted search, the exact covering radius of a
-polyline from its envelope crossings, a probe net of the Cantor set, the
+polyline from its envelope crossings, the probe nets of the domains with
+an exact path (the interval, arcsine interval, circle and Cantor set), the
 occupancy probability at high precision, auxfn's occupancy sums as written on
 mpmath's mpf objects, and the acceptance bands.
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from covrad.auxfn import OccupancyParams, _log_empty_one_cell
 from covrad.errors import ResourceLimitError, UnsupportedDomainError
-from covrad.nets import ProbeNet, _Piece, build_index
+from covrad.nets import ProbeNet, _Piece, _segment, _sphere_piece, build_index
 from covrad.sampler import SeedSpec, sample
 from covrad.spaces import (
     LOG2_OVER_LOG3,
@@ -259,7 +260,7 @@ def polyline_rho(domain: Polyline, points: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Cantor probe net
+# Probe nets of the exact-path domains
 # ---------------------------------------------------------------------------
 
 
@@ -278,6 +279,26 @@ def cantor_net(domain: Cantor, mesh: float) -> ProbeNet:
     cyl = 3.0**-k
     axis = np.unique(np.concatenate([lefts, lefts + cyl]))
     return ProbeNet(domain=domain, pieces=(_Piece((axis,)),), certified_mesh=cyl)
+
+
+def exact_path_net(domain: Domain, mesh: float) -> ProbeNet:
+    """A probe net of a domain of covering.has_exact_path, which
+    build_probe_net refuses: the arclength grid of step 2 * mesh on the
+    interval and arcsine interval (nets._segment), the projected square of
+    the circle (nets._sphere_piece, as for every other sphere) and the
+    Cantor set's cylinder ends (cantor_net). Studies take these domains on
+    the exact path; the tests check that path against these nets, and run
+    the walk on them."""
+    if isinstance(domain, Cantor):
+        return cantor_net(domain, mesh)
+    if isinstance(domain, Sphere) and domain.d == 1:
+        piece = _sphere_piece(1, mesh)
+    elif isinstance(domain, (IntervalUniform, ArcsineInterval)):
+        lo = 0.0 if isinstance(domain, IntervalUniform) else -1.0
+        piece = _segment(np.array([lo]), np.array([1.0]), mesh)
+    else:
+        raise UnsupportedDomainError(f"{domain!r} has no exact path; use build_probe_net")
+    return ProbeNet(domain=domain, pieces=(piece,), certified_mesh=mesh)
 
 
 # ---------------------------------------------------------------------------

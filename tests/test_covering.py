@@ -354,7 +354,7 @@ class TestWindowedCoveringRadius:
 
 class TestSandwichBounds:
     def test_interval_example(self):
-        net = build_probe_net(IntervalUniform(), 1.0 / 8.0)
+        net = probe_net(IntervalUniform(), 1.0 / 8.0)
         b = covering_radius_bounds(IntervalUniform(), np.array([0.0, 1.0]), net)
         assert b.lower == pytest.approx(0.5)
         assert b.upper == pytest.approx(0.625)
@@ -377,8 +377,8 @@ class TestSandwichBounds:
         assert oracle <= b.upper
 
     def test_domain_mismatch(self):
-        net = build_probe_net(IntervalUniform(), 0.1)
-        with pytest.raises(ValueError):
+        net = probe_net(IntervalUniform(), 0.1)
+        with pytest.raises(ValueError, match="different domain"):
             covering_radius_bounds(ArcsineInterval(), np.array([0.0]), net)
 
     def test_interval_validation(self):
@@ -390,7 +390,7 @@ class TestSandwichBounds:
         # exact 1-D value must land inside [L, L + mesh]
         rng = np.random.default_rng(17)
         domains = [IntervalUniform(), Sphere(1), Polyline([[0, 0], [1, 0], [1, 2]])]
-        nets = {d: build_probe_net(d, mesh) for d in domains}
+        nets = {d: probe_net(d, mesh) for d in domains}
         for k in range(60):
             domain = domains[k % 3]
             pts = sample(domain, int(rng.integers(2, 40)), SeedSpec(100, k)).points

@@ -6,10 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import cantor_net
+from oracles import cantor_net, exact_path_net
 from test_spaces import equilateral_prism, regular_tetrahedron
 
-from covrad.covering import probe_mesh_for
+from covrad.cli import BUILTIN_DOMAINS
+from covrad.covering import has_exact_path, probe_mesh_for
 from covrad.errors import UnsupportedDomainError
 from covrad.nets import (
     ProbeNet,
@@ -49,8 +50,9 @@ CERT_DOMAINS = [
 ]
 
 # sha256 of points.tobytes(), point count and certified mesh per CERT_DOMAINS
-# case (the Cantor net is the oracle's): a refactor of the net builders must
-# keep every probe point bit for bit and in order.
+# case (the interval, arcsine, circle and Cantor nets are the oracle's,
+# exact_path_net): a refactor of the net builders must keep every probe
+# point bit for bit and in order.
 NET_DIGESTS = {
     "IntervalUniform(kind='IntervalUniform')":
         ("cc68460f765f617551f639c2f3cfe98177ccc952f2f0454d01f8cff4296edd07", 26, 0.02),
@@ -84,11 +86,16 @@ NET_DIGESTS = {
 BLOCK_DOMAINS = CERT_DOMAINS + [(regular_tetrahedron(), 0.1), (equilateral_prism(), 0.05),
                                 (Ball(1), 0.05)]
 
+# every built-in domain by its CLI name, and a few more
+NAMED_DOMAINS = {**BUILTIN_DOMAINS, "ball1": Ball(1), "cube1": Cube(1), "sphere3": Sphere(3),
+                 "polyline": Polyline([[0.0, 0.0], [1.0, 0.0], [1.0, 2.0]])}
+
 
 def probe_net(domain, mesh):
-    """build_probe_net's net, or for the Cantor set (which no study nets) the oracle's."""
-    if isinstance(domain, Cantor):
-        return cantor_net(domain, mesh)
+    """build_probe_net's net, or on the exact-path domains (which no study nets)
+    the oracle's."""
+    if has_exact_path(domain):
+        return exact_path_net(domain, mesh)
     return build_probe_net(domain, mesh)
 
 
@@ -141,12 +148,12 @@ def spot_check_mesh(net: ProbeNet, n_samples: int = 10_000, master_seed: int = 9
 
 class TestBuildProbeNet:
     def test_interval_example(self):
-        net = build_probe_net(IntervalUniform(), 1.0 / 8.0)
+        net = probe_net(IntervalUniform(), 1.0 / 8.0)
         assert net.certified_mesh == pytest.approx(1.0 / 8.0)
         assert sorted(net.points.ravel().tolist()) == [0.0, 0.25, 0.5, 0.75, 1.0]
 
     def test_circle_size_bound(self):
-        net = build_probe_net(Sphere(1), 0.2)
+        net = probe_net(Sphere(1), 0.2)
         assert len(net.points) <= math.ceil(2.0 * math.pi / 0.2) + 4 + 40  # face-grid slack
         assert spot_check_mesh(net) <= net.certified_mesh
 
@@ -160,7 +167,7 @@ class TestBuildProbeNet:
     def test_certified_mesh_spot_check(self, domain, mesh):
         net = probe_net(domain, mesh)
         assert net.certified_mesh <= mesh
-        # build_probe_net certifies the mesh asked; the Cantor oracle's snaps to 3^-k
+        # a net certifies the mesh asked, but the Cantor oracle's snaps to 3^-k
         assert isinstance(domain, Cantor) or net.certified_mesh == mesh
         assert spot_check_mesh(net, n_samples=10_000) <= net.certified_mesh
 
@@ -173,8 +180,9 @@ class TestBuildProbeNet:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_one_sphere_piece_with_a_copy_per_face(self, d):
         # the 2(d+1) cube faces are copies of one grid, and the ball adds the
-        # boundary sphere's piece to its interior grid for d >= 2
-        (sphere,) = build_probe_net(Sphere(d), 0.1).pieces
+        # boundary sphere's piece to its interior grid for d >= 2 (the
+        # circle's net is the oracle's, from the same piece)
+        (sphere,) = probe_net(Sphere(d), 0.1).pieces
         assert sphere.copies == 2 * (d + 1)
         ball = build_probe_net(Ball(d), 0.1).pieces
         assert len(ball) == (2 if d >= 2 else 1) and ball[0].copies == 1
@@ -188,7 +196,7 @@ class TestBuildProbeNet:
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
         parts = [grid[np.linalg.norm(grid, axis=1) <= 1.0]]
         if d >= 2:
-            parts.append(build_probe_net(Sphere(d - 1), mesh / 4.0).points)
+            parts.append(probe_net(Sphere(d - 1), mesh / 4.0).points)
         points = build_probe_net(Ball(d), mesh).points
         assert points.tobytes() == np.concatenate(parts).tobytes()
 
@@ -207,8 +215,14 @@ class TestBuildProbeNet:
     @pytest.mark.parametrize("scale", [1.0, 0.1, 0.01, 20.0])
     def test_axis_points_bound_the_build(self, domain, mesh, scale):
         # the gate's count of a net's axis coordinates, from a coarse build:
-        # at least the build's, and within 1.5x + 4 per axis of it
+        # at least the build's, and within 1.5x + 4 per axis of it; on an
+        # exact-path domain there is no build, and no count either
         mesh = min(mesh * scale, domain.diameter * 0.9)
+        if has_exact_path(domain):
+            for build in (build_probe_net, axis_points):
+                with pytest.raises(UnsupportedDomainError):
+                    build(domain, mesh)
+            return
         axes = [len(a) for p in build_probe_net(domain, mesh).pieces for a in p.axes]
         assert sum(axes) <= axis_points(domain, mesh) <= 1.5 * sum(axes) + 4 * len(axes)
 
@@ -217,24 +231,36 @@ class TestBuildProbeNet:
         k = round(-math.log(net.certified_mesh) / math.log(3.0))
         assert net.certified_mesh == pytest.approx(3.0**-k)
 
-    def test_no_cantor_net(self):
-        # Cantor studies take the exact path, so no study builds a Cantor net
-        with pytest.raises(UnsupportedDomainError):
-            build_probe_net(Cantor(20), 0.01)
+    @pytest.mark.parametrize("name", sorted(NAMED_DOMAINS))
+    def test_nets_exactly_where_no_exact_path(self, name):
+        # studies take the interval, arcsine interval, circle and Cantor set on
+        # the exact path, so neither the build nor the budget gate's count of
+        # its axes takes them; every other domain builds
+        domain = NAMED_DOMAINS[name]
+        mesh = domain.diameter / 10.0
+        for build in (build_probe_net, axis_points):
+            if has_exact_path(domain):
+                with pytest.raises(UnsupportedDomainError):
+                    build(domain, mesh)
+            else:
+                build(domain, mesh)
+
+    # a two-vertex polyline: one segment, as the interval's net was
+    SEGMENT = Polyline([[0.0], [1.0]])
 
     def test_invalid_mesh(self):
-        with pytest.raises(ValueError):
-            build_probe_net(IntervalUniform(), 0.0)
-        with pytest.raises(ValueError):
-            build_probe_net(IntervalUniform(), 2.0)
+        with pytest.raises(ValueError, match="finite and positive"):
+            build_probe_net(self.SEGMENT, 0.0)
+        with pytest.raises(ValueError, match="below the domain diameter"):
+            build_probe_net(self.SEGMENT, 2.0)
         # True once made a net whose certified_mesh was True; nan failed in the axes
         for mesh in (True, math.nan):
             with pytest.raises(ValueError, match="target mesh"):
                 build_probe_net(Cube(2), mesh)
 
     def test_probe_net_validation(self):
-        with pytest.raises(ValueError):
-            ProbeNet(IntervalUniform(), build_probe_net(IntervalUniform(), 0.1).pieces, 0.0)
+        with pytest.raises(ValueError, match="certified mesh must be positive"):
+            ProbeNet(self.SEGMENT, build_probe_net(self.SEGMENT, 0.1).pieces, 0.0)
 
 
 class TestBlocks:

@@ -496,6 +496,17 @@ class TestSerialization:
         assert "edges" not in domain_to_dict(box)["params"]
         assert domain_from_dict(doc) == box
 
+    @pytest.mark.parametrize("doc", [
+        {"kind": "Cantor", "params": {"dpeth": 10}},
+        {"kind": "Sphere", "params": {"d": 2, "radius": 2.0}},
+        {"kind": "Polyline", "params": {"vertices": [[0, 0], [1, 0]], "closed": True}},
+        {"kind": "Cube", "params": {"d": 2}, "junk": 1},
+    ], ids=["misspelt", "sphere-radius", "polyline-closed", "top-level"])
+    def test_unknown_keys_are_refused(self, doc):
+        # they were dropped: the misspelt depth studied Cantor(40)
+        with pytest.raises(ValueError, match="takes no keys"):
+            domain_from_dict(doc)
+
     def test_unknown_kind(self):
         with pytest.raises(UnsupportedDomainError):
             domain_from_dict({"kind": "Torus", "params": {}})
