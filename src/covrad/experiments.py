@@ -122,6 +122,8 @@ class StudyWriter:
         if path == "":  # a shell's unset variable; None alone means no file
             raise ValueError("the output path is empty")
         self.path = None if path is None else Path(path)
+        if self.path and self.path.is_dir():  # else close() fails after every trial
+            raise ValueError(f"the output path {str(path)!r} is a directory")
         self.t0 = time.time()
         if self.path:
             self._tmp = self.path.with_name(f".{self.path.name}.tmp")

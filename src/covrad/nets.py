@@ -32,27 +32,29 @@ and the (i, j >= i) index lattice of each of its triangles (each its own
 piece, with its own k) under an affine map; and a segment is its t-axis under
 an affine map.
 
-Blocks. Each piece's grid is cut into finest blocks of about 8 certified
-meshes (sizing the grid step by the map's Lipschitz bound on the whole piece).
-The top levels have blocks 2^k finest sides wide, with one k for the whole net
-(its depth): the smallest at which each piece's top holds at most 2048 blocks
-over all its copies. Each level below splits a block into the 2^dim blocks of
-half its side in its copy, so no block spans two copies. Rows stay in copy
-order (the top level lists copy by copy, children follow their parent, dropped
-rows keep the order), so a map sees each copy's rows as one run. Blocks that
-start past the grid, and blocks that cannot hold a kept point (a box clear of
-the ball, one that contains_many's box form finds clear of every tetrahedron
-of a polyhedron, or one below a triangle's diagonal), are left out.
-Each block has a representative (the image of its middle grid point) and a
-reach r >= the distance from the representative to the image of any grid point
-of the block: the distance in the grid box from the middle point to the
-farthest corner, times a Lipschitz bound of the map on the box, plus 1e-9 of
-the coordinate scale for rounding. The bounds: 1 for the identity; 1/min|x|
-over the box for the radial projection of a cube face, since
-|x/|x| - y/|y|| <= |x - y|/sqrt(|x||y|) and |x| >= 1 there; and the spectral
-norm for affine maps. A net stores its pieces' 1-D axes and top levels only,
-so building it costs at most 2048 blocks per piece however fine its grid; only
-the axes grow with 1/mesh (axis_points bounds them unbuilt).
+Blocks. Each piece's grid is cut into finest blocks of about 8 certified meshes
+(sizing the grid step by the map's Lipschitz bound on the whole piece). A walk
+over N samples starts at top levels of blocks 2^k finest sides wide, with one k
+for all pieces (ProbeNet.depth_for(N)): the smallest at which each piece's top
+holds at most max(2048, N) blocks over all its copies (coarser levels prune
+next to nothing at large N). Each level below splits a block into the 2^dim
+blocks of half its side in its copy, so no block spans two copies. Rows stay in
+copy order (the top level lists copy by copy, children follow their parent,
+dropped rows keep the order), so a map sees each copy's rows as one run. Blocks
+that start past the grid, and blocks that cannot hold a kept point (a box clear
+of the ball, one that contains_many's box form finds clear of every tetrahedron
+of a polyhedron, or one below a triangle's diagonal), are left out. Each block
+has a representative (the image of its middle grid point) and a reach r >= the
+distance from the representative to the image of any grid point of the block:
+the distance in the grid box from the middle point to the farthest corner,
+times a Lipschitz bound of the map on the box, plus 1e-9 of the coordinate
+scale for rounding. The bounds: 1 for the identity; 1/min|x| over the box for
+the radial projection of a cube face, since |x/|x| - y/|y|| <=
+|x - y|/sqrt(|x||y|) and |x| >= 1 there; and the spectral norm for affine maps.
+A net stores its pieces' 1-D axes and the top level of the depth a walk last
+asked for (ProbeNet.top, built once a few thousand blocks at a time, then
+shared), in O(N) memory as the sample and its tree; only the axes grow with
+1/mesh (axis_points bounds them unbuilt).
 
 The walk. d(y) = dist(y, X) is 1-Lipschitz, so d <= d(p) + r on a block with
 representative p. ProbeNet.max_nearest_distance refines all pieces' top levels
@@ -185,15 +187,19 @@ def _side(piece: _Piece, width: float) -> np.ndarray:
 
 
 def _cut(piece: _Piece, side: np.ndarray, depth: int) -> _Level:
-    """The piece's top level: blocks depth levels above the finest, of the given side."""
+    """The piece's top level: blocks depth levels above the finest, of the given side,
+    copy by copy, built _ROWS at a time so that temporaries stay small."""
     size = side << depth
-    first = _box(tuple(-(-np.array(piece.shape) // size))) * size
-    copy = np.repeat(np.arange(piece.copies), len(first))
-    return _level(piece, np.tile(first, (piece.copies, 1)), copy, size)
+    counts = (piece.copies, *-(-np.array(piece.shape) // size))
+    total = math.prod(counts)
+    runs = [_level(piece, np.stack(idx, axis=1) * size, copy, size)
+            for copy, *idx in (np.unravel_index(np.arange(a, min(a + _ROWS, total)), counts)
+                               for a in range(0, total, _ROWS))]
+    return _Level(*(None if a[0] is None else np.concatenate(a) for a in zip(*runs)))
 
 
-# the most top blocks a piece has over all its copies (sweep of 512-8192 in CHANGES.md)
-_TOP = 2048
+# the most top blocks per piece over all copies of walks over up to _TOP samples
+_TOP = 2048  # (sweep of 512-8192 in CHANGES.md)
 
 
 @dataclass(frozen=True)
@@ -202,25 +208,33 @@ class ProbeNet:
     domain: Domain
     pieces: tuple = field(repr=False)
     certified_mesh: float
-    depth: int = field(init=False, repr=False, compare=False)  # levels under the tops
     sides: tuple = field(init=False, repr=False, compare=False)  # each piece's finest blocks
-    tops: tuple = field(init=False, repr=False, compare=False)  # each piece's top level
+    _depths: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _top: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.certified_mesh <= 0:
             raise ValueError("certified mesh must be positive")
         # finest blocks 8 meshes wide: at N=1e5 (2 CPUs; every build under 3 ms) 6 and 12
         # walked sphere2, ball2 and cube2 as fast, 6 walked cube3 1.2x and 12 8x slower
-        sides = tuple(_side(p, 8 * self.certified_mesh) for p in self.pieces)
-        # the fewest levels for all pieces, so that they enter the walk together
-        depth = 0
-        while any(p.copies * math.prod(-(-np.array(p.shape) // (side << depth))) > _TOP
-                  for p, side in zip(self.pieces, sides)):
-            depth += 1
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "sides", sides)
-        object.__setattr__(self, "tops", tuple(_cut(p, side, depth)
-                                               for p, side in zip(self.pieces, sides)))
+        object.__setattr__(self, "sides", tuple(_side(p, 8 * self.certified_mesh)
+                                                for p in self.pieces))
+
+    def depth_for(self, n: int) -> int:
+        """The levels above the finest blocks that a walk over n samples starts at: the
+        fewest that leave every piece at most max(_TOP, n) top blocks (memoized per n)."""
+        if n not in self._depths:  # one depth for all pieces: they enter the walk together
+            self._depths[n] = next(depth for depth in itertools.count() if all(
+                p.copies * math.prod(-(-np.array(p.shape) // (side << depth))) <= max(_TOP, n)
+                for p, side in zip(self.pieces, self.sides)))
+        return self._depths[n]
+
+    def top(self, depth: int) -> tuple:
+        """Each piece's top level at the given depth (cached, the last depth asked only)."""
+        if self._top[:1] != [depth]:
+            self._top[:] = [depth, tuple(_cut(p, side, depth)
+                                         for p, side in zip(self.pieces, self.sides))]
+        return self._top[1]
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -239,11 +253,11 @@ class ProbeNet:
 
     def max_nearest_distance(self, index: SpatialIndex) -> float:
         """index.nearest_distances(points).max(), from the blocks that can hold it."""
-        samples = index.points
+        samples, depth = index.points, self.depth_for(len(index.points))
         lower, live = -math.inf, []  # (piece, a run of its kept blocks (first, nn, copy))
-        for level in range(self.depth, -1, -1):
+        for level in range(depth, -1, -1):
             # (piece, the blocks evaluated): every piece's top, then children run by run
-            batch = [] if level < self.depth else list(enumerate(self.tops))
+            batch = [] if level < depth else list(enumerate(self.top(depth)))
             for p, blocks in live:
                 size = self.sides[p] << level
                 batch += [(p, _children(self.pieces[p], run, size, samples, lower))

@@ -418,8 +418,9 @@ def domain_to_dict(domain: Domain) -> dict:
 def domain_from_dict(doc: dict) -> Domain:
     """The domain a document describes; unknown keys are refused, and its constructor checks
     the values (a missing parameter with no default reaches it as None and is rejected)."""
-    kind = doc["kind"]
-    params = doc.get("params", {})
+    if not isinstance(doc, dict) or "kind" not in doc:
+        raise ValueError(f"a domain document must be an object with a kind, not {doc!r}")
+    kind, params = doc["kind"], doc.get("params", {})
     if not isinstance(params, dict):
         raise ValueError(f"domain params must be an object, not {params!r}")
     if kind not in _PARAMS:

@@ -286,6 +286,25 @@ def test_rejects_an_empty_out_path(monkeypatch, capsys):
             capsys)
 
 
+def test_rejects_an_out_path_that_is_a_directory(tmp_path, monkeypatch, capsys):
+    # the study ran every trial, then close() failed with "Is a directory"
+    monkeypatch.setattr("covrad.experiments.sample", lambda *a: pytest.fail(
+        "a study with a directory as its output path drew a sample"))
+    _exit_1(["study", "--domain", "interval", "--n-grid", "20", "--trials", "2",
+             "--out", str(tmp_path)], capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("doc", [[1, 2], {"params": {"d": 2}}], ids=["list", "no-kind"])
+def test_rejects_a_domain_document_with_no_kind(doc, tmp_path, capsys):
+    # "list indices must be integers or slices, not str" and "'kind'" named nothing
+    dom = tmp_path / "domain.json"
+    dom.write_text(json.dumps(doc))
+    assert cli_main(["study", "--domain", str(dom), "--n-grid", "50", "--trials", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and "an object with a kind" in err
+
+
 @pytest.mark.parametrize("command", ["zn", "versus"])
 @pytest.mark.parametrize("d", [True, 1.0])
 def test_rejects_non_integer_d(command, d, tmp_path, capsys):

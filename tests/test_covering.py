@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import ball_measure, cantor_net, polyline_rho, window_radius_searchsorted
 from scipy.spatial import ConvexHull
@@ -405,25 +405,31 @@ _NETS: dict = {}
 
 
 def _net(domain, mesh, deeper=0):
-    """The probe net, cut deeper levels below its own depth (cached)."""
+    """The probe net, cut deeper levels below the depth that walks over up to
+    2048 samples start at (cached)."""
     key = (repr(domain), mesh, deeper)
     if key not in _NETS:
         net = probe_net(domain, mesh)
-        _NETS[key] = cut(net, net.depth + deeper) if deeper else net
+        _NETS[key] = cut(net, net.depth_for(1) + deeper) if deeper else net
     return _NETS[key]
 
 
-# nets fine enough that the cell walk, cut two levels below their own depth,
-# has several levels and prunes; the 3-D sphere and ball have 1.48M and 409k
-# points, and a 3-level cube3 net at the build's own cut would hold about 45M
+# nets fine enough that the cell walk, cut two levels below the depth of walks
+# over up to 2048 samples, has several levels and prunes; the 3-D sphere and ball
+# have 1.48M and 409k points, and a 3-level cube3 net at that depth would hold
+# about 45M
 DEEP_NETS = [(Cube(2), 0.002), (Cube(3), 0.01), (Sphere(2), 0.005), (Ball(2), 0.003),
              (Sphere(3), 0.031), (Ball(3), 0.032), (Cantor(20), 1e-5),
              (unit_box_polyhedron(), 0.015)]
 
+# the DEEP_NETS on which walks over some n in 2049-20000 samples start at a finer
+# top than walks over 2048 do: from n = 3600, 2197, 3456 and 6241
+FINER_TOP_NETS = DEEP_NETS[:4]
 
-def levels(net) -> int:
-    """Levels of blocks the walk evaluates before the finest blocks' points."""
-    return net.depth + 1
+
+def levels(net, n) -> int:
+    """Levels of blocks a walk over n samples evaluates before the finest blocks' points."""
+    return net.depth_for(n) + 1
 
 
 class TestPrunedMaximum:
@@ -461,7 +467,19 @@ class TestPrunedMaximum:
            dup=st.integers(0, 50), probe_at=st.none() | st.integers(0, 10**7))
     def test_deep_nets(self, domain, mesh, n, seed, dup, probe_at):
         net = _net(domain, mesh, deeper=2)
-        assert levels(net) >= 3  # coarse-to-fine levels above the finest blocks' points
+        # coarse-to-fine levels above the finest blocks' points
+        assert levels(net, n + dup) >= 3
+        self.check(domain, net, n, seed, dup, probe_at)
+
+    @pytest.mark.parametrize("domain, mesh", FINER_TOP_NETS, ids=lambda v: repr(v)[:24])
+    @settings(max_examples=4, deadline=None)
+    @given(n=st.integers(2049, 20000), seed=st.integers(0, 2**32), dup=st.integers(0, 50),
+           probe_at=st.none() | st.integers(0, 10**7))
+    def test_tops_finer_than_small_walks(self, domain, mesh, n, seed, dup, probe_at):
+        # the walk starts at a top of up to n + dup blocks per piece, below the
+        # depth of walks over 2048 samples
+        net = _net(domain, mesh)
+        assume(net.depth_for(n + dup) < net.depth_for(2048))
         self.check(domain, net, n, seed, dup, probe_at)
 
     @pytest.mark.parametrize("domain, mesh", BLOCK_DOMAINS, ids=lambda v: repr(v)[:24])
@@ -472,7 +490,7 @@ class TestPrunedMaximum:
     @example(n=2, seed=1, dup=1, probe_at=0)
     def test_every_cut_walks_to_the_same_maximum(self, domain, mesh, n, seed, dup, probe_at):
         # the walk's L does not depend on the depth the pieces are cut at: the
-        # top as the finest blocks, the net's own cut and a deeper one
+        # top as the finest blocks, the walk's own depth and a deeper one
         net = _net(domain, mesh)
         x = sample(domain, n, SeedSpec(seed, 0)).points.reshape(n, -1)
         x = np.concatenate([x, x[:dup]])  # duplicated sample points
@@ -481,7 +499,7 @@ class TestPrunedMaximum:
         index = build_index(x)
         full = float(index.nearest_distances(net.points).max())
         walked = [cut(net, depth).max_nearest_distance(index)
-                  for depth in (0, net.depth, net.depth + 3)]
+                  for depth in (0, net.depth_for(len(x)), net.depth_for(len(x)) + 3)]
         assert walked == [full] * 3
 
     @settings(max_examples=10, deadline=None)
@@ -539,13 +557,15 @@ LARGE_NETS = [(Sphere(2), probe_mesh_for(Sphere(2), 10**5, 0.05)),
 
 
 # rows one walk queries on the LARGE_NETS at N = 1e5, SeedSpec(3, 0): in all,
-# and in its last query (the probe points). The walk queried 72336/286
-# (sphere2), 37300/39 (ball2) and 56987/175 (cube2); with every child and
-# every point of the kept finest blocks queried it took 131878/11448,
-# 58416/1564 and 85668/2052. The ceilings leave about 10% headroom.
-LARGE_NET_ROWS = {"Sphere(d=2, kind='Sphere')": (80_000, 320),
-                  "Ball(d=2, kind='Ball')": (41_000, 45),
-                  "Cube(d=2, kind='Cube')": (63_000, 195)}
+# and in its last query (the probe points). The walk queried 79175/286
+# (sphere2), 40136/59 (ball2) and 49762/175 (cube2), starting at tops of
+# 72600, 39248 and 38025 blocks; with every child and every point of the kept
+# finest blocks queried it took 109704/11448, 45097/2262 and 78035/2052. The
+# ceilings leave about 10% headroom, but the totals of sphere2 and ball2 keep
+# the ceilings of walks from tops of at most 2048 blocks (72042 and 35979 rows).
+LARGE_NET_ROWS = {"Sphere(d=2, kind='Sphere')": (80_000, 315),
+                  "Ball(d=2, kind='Ball')": (41_000, 65),
+                  "Cube(d=2, kind='Cube')": (55_000, 193)}
 
 
 class TestLazyNet:
@@ -566,7 +586,7 @@ class TestLazyNet:
         lower = net.max_nearest_distance(index)
         assert covering_radius_bounds(domain, x, net).lower == lower
         rows = index.query_rows
-        assert 0 < len(rows) <= levels(net) + 1
+        assert 0 < len(rows) == levels(net, len(x)) + 1
         if large:
             total, last = LARGE_NET_ROWS[repr(domain)]
             assert sum(rows) <= total and rows[-1] <= last

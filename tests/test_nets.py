@@ -9,6 +9,7 @@ import pytest
 from oracles import cantor_net, exact_path_net
 from test_spaces import equilateral_prism, regular_tetrahedron
 
+from covrad import nets
 from covrad.cli import BUILTIN_DOMAINS
 from covrad.covering import has_exact_path, probe_mesh_for
 from covrad.errors import UnsupportedDomainError
@@ -100,18 +101,30 @@ def probe_net(domain, mesh):
 
 
 def cut(net, depth):
-    """The net with every piece cut at the given depth by the helper its build
-    uses, so a test can walk more levels than the net's own cut."""
+    """The net, with every walk on it starting at the given depth whatever its
+    sample count, so a test can walk more or fewer levels than a walk would."""
     out = dataclasses.replace(net)
-    object.__setattr__(out, "depth", depth)
-    object.__setattr__(out, "tops", tuple(_cut(piece, side, depth)
-                                          for piece, side in zip(net.pieces, net.sides)))
+    object.__setattr__(out, "depth_for", lambda n: depth)
     return out
 
 
+def walk_top(net, n=1):
+    """The depth and the top levels a walk over n samples starts from."""
+    depth = net.depth_for(n)
+    return depth, net.top(depth)
+
+
 def own_and_deeper(net):
-    """The net as built, and cut three levels deeper (its own cut is often its finest)."""
-    return net, cut(net, net.depth + 3)
+    """The net, and the net cut three levels deeper than walks over up to 2048
+    samples start (often at its finest blocks)."""
+    return net, cut(net, net.depth_for(1) + 3)
+
+
+def top_blocks(piece, side, depth):
+    """A piece's blocks depth levels above its finest, over all copies, counted
+    before any is left out."""
+    return piece.copies * math.prod(-(-int(n) // (int(s) << depth))
+                                    for n, s in zip(piece.shape, side))
 
 
 def refine(piece, side, top, depth):
@@ -269,10 +282,11 @@ class TestBlocks:
         # blocks the top level leaves out, or refinement drops, hold no probe point
         rows = lambda a: a[np.lexsort(a.T[::-1])]
         for net in own_and_deeper(probe_net(domain, mesh)):
+            depth, tops = walk_top(net)
             held = np.concatenate([
-                pts[kept] for piece, side, top in zip(net.pieces, net.sides, net.tops)
+                pts[kept] for piece, side, top in zip(net.pieces, net.sides, tops)
                 for _, _, pts, kept in [grid_points(piece, side,
-                                                    refine(piece, side, top, net.depth)[-1])]])
+                                                    refine(piece, side, top, depth)[-1])]])
             assert np.array_equal(rows(held), rows(np.array(net.points)))
 
     @pytest.mark.parametrize("domain,mesh", BLOCK_DOMAINS, ids=lambda v: repr(v)[:24])
@@ -280,10 +294,11 @@ class TestBlocks:
         # on every level, each grid point's image lies within its block's reach
         # of the block's representative, masked or not, in every copy
         for net in own_and_deeper(probe_net(domain, mesh)):
-            for piece, side, top in zip(net.pieces, net.sides, net.tops):
-                levels = refine(piece, side, top, net.depth)
+            depth, tops = walk_top(net)
+            for piece, side, top in zip(net.pieces, net.sides, tops):
+                levels = refine(piece, side, top, depth)
                 idx, copy, pts, _ = grid_points(piece, side, levels[-1])
-                for j, level in zip(range(net.depth, -1, -1), levels):
+                for j, level in zip(range(depth, -1, -1), levels):
                     size = side << j
                     counts = (piece.copies, *-(-np.array(piece.shape) // size))
                     block = np.full(math.prod(counts), -1)
@@ -300,10 +315,11 @@ class TestBlocks:
         # parent's copy, so a block never spans two copies; and copy never falls
         # along a level, which the faces' runs in fmap rely on
         for net in own_and_deeper(probe_net(domain, mesh)):
-            for piece, side, top in zip(net.pieces, net.sides, net.tops):
-                levels = refine(piece, side, top, net.depth)
+            depth, tops = walk_top(net)
+            for piece, side, top in zip(net.pieces, net.sides, tops):
+                levels = refine(piece, side, top, depth)
                 assert np.array_equal(np.unique(top.copy), np.arange(piece.copies))
-                for j, level, parents in zip(range(net.depth, -1, -1), levels,
+                for j, level, parents in zip(range(depth, -1, -1), levels,
                                              [None, *levels]):
                     assert level.copy.shape == (len(level.first),)
                     assert (np.diff(level.copy) >= 0).all()
@@ -315,15 +331,17 @@ class TestBlocks:
                                                                     up.tolist()))
 
     def test_build_is_bounded_by_the_top_level(self):
-        # 1.58e9 grid points in 4.66M finest blocks: the build allocates and
-        # stores the top level's blocks only, at most 2048 of them
+        # 1.58e9 grid points in 4.66M finest blocks: the build, with the top
+        # level of walks over up to 2048 samples, allocates and stores that
+        # level's blocks only, at most 2048 of them
         tracemalloc.start()
         try:
             net = build_probe_net(Cube(3), probe_mesh_for(Cube(3), 10**6, 0.05))
+            _, tops = walk_top(net)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        (piece,), (side,), (top,) = net.pieces, net.sides, net.tops
+        (piece,), (side,), (top,) = net.pieces, net.sides, tops
         assert math.prod(piece.shape) > 1.5e9
         assert math.prod(-(-np.array(piece.shape) // side)) > 4.6e6
         assert all(len(a) <= 2048 for a in top if a is not None)
@@ -331,19 +349,71 @@ class TestBlocks:
 
     def test_build_is_bounded_with_many_pieces(self):
         # 1.28e10 grid points over 13 pieces, all cut at the depth the finest
-        # piece needs: each top holds at most 2048 blocks (2645 in all), and the
-        # build peaked at 1.18 MB
+        # piece needs: each top of walks over up to 2048 samples holds at most
+        # 2048 blocks (2645 in all), and the build with them peaked at 1.18 MB
         tracemalloc.start()
         try:
             domain = unit_box_polyhedron()
             net = build_probe_net(domain, probe_mesh_for(domain, 10**6, 0.05))
+            _, tops = walk_top(net)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(net.pieces) == 13
         assert sum(math.prod(p.shape) for p in net.pieces) > 1.2e10
-        assert all(len(top.first) <= 2048 for top in net.tops)
+        assert all(len(top.first) <= 2048 for top in tops)
         assert peak < 2e6
+
+
+# the acceptance 07/08 nets at N = 1e5 (sphere2, ball2 at eta 0.05; cube2 at
+# 0.025), and a cube3 net whose finest blocks (2197) number just over 2048
+WALK_NETS = [(Sphere(2), probe_mesh_for(Sphere(2), 10**5, 0.05)),
+             (Ball(2), probe_mesh_for(Ball(2), 10**5, 0.05)),
+             (Cube(2), probe_mesh_for(Cube(2), 10**5, 0.025)), (Cube(3), 0.01)]
+
+
+class TestWalkTop:
+    """A walk over n samples starts at the finest depth whose top holds at most
+    max(2048, n) blocks per piece over all its copies; the top is built once per
+    net and depth."""
+
+    @pytest.mark.parametrize("domain,mesh", WALK_NETS, ids=lambda v: repr(v)[:24])
+    @pytest.mark.parametrize("n", [1, 100, 2048, 2049, 5000, 10**5])
+    def test_the_walk_starts_at_the_finest_top_of_at_most_n_blocks(self, domain, mesh, n):
+        net = build_probe_net(domain, mesh)
+        x = sample(domain, n, SeedSpec(12, 0)).points
+        index = build_index(x.reshape(n, -1))
+        net.max_nearest_distance(index)
+        depth, tops = walk_top(net, n)
+        cap = max(2048, n)
+        counts = lambda depth: [top_blocks(p, s, depth) for p, s in zip(net.pieces, net.sides)]
+        assert max(counts(depth)) <= cap and (depth == 0 or max(counts(depth - 1)) > cap)
+        assert all(len(top.first) <= cap for top in tops)
+        if n <= 2048:  # the depth the 2048 cap gives
+            assert depth == net.depth_for(2048)
+        # the first query is every top block's representative, and one query per
+        # level follows, then one over the finest blocks' points
+        rows = index.query_rows
+        assert rows[0] == sum(len(top.first) for top in tops)
+        assert len(rows) == depth + 2
+
+    def test_the_top_is_built_once_per_depth(self, monkeypatch):
+        cuts = []
+        monkeypatch.setattr(nets, "_cut", lambda *a: cuts.append(a[2]) or _cut(*a))
+        domain, mesh = WALK_NETS[0]
+        net = build_probe_net(domain, mesh)
+        assert cuts == []  # the build cuts no top
+        walk = lambda n, t: net.max_nearest_distance(
+            build_index(sample(domain, n, SeedSpec(13, t)).points))
+        small, large = net.depth_for(100), net.depth_for(10**4)
+        assert small > large
+        walk(100, 0)
+        walk(100, 1)
+        walk(2000, 2)  # the same depth: its top is the one built
+        assert cuts == [small]
+        walk(10**4, 3)  # the cache keeps the last depth only
+        walk(10**4, 4)
+        assert cuts == [small, large]
 
 
 class TestSpatialIndex:

@@ -507,6 +507,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match="takes no keys"):
             domain_from_dict(doc)
 
+    @pytest.mark.parametrize("doc", [[1, 2], "Sphere", None, {"params": {"d": 2}}],
+                             ids=["list", "string", "null", "no-kind"])
+    def test_a_document_is_an_object_with_a_kind(self, doc):
+        # a TypeError or KeyError named neither
+        with pytest.raises(ValueError, match="an object with a kind"):
+            domain_from_dict(doc)
+
     def test_unknown_kind(self):
         with pytest.raises(UnsupportedDomainError):
             domain_from_dict({"kind": "Torus", "params": {}})

@@ -1,18 +1,22 @@
 """Time the stages of net-path trials on fixed seeds: sample, k-d tree build, walk.
 
 For each domain the probe net is built once at probe_mesh_for(domain, N, eta),
-with the domain's eta from DOMAINS; each trial t then draws N points from
+with the domain's eta from DOMAINS, together with the top level that walks over
+N samples start from (ProbeNet.top(depth_for(N)), built once per net and depth):
+net_build_ms counts both. One walk over N samples warms the net up, so the first
+trial pays no first-call costs. Each trial t then draws N points from
 SeedSpec(seed, t), builds the index over them and walks the net
 (ProbeNet.max_nearest_distance). One JSON line is printed per trial with the
-three stage times in ms, the net's depth (the levels of blocks above its finest),
-the calls and rows of the walk's k-d tree queries (as its index records them in
-SpatialIndex.query_rows: their count, their sum, the last and the list per call),
+three stage times in ms, the walk's depth (depth_for(N), the levels of blocks
+above the finest that it starts at), the calls and rows of the walk's k-d tree
+queries (as its index records them in SpatialIndex.query_rows: their count,
+their sum, the last and the list per call),
 L (as repr, to compare runs bit for bit) and peak_rss_mb, the ru_maxrss of this
 process so far (in MB, as covbench reports it): the peak over every net, sample
 and walk before the line, not the trial's own.
 
 covrad is imported from the path, so the same script times another checkout
-(one whose nets have one depth and whose SpatialIndex records query_rows):
+(one whose nets have depth_for and top and whose SpatialIndex records query_rows):
 
     PYTHONPATH=src python tools/trial_stages.py
     PYTHONPATH=../other/src python tools/trial_stages.py --domains sphere2 cube3
@@ -61,9 +65,12 @@ def main(argv=None) -> None:
         domain, eta = DOMAINS[name]
         start = time.perf_counter()
         net = build_probe_net(domain, probe_mesh_for(domain, args.n, eta))
+        depth = net.depth_for(args.n)
+        net.top(depth)
         net_ms = ms(start)
-        # warm-up on a small sample, so the first trial pays no first-call costs
-        net.max_nearest_distance(build_index(sample(domain, 100, SeedSpec(args.seed, 0)).points))
+        # warm-up at the trial N, whose walks share the top just built
+        x = sample(domain, args.n, SeedSpec(args.seed, 0)).points
+        net.max_nearest_distance(build_index(x.reshape(len(x), -1)))
         for t in range(args.trials):
             start = time.perf_counter()
             x = sample(domain, args.n, SeedSpec(args.seed, t)).points
@@ -79,7 +86,7 @@ def main(argv=None) -> None:
             print(json.dumps({
                 "domain": name, "eta": eta, "n": args.n, "seed": [args.seed, t],
                 "net_build_ms": net_ms, "sample_ms": sample_ms, "tree_build_ms": build_ms,
-                "walk_ms": walk_ms, "depth": net.depth, "query_calls": len(rows),
+                "walk_ms": walk_ms, "depth": depth, "query_calls": len(rows),
                 "query_rows": sum(rows), "final_query_rows": rows[-1],
                 "query_rows_per_call": rows,
                 "L": repr(lower),
