@@ -122,8 +122,12 @@ def _cantor_rho(domain: Cantor, xs: np.ndarray) -> float:
     a, b = xs[:-1], xs[1:]
     d = b - a
     with np.errstate(divide="ignore"):
-        j = np.ceil(-np.log(d) / math.log(3.0) + 1e-9)
-    bound = np.minimum(d / 2.0, d - 3.0**-j) + 1e-15
+        j = np.log(d)
+    # j = ceil(-log(d) / log 3 + 1e-9), then the bound min(d / 2, d - 3^-j) + 1e-15 in
+    # j's array: in place, by the operations of those formulas in their order
+    np.ceil(np.add(np.divide(np.negative(j, out=j), math.log(3.0), out=j), 1e-9, out=j), out=j)
+    bound = np.subtract(d, np.power(3.0, np.negative(j, out=j), out=j), out=j)
+    np.add(np.minimum(d / 2.0, bound, out=bound), 1e-15, out=bound)
 
     def descend(idx) -> float:
         return float(_cantor_gap_values(a[idx], b[idx], domain.depth).max())

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
@@ -43,6 +45,8 @@ from .spaces import (
 )
 
 BUDGET_LIMIT = 1e10  # estimated distance evaluations before refusal
+_POOL_FROM = 2**15  # exact-path trials from this N on run on threads (sweep in CHANGES.md)
+_POOL_SAMPLES = 2**20  # samples in flight in one N's pooled trials, at most (16 MB on S^1)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +207,15 @@ def _trial_bounds(domain: Domain, n: int, seed: SeedSpec, net) -> tuple[float, f
 # ---------------------------------------------------------------------------
 
 
+def _pool_size(n: int, trials: int, net) -> int:
+    """Threads for one N's trials: 1 for a probe-net study or below _POOL_FROM,
+    else the usable CPUs, at most `trials` and _POOL_SAMPLES // n (at least 1)."""
+    if net is not None or n < _POOL_FROM:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, trials, _POOL_SAMPLES // n))
+
+
 def _run_study(domain: Domain, n_grid, trials: int, master_seed: int, *, reduce,
                header: list[str], echo: dict, out: str | None, eta: float = DEFAULT_ETA,
                force: bool = False, kernel=_trial_bounds) -> list:
@@ -217,6 +230,13 @@ def _run_study(domain: Domain, n_grid, trials: int, master_seed: int, *, reduce,
     stacked in stream order into an array with one row per trial; then
     reduce(n, values) yields the output rows. The sidecar echoes the domain,
     grid, trials and seed plus `echo`, the study's own parameters.
+
+    Exact-path trials (no net) at N >= _POOL_FROM run on _pool_size threads,
+    mapped in stream order, so every value, error and CSV byte is as in one
+    thread: their NumPy and SciPy kernels release the GIL, and at most
+    _POOL_SAMPLES samples are in flight. Other trials run in the calling thread:
+    smaller ones would trade the GIL, and a net trial holds its tree and walk
+    (about 10 MB at N = 1e5) while its top query already runs on every CPU.
     """
     n_grid = list(n_grid)
     _check_study(n_grid, trials)
@@ -231,9 +251,15 @@ def _run_study(domain: Domain, n_grid, trials: int, master_seed: int, *, reduce,
     def rows():
         for n in n_grid:
             net = build_probe_net(domain, mesh[n]) if mesh else None
-            values = np.array([kernel(domain, n, SeedSpec(master_seed, t), net)
-                               for t in range(trials)])
-            yield from reduce(n, values)
+            trial = lambda t: kernel(domain, n, SeedSpec(master_seed, t), net)
+            workers = _pool_size(n, trials, net)
+            if workers == 1:
+                values = [trial(t) for t in range(trials)]
+            else:  # in slices of 64 trials per thread: a pending future holds about 2 KB
+                with ThreadPoolExecutor(workers) as pool:
+                    values = [v for lo in range(0, trials, 64 * workers)
+                              for v in pool.map(trial, range(trials)[lo:lo + 64 * workers])]
+            yield from reduce(n, np.array(values))
 
     return _write_rows(rows(), header, config, out)
 

@@ -71,7 +71,8 @@ def _uniform_open(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def _gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    return ndtri(_uniform_open(rng, shape))
+    u = _uniform_open(rng, shape)
+    return ndtri(u, out=u)  # in place: a trial holds one array of variates, not two
 
 
 def _sphere_points(rng, n, d):

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import sys
+import threading
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -14,8 +18,11 @@ from covrad.covering import (covering_radius_1d, covering_radius_bounds, has_exa
                              probe_mesh_for, rho_scale)
 from covrad.errors import BudgetExceededError
 from covrad.experiments import (
+    _POOL_FROM,
+    _POOL_SAMPLES,
     StudyConfig,
     StudyWriter,
+    _pool_size,
     _run_study,
     _trial_bounds,
     check_budget,
@@ -558,6 +565,95 @@ class TestGateMatchesRunner:
         assert cli_main([command, "--domain", name, "--n-grid", "50", "--trials", "2",
                          *flag]) == 0
         assert meshes == ([] if has_exact_path(domain) else [probe_mesh_for(domain, 50, eta)])
+
+
+class TestTrialPool:
+    """Exact-path trials at N >= _POOL_FROM run on a thread pool, in stream
+    order, so every CSV byte is as in the calling thread alone."""
+
+    STUDIES = {
+        "interval": lambda out: run_expectation_study(StudyConfig(
+            domain=IntervalUniform(), n_grid=[_POOL_FROM], trials=5, master_seed=4, out=out)),
+        "circle": lambda out: run_expectation_study(StudyConfig(
+            domain=Sphere(1), n_grid=[_POOL_FROM], trials=5, master_seed=4, out=out)),
+        "arcsine": lambda out: run_arcsine_study(2.0, "right_edge", [_POOL_FROM], 5, 4, out),
+        "cantor40": lambda out: run_expectation_study(StudyConfig(
+            domain=Cantor(40), n_grid=[_POOL_FROM], trials=5, master_seed=4, out=out)),
+    }
+
+    @staticmethod
+    def threads_of_trials(monkeypatch) -> set:
+        """Patches the studies' sample to record the thread of each trial."""
+        idents = set()
+
+        def recorded(domain, n, seed):
+            idents.add(threading.get_ident())
+            return sample(domain, n, seed)
+
+        monkeypatch.setattr("covrad.experiments.sample", recorded)
+        return idents
+
+    @pytest.mark.parametrize("study", sorted(STUDIES))
+    def test_pooled_csv_is_the_serial_csv(self, study, tmp_path, monkeypatch):
+        # eight usable CPUs, so that every host pools its 5 trials on 5 threads,
+        # switching between them as often as it can
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        idents = self.threads_of_trials(monkeypatch)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self.STUDIES[study](str(tmp_path / "pooled.csv"))
+        finally:
+            sys.setswitchinterval(switch)
+        assert idents and threading.get_ident() not in idents
+        monkeypatch.setattr("covrad.experiments._pool_size", lambda n, trials, net: 1)
+        idents.clear()
+        self.STUDIES[study](str(tmp_path / "serial.csv"))
+        assert idents == {threading.get_ident()}
+        assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+    @pytest.mark.parametrize("cpus", [1, 4, 64])
+    def test_pool_size(self, cpus, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        threads = threading.active_count()
+        tracemalloc.start()
+        try:
+            assert _pool_size(_POOL_FROM - 1, 50, None) == 1
+            assert _pool_size(10**5, 50, object()) == 1  # a probe net: one thread
+            assert _pool_size(_POOL_FROM, 3, None) == min(cpus, 3)  # at most the trials
+            for n in (_POOL_FROM, 10**5, 10**6, 10**7):  # at most the CPUs and the samples
+                size = _pool_size(n, 1000, None)
+                assert size == max(1, min(cpus, _POOL_SAMPLES // n))
+                assert size == 1 or size * n <= _POOL_SAMPLES
+            assert tracemalloc.get_traced_memory()[1] < 10_000  # a pure call
+        finally:
+            tracemalloc.stop()
+        assert threading.active_count() == threads
+
+    def test_pool_size_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _pool_size(10**5, 50, None) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _pool_size(10**5, 50, None) == 1
+
+    def test_error_in_a_pooled_trial_reaches_the_caller(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        streams = []
+
+        def failing(domain, n, seed):
+            streams.append(seed.stream_id)
+            if seed.stream_id == 3:
+                raise RuntimeError("trial 3 failed")
+            return sample(domain, n, seed)
+
+        monkeypatch.setattr("covrad.experiments.sample", failing)
+        out = tmp_path / "s.csv"
+        with pytest.raises(RuntimeError, match="trial 3 failed"):
+            run_expectation_study(StudyConfig(domain=Sphere(1), n_grid=[_POOL_FROM],
+                                              trials=300, out=str(out)))
+        assert 3 in streams and len(streams) < 300  # not every trial runs after the error
+        assert list(tmp_path.iterdir()) == []  # StudyWriter.discard
 
 
 class TestFGrid:

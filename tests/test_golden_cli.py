@@ -2,7 +2,8 @@
 
 Each case runs one subcommand on a fixed seed at small size and compares the
 sha256 of the CSV it writes (header and data rows) with a recorded digest.
-The cases cover the exact 1-D paths and the probe-net paths. A refactor of
+The cases cover the exact 1-D paths, two of them at an N whose trials run on
+a thread pool, and the probe-net paths. A refactor of
 the study runners must leave every digest unchanged; a digest moves only when
 a change is meant to alter the numbers, and then it is recorded again.
 """
@@ -37,6 +38,15 @@ CASES = {
     "study_cantor": (
         ["study", "--domain", "cantor", "--n-grid", "200", "--trials", "3", "--seed", "3"],
         "41e7471d8fd2d4a8e3c2dd917f336e1d231aaa5b7b5b5dc77f63e1ef0ba6d8bd",
+    ),
+    # above experiments._POOL_FROM: the trials run on a thread pool
+    "study_circle_pooled": (
+        ["study", "--domain", "circle", "--n-grid", "40000", "--trials", "4", "--seed", "3"],
+        "36cb2f64534e00939a0484790d8b69a4e0f102fd389586cf9412647cf74170a9",
+    ),
+    "study_cantor_pooled": (
+        ["study", "--domain", "cantor", "--n-grid", "40000", "--trials", "4", "--seed", "3"],
+        "8cb19227cf85d7500681f996df9e4c404fc2e47edb7ae1890c7038f85d9ff92c",
     ),
     "tail_interval": (
         ["tail", "--domain", "interval", "--n", "100", "--trials", "20", "--seed", "3"],
